@@ -101,7 +101,7 @@ def _cmd_sweep(args) -> int:
     print(f"wrote {out_csv} ({len(sweep.records)} rows) and {out_svg}")
     for p in sweep.points:
         if math.isnan(p.mean_error):
-            print(f"  {sweep.axis_name}={p.axis_value:g}: unavailable")
+            print(f"  {sweep.axis_name}={p.axis_value:g}: unavailable ({p.reason})")
         else:
             extra = "" if p.exceed_rate is None else f", exceed {p.exceed_rate:.4f}"
             print(f"  {sweep.axis_name}={p.axis_value:g}: mean "

@@ -18,6 +18,7 @@ at most delta; decoding is the inverse enumeration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,8 +76,10 @@ def _comb_rank(support, n: int, k: int) -> int:
     return rank
 
 
+@functools.lru_cache(maxsize=4096)
 def _comb_unrank(rank: int, n: int, k: int) -> tuple:
-    """Inverse of _comb_rank."""
+    """Inverse of _comb_rank.  Memoized: decoders unrank the same few
+    supports and breakpoint layouts over and over."""
     out = []
     j = 0
     for i in range(k):

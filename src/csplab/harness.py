@@ -24,8 +24,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import rng as _rng
-from .bounds import BoundInputs, evaluate_bound
-from .codecs import Codec, PiecewisePolyCodec, ceil_snap, codec_from_config
+from .bounds import BoundInputs, ParameterError, evaluate_bound
+from .codecs import (CapacityError, Codec, GridResolutionError, PiecewisePolyCodec,
+                     ceil_snap, codec_from_config)
 from .measurement import (NoiseModel, apply_noise, measure, measure_analog,
                           sample_ensemble, sample_wiener_ensemble)
 from .solver import csp_recover, csp_recover_analog, csp_recover_panel
@@ -34,6 +35,8 @@ from .solver import csp_recover, csp_recover_analog, csp_recover_panel
 _POINT_BITS, _TRIAL_BITS, _CHANNEL_BITS = 16, 28, 16
 CH_ENSEMBLE, CH_SIGNAL, CH_NOISE, CH_PANEL = 0, 1, 2, 3
 CH_WIENER_BASE = 16  # analog paths use channels [16, 16 + d)
+# more paths would carry the channel field into the trial bits
+MAX_WIENER_PATHS = 2**_CHANNEL_BITS - CH_WIENER_BASE
 
 
 def stream_id(point: int, trial: int, channel: int) -> int:
@@ -174,6 +177,7 @@ class SweepPoint:
     max_error: float
     bound_error: float | None
     bound_fail_prob: float | None
+    reason: str | None = None  # why an unavailable (nan) point could not run
 
 
 @dataclass
@@ -188,12 +192,19 @@ def _resolve_d(config: ExperimentConfig, codec: Codec) -> int:
     if config.d is not None:
         if config.d < 1:
             raise ValueError("d must be >= 1")
-        return int(config.d)
-    if not 0 < codec.delta < 1 / math.e:
-        raise ValueError("the eta budget rule needs delta in (0, 1/e)")
-    mult = 2.0 if config.regime == "strong" else 1.0
-    denom = math.log2(1.0 / (math.e * codec.delta))
-    return max(1, ceil_snap(mult * config.eta * codec.rate_bits / denom))
+        d = int(config.d)
+    else:
+        if not 0 < codec.delta < 1 / math.e:
+            raise ValueError("the eta budget rule needs delta in (0, 1/e)")
+        mult = 2.0 if config.regime == "strong" else 1.0
+        denom = math.log2(1.0 / (math.e * codec.delta))
+        d = max(1, ceil_snap(mult * config.eta * codec.rate_bits / denom))
+    if config.regime == "analog" and d > MAX_WIENER_PATHS:
+        raise ValueError(
+            f"analog d={d} exceeds {MAX_WIENER_PATHS}: Wiener path i takes stream "
+            f"channel {CH_WIENER_BASE} + i, which must fit in {_CHANNEL_BITS} bits"
+        )
+    return d
 
 
 def _signal_dim(config: ExperimentConfig, codec: Codec) -> int:
@@ -218,11 +229,14 @@ def _draw_signal(config: ExperimentConfig, codec: Codec, stream):
     return codec.sample_member(stream.generator), "class-sample"
 
 
-def _worst_direction(codec: Codec, ensemble, x) -> np.ndarray | None:
-    """Direction of A(x - decode(encode(x))): the measured quantization
-    residual, the stress stand-in for noise aligned against recovery."""
-    xt = codec.decode(codec.encode(x))
-    u = ensemble.matrix @ (np.asarray(x) - xt)
+def _quantization_residual(codec: Codec, x) -> np.ndarray:
+    return np.asarray(x) - codec.decode(codec.encode(x))
+
+
+def _worst_direction(ensemble, residual) -> np.ndarray | None:
+    """Direction of A r for the quantization residual r = x - decode(encode(x)):
+    the stress stand-in for noise aligned against recovery."""
+    u = ensemble.matrix @ residual
     nrm = float(np.linalg.norm(u))
     return u if nrm > 1e-15 else None
 
@@ -242,7 +256,11 @@ def build_panel(codec: Codec, size: int, stream) -> list:
     they all fit, otherwise evenly spaced ones for a quarter of the panel;
     then Voronoi cell-corner stress points; class samples fill the rest.
     Codewords the construction leaves outside the class are skipped (the
-    uniform guarantee only quantifies over class members)."""
+    uniform guarantee only quantifies over class members).
+
+    The panel depends only on (codec, stream), so run_trial builds it once
+    per (codec, master_seed, point, panel_size) and reuses it across trials.
+    """
     members: list = []
     descs: list[str] = []
     if codec.size <= size:
@@ -271,11 +289,54 @@ def build_panel(codec: Codec, size: int, stream) -> list:
     return list(zip(members[:size], descs[:size]))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _PanelEntry:
+    """One strong-regime panel with its read-only members, their stacked
+    truths and, on first use by worst_aligned noise, their quantization
+    residuals.  Holds the codec, so the key can never alias a dead one."""
+
+    def __init__(self, codec: Codec, key: tuple, panel: list):
+        self.codec = codec
+        self.key = key
+        self.members = tuple(_frozen(x) for x, _ in panel)
+        self.descs = tuple(desc for _, desc in panel)
+        self.truths = _frozen(np.asarray(self.members))
+        self._residuals = None
+
+    def residuals(self) -> tuple:
+        if self._residuals is None:
+            self._residuals = tuple(_frozen(_quantization_residual(self.codec, x))
+                                    for x in self.members)
+        return self._residuals
+
+
+# Single-entry panel cache: consecutive trials of one sweep point share it.
+# A concurrent caller can at worst rebuild the same panel.
+_panel_cache: _PanelEntry | None = None
+
+
+def _cached_panel(codec: Codec, master_seed: int, panel_sid: int,
+                  size: int) -> _PanelEntry:
+    global _panel_cache
+    entry = _panel_cache
+    key = (master_seed, panel_sid, size)
+    if entry is None or entry.codec is not codec or entry.key != key:
+        panel = build_panel(codec, size, _rng.derive_stream(master_seed, panel_sid))
+        entry = _panel_cache = _PanelEntry(codec, key, panel)
+    return entry
+
+
 def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
               codec: Codec | None = None, axis_value: float | None = None) -> TrialRecord:
     """Run one trial (one ensemble draw).  In the strong regime the trial
     evaluates the whole signal panel against its one matrix and records the
-    panel maximum error."""
+    panel maximum error.  The panel is built once per (codec, master_seed,
+    point, panel_size) and reused by the following trials with the same
+    four, so a run_trials loop builds it once."""
     if codec is None:
         codec = codec_from_config(config.codec)
     if isinstance(codec, PiecewisePolyCodec) != (config.regime == "analog"):
@@ -288,6 +349,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
     n = _signal_dim(config, codec)
     bound = _bound_for(config, codec, d, n)
     model = config.noise_model()
+    worst_aligned = model.kind == "bounded" and model.shape == "worst_aligned"
     seed = config.master_seed
 
     ens_sid = stream_id(point, trial_index, CH_ENSEMBLE)
@@ -300,7 +362,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
         f, desc = _draw_signal(config, codec, _rng.derive_stream(seed, sig_sid))
         y = measure_analog(ensemble, f)
         direction = None
-        if model.kind == "bounded" and model.shape == "worst_aligned":
+        if worst_aligned:
             direction = y - measure_analog(ensemble, codec.decode(codec.encode(f)))
             if float(np.linalg.norm(direction)) <= 1e-15:
                 direction = None
@@ -313,16 +375,15 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
     elif config.regime == "strong":
         ensemble = sample_ensemble(d, codec.n, _rng.derive_stream(seed, ens_sid))
         panel_sid = stream_id(point, 0, CH_PANEL)  # panel fixed across trials
-        panel = build_panel(codec, config.panel_size, _rng.derive_stream(seed, panel_sid))
+        panel = _cached_panel(codec, seed, panel_sid, config.panel_size)
+        residuals = panel.residuals() if worst_aligned else (None,) * len(panel.members)
         ys = []
-        for x, _ in panel:
+        for x, r in zip(panel.members, residuals):
             y = measure(ensemble, x)
-            direction = _worst_direction(codec, ensemble, x) \
-                if model.kind == "bounded" and model.shape == "worst_aligned" else None
+            direction = _worst_direction(ensemble, r) if worst_aligned else None
             ys.append(_apply_trial_noise(y, model, noise_stream, direction))
         results = csp_recover_panel(
-            np.asarray(ys), ensemble, codec,
-            truths=np.asarray([x for x, _ in panel]),
+            np.asarray(ys), ensemble, codec, truths=panel.truths,
             block_size=config.block_size, threads=config.threads,
         )
         errors = np.asarray([r.error_l2 for r in results])
@@ -330,14 +391,14 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
         error = float(errors[worst])
         residual = results[worst].residual
         wall = results[0].wall_time
-        desc = f"panel-max[{panel[worst][1]}]"
+        desc = f"panel-max[{panel.descs[worst]}]"
         ensemble_seed, sig_sid = ens_sid, panel_sid
     else:  # weak
         ensemble = sample_ensemble(d, codec.n, _rng.derive_stream(seed, ens_sid))
         x, desc = _draw_signal(config, codec, _rng.derive_stream(seed, sig_sid))
         y = measure(ensemble, x)
-        direction = _worst_direction(codec, ensemble, x) \
-            if model.kind == "bounded" and model.shape == "worst_aligned" else None
+        direction = _worst_direction(ensemble, _quantization_residual(codec, x)) \
+            if worst_aligned else None
         y = _apply_trial_noise(y, model, noise_stream, direction)
         res = csp_recover(y, ensemble, codec, truth=x,
                           block_size=config.block_size, threads=config.threads)
@@ -391,9 +452,10 @@ def _point_config(config: ExperimentConfig, value: float) -> ExperimentConfig:
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run the trial grid over the configured axis.
 
-    Per-point failures (for example a distortion too small for the codebook
-    cap) are recorded as a point with nan aggregates and no records; the
-    sweep continues.
+    Expected per-point infeasibility (a codebook over its cap, a distortion
+    the time grid cannot resolve, bound parameters out of range) is recorded
+    as a point with nan aggregates, no records and the reason; the sweep
+    continues.  Any other error propagates.
     """
     if config.axis is None:
         raise ValueError("run_sweep needs an axis in the config")
@@ -405,9 +467,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         try:
             pc = _point_config(config, value)
             recs = run_trials(pc, point=i, axis_value=value)
-        except ValueError:
-            # per-point failure (e.g. capacity at a small delta): mark and go on
-            points.append(SweepPoint(value, None, math.nan, math.nan, None, None))
+        except (CapacityError, GridResolutionError, ParameterError) as exc:
+            points.append(SweepPoint(value, None, math.nan, math.nan, None, None,
+                                     reason=f"{type(exc).__name__}: {exc}"))
             continue
         errs = np.asarray([r.error_l2 for r in recs])
         bound_error = recs[0].bound_error

@@ -1,0 +1,84 @@
+"""Golden outputs: CSV and SVG bytes pinned across versions.
+
+Each fixture under tests/golden/ is the output of one small, fixed config.
+The tests regenerate it and compare bytes, so any change to the emitted
+numbers, formatting or stream layout fails here.  Re-baselining a fixture is
+a deliberate decision; regenerate them with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and record the reason for the change.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from csplab.harness import ExperimentConfig, records_to_csv, run_sweep, run_trials
+from csplab.svgplot import render_svg
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_SPARSE = {"class": "sparse", "n": 8, "k": 1, "rho": 1.0, "delta": 0.2}
+_WORST = {"kind": "bounded", "zeta": 0.05, "shape": "worst_aligned"}
+
+CONFIGS = {
+    "weak": dict(
+        codec=_SPARSE, regime="weak", noise=_WORST, d=5, trials=4,
+        master_seed=11, theorem_id="T5",
+        bound_params={"tau1": 3.0, "tau2": 0.75},
+    ),
+    "strong_panel": dict(
+        codec=dict(_SPARSE, delta=0.4), regime="strong", d=6, trials=3,
+        master_seed=12, panel_size=25, theorem_id="T8",
+        bound_params={"tau": 0.75, "t": 1.0},
+    ),
+    "strong_panel_worst": dict(
+        codec=dict(_SPARSE, delta=0.4), regime="strong", noise=_WORST, d=6,
+        trials=3, master_seed=13, panel_size=25,
+    ),
+    "analog": dict(
+        codec={"class": "ppoly", "n": 256, "N": 0, "Q": 0, "rho": 1.0,
+               "delta": 0.05},
+        regime="analog", d=6, trials=2, master_seed=14, theorem_id="T3",
+        bound_params={"tau1": 3.0, "tau2": 0.75},
+    ),
+}
+
+# the last delta needs a codebook above the cap: an unavailable point
+SWEEP = dict(
+    codec=dict(_SPARSE, cap=2**10), regime="weak", d=5, trials=2,
+    master_seed=15, theorem_id="T3", bound_params={"tau1": 3.0, "tau2": 0.75},
+    axis={"name": "delta", "values": [0.2, 0.3, 1e-5]},
+)
+
+
+def render_all() -> dict:
+    """Fixture file name -> freshly generated text."""
+    out = {}
+    for name, raw in CONFIGS.items():
+        cfg = ExperimentConfig(**raw)
+        out[f"{name}.csv"] = records_to_csv(run_trials(cfg), cfg.master_seed)
+    cfg = ExperimentConfig(**SWEEP)
+    sweep = run_sweep(cfg)
+    out["sweep.csv"] = records_to_csv(sweep.records, cfg.master_seed)
+    out["sweep.svg"] = render_svg(sweep, title="golden sweep")
+    return out
+
+
+@pytest.fixture(scope="module")
+def rendered():
+    return render_all()
+
+
+@pytest.mark.parametrize("name", [f"{n}.csv" for n in CONFIGS]
+                         + ["sweep.csv", "sweep.svg"])
+def test_golden_bytes(rendered, name):
+    assert rendered[name].encode() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, text in render_all().items():
+        (GOLDEN / name).write_bytes(text.encode())
+        print(f"wrote {GOLDEN / name}")

@@ -1,13 +1,16 @@
 """Experiment runner: determinism, CSV contract, sweeps, panels, SVG."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from csplab import harness
 from csplab.codecs import SparseCodec, codec_from_config
-from csplab.harness import (CSV_COLUMNS, ExperimentConfig, build_panel,
-                            records_to_csv, run_sweep, run_trial, run_trials)
+from csplab.harness import (CSV_COLUMNS, MAX_WIENER_PATHS, ExperimentConfig,
+                            build_panel, records_to_csv, run_sweep, run_trial,
+                            run_trials, stream_id)
 from csplab.rng import derive_stream
 from csplab.svgplot import render_svg
 
@@ -155,6 +158,95 @@ class TestStrongRegime:
             run_trial(cfg, 0)
 
 
+def strong_config(**overrides):
+    base = dict(
+        codec={"class": "sparse", "n": 8, "k": 1, "rho": 1.0, "delta": 0.4},
+        regime="strong", d=6, trials=5, master_seed=21, panel_size=25,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+class TestPanelCache:
+    @pytest.mark.parametrize("noise", [
+        {"kind": "none"},
+        {"kind": "bounded", "zeta": 0.05, "shape": "worst_aligned"},
+    ])
+    def test_cached_records_equal_fresh_builds(self, noise, monkeypatch):
+        cfg = strong_config(noise=noise)
+        codec = codec_from_config(cfg.codec)
+        fresh = []
+        for t in range(5):
+            monkeypatch.setattr(harness, "_panel_cache", None)
+            fresh.append(run_trial(cfg, t, codec=codec))
+        builds = []
+        real = harness.build_panel
+        monkeypatch.setattr(harness, "build_panel",
+                            lambda *a: builds.append(a) or real(*a))
+        monkeypatch.setattr(harness, "_panel_cache", None)
+        cached = [run_trial(cfg, t, codec=codec) for t in range(5)]
+        assert cached == fresh  # field by field
+        assert len(builds) == 1
+
+    def test_interleaved_keys_never_return_a_stale_panel(self, monkeypatch):
+        cfg = strong_config(noise={"kind": "bounded", "zeta": 0.05,
+                                   "shape": "worst_aligned"})
+        codecs = [SparseCodec(8, 1, 1.0, 0.4), SparseCodec(8, 1, 1.0, 0.5)]
+        # Gray-code order: consecutive keys differ in exactly one component;
+        # walk it forward, then back, so every key comes up twice
+        gray = [(g >> 2, g >> 1 & 1, g & 1) for g in (i ^ i >> 1 for i in range(8))]
+        order = gray + gray[::-1][1:] + gray[-1:]
+        for trial, (c, s, point) in enumerate(order):
+            seed = (21, 22)[s]
+            run = replace(cfg, master_seed=seed)
+            got = run_trial(run, trial, point=point, codec=codecs[c])
+            monkeypatch.setattr(harness, "_panel_cache", None)
+            want = run_trial(run, trial, point=point, codec=codecs[c])
+            assert got == want
+
+    def test_cached_arrays_are_read_only(self, monkeypatch):
+        cfg = strong_config(noise={"kind": "bounded", "zeta": 0.05,
+                                   "shape": "worst_aligned"})
+        monkeypatch.setattr(harness, "_panel_cache", None)
+        run_trial(cfg, 0)
+        entry = harness._panel_cache
+        for arr in (entry.members[0], entry.truths, entry.residuals()[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+
+class TestWienerStreams:
+    def analog_config(self, d):
+        return ExperimentConfig(
+            codec={"class": "ppoly", "n": 64, "N": 0, "Q": 0, "rho": 1.0,
+                   "delta": 0.1},
+            regime="analog", d=d, trials=1, master_seed=0,
+        )
+
+    def test_largest_d_keeps_streams_inside_the_trial(self, monkeypatch):
+        seen = []
+
+        def fake_sample(d, m, seed, base):
+            seen.append((d, base))
+            raise RuntimeError("stop before sampling")
+
+        monkeypatch.setattr(harness, "sample_wiener_ensemble", fake_sample)
+        with pytest.raises(RuntimeError, match="stop before sampling"):
+            run_trial(self.analog_config(MAX_WIENER_PATHS), 3, point=2)
+        (d, base), = seen
+        assert d == MAX_WIENER_PATHS == 65_520
+        assert base + d - 1 == stream_id(2, 3, 2**16 - 1)
+
+    def test_one_more_path_is_rejected_before_drawing(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("sampled despite an invalid d")
+
+        monkeypatch.setattr(harness, "sample_wiener_ensemble", fail)
+        monkeypatch.setattr(harness._rng, "derive_stream", fail)
+        with pytest.raises(ValueError, match="exceeds 65520"):
+            run_trial(self.analog_config(MAX_WIENER_PATHS + 1), 0)
+
+
 class TestSweep:
     def test_sigma_axis_bound_strictly_increasing(self):
         cfg = small_config(
@@ -192,6 +284,17 @@ class TestSweep:
         assert not math.isnan(sweep.points[0].mean_error)
         assert math.isnan(sweep.points[1].mean_error)
         assert all(r.axis_value == 0.2 for r in sweep.records)
+        assert sweep.points[0].reason is None
+        assert sweep.points[1].reason.startswith("CapacityError: ")
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a bug, not an infeasible point")
+
+        monkeypatch.setattr(harness, "csp_recover", broken)
+        cfg = small_config(axis={"name": "d", "values": [2, 4]})
+        with pytest.raises(ValueError, match="a bug"):
+            run_sweep(cfg)
 
     def test_within_bound_recomputable_from_csv(self):
         cfg = small_config(axis={"name": "d", "values": [3, 5]}, trials=2)
