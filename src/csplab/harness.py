@@ -421,8 +421,10 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
 
 
 def run_trials(config: ExperimentConfig, point: int = 0,
-               axis_value: float | None = None) -> list:
-    codec = codec_from_config(config.codec)
+               axis_value: float | None = None,
+               codec: Codec | None = None) -> list:
+    if codec is None:
+        codec = codec_from_config(config.codec)
     return [
         run_trial(config, t, point=point, codec=codec, axis_value=axis_value)
         for t in range(config.trials)
@@ -455,7 +457,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     Expected per-point infeasibility (a codebook over its cap, a distortion
     the time grid cannot resolve, bound parameters out of range) is recorded
     as a point with nan aggregates, no records and the reason; the sweep
-    continues.  Any other error propagates.
+    continues.  Any other error propagates.  The codec is built once and
+    rebuilt only at points whose codec descriptor differs (a delta axis).
     """
     if config.axis is None:
         raise ValueError("run_sweep needs an axis in the config")
@@ -463,10 +466,14 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     values = [float(v) for v in config.axis["values"]]
     points: list[SweepPoint] = []
     records: list[TrialRecord] = []
+    codec = codec_cfg = None
     for i, value in enumerate(values):
         try:
             pc = _point_config(config, value)
-            recs = run_trials(pc, point=i, axis_value=value)
+            if pc.codec != codec_cfg:
+                codec = codec_from_config(pc.codec)
+                codec_cfg = pc.codec
+            recs = run_trials(pc, point=i, axis_value=value, codec=codec)
         except (CapacityError, GridResolutionError, ParameterError) as exc:
             points.append(SweepPoint(value, None, math.nan, math.nan, None, None,
                                      reason=f"{type(exc).__name__}: {exc}"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .piecewise import PiecewisePolynomial
-from .rng import RandomStream, WienerPath, derive_stream, gaussian_matrix, gaussian_vector
+from .rng import RandomStream, derive_stream, gaussian_matrix, gaussian_vector
 
 
 @dataclass
@@ -158,9 +158,6 @@ class WienerEnsemble:
     def times(self) -> np.ndarray:
         """Left endpoints k/m of the integration cells."""
         return np.arange(self.m) / self.m
-
-    def path(self, i: int) -> WienerPath:
-        return WienerPath(m=self.m, increments=self.increments[i].copy())
 
 
 def sample_wiener_ensemble(d: int, m: int, master_seed: int,

@@ -32,10 +32,6 @@ class RandomStream:
     stream_id: int
     generator: np.random.Generator = field(repr=False)
 
-    def spawn(self, stream_id: int) -> "RandomStream":
-        """Derive a sibling stream under the same master seed."""
-        return derive_stream(self.master_seed, stream_id)
-
 
 def derive_stream(master_seed: int, stream_id: int) -> RandomStream:
     """Create the deterministic stream for (master_seed, stream_id).

@@ -160,22 +160,26 @@ def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
 
 
 def _analog_group_operator(codec: PiecewisePolyCodec, breakpoints: np.ndarray,
-                           ensemble: WienerEnsemble) -> np.ndarray:
+                           times: np.ndarray, inc_t: np.ndarray) -> np.ndarray:
     """Matrix B (n_coef, d) with y_c = coeffs @ B for every codeword whose
     piece layout is given by `breakpoints`: B rows are the stochastic
-    integrals of the basis functions of each (piece, degree) slot."""
-    times = ensemble.times
+    integrals of the basis functions of each (piece, degree) slot.
+
+    times is the sorted grid of left endpoints and inc_t the (m, d)
+    C-contiguous transpose of the ensemble's increments, so piece j covers
+    the contiguous cells [cuts[j], cuts[j+1]) and its integrals are one
+    product with a row slice of inc_t."""
+    m, d = inc_t.shape
     edges = np.concatenate(([0.0], breakpoints, [1.0]))
-    piece_of = np.searchsorted(breakpoints, times, side="right")
-    B = np.zeros((codec.n_coef, ensemble.d))
+    cuts = np.concatenate(([0], np.searchsorted(times, breakpoints, side="left"), [m]))
+    B = np.zeros((codec.n_coef, d))
     deg = codec.degree
     for j in range(codec.n_breaks + 1):
-        cells = piece_of == j
-        if not np.any(cells):
+        lo, hi = cuts[j], cuts[j + 1]
+        if hi <= lo:
             continue
-        a, b = edges[j], edges[j + 1]
-        phi = orthonormal_basis_matrix(a, b, deg, times[cells])   # (deg+1, cells)
-        B[j * (deg + 1):(j + 1) * (deg + 1)] = phi @ ensemble.increments[:, cells].T
+        phi = orthonormal_basis_matrix(edges[j], edges[j + 1], deg, times[lo:hi])
+        B[j * (deg + 1):(j + 1) * (deg + 1)] = phi @ inc_t[lo:hi]
     return B
 
 
@@ -189,6 +193,16 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     computed through the ensemble's left-point integral sums.  The codec's
     time grid must match the ensemble's so signal and codewords are measured
     identically.
+
+    The increments are transposed once per scan into a C-contiguous (m, d)
+    array.  The grid times are sorted, so each piece of a breakpoint layout
+    covers a contiguous run of cells and its operator rows are one product
+    with a row slice of that transpose.  Row slices reproduce the bits of a
+    masked copy of increments[:, cells]; column slices of the increments
+    (views or copies) take another BLAS path and can differ in the last bits,
+    which would change reported residuals.  When a group fits in one block
+    the coefficient grid, the same for every group, is built once per scan,
+    so memory stays at O(block * n_coef).
     """
     t0 = time.perf_counter()
     y = np.asarray(y, dtype=float)
@@ -213,16 +227,22 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
             blocks.append((group_start, breakpoints, offset, count))
             offset += count
 
+    times = ensemble.times
+    inc_t = np.ascontiguousarray(ensemble.increments.T)
+    # every group scans the same coefficient grid; when a group is one block
+    # that grid is built once for the whole scan
+    shared_coefs = codec.coef_block(0, codec.coef_space) \
+        if codec.coef_space <= block_size else None
     operators = {}
 
     def block_min(block):
         group_start, breakpoints, offset, count = block
-        key = group_start
-        B = operators.get(key)
+        B = operators.get(group_start)
         if B is None:
-            B = _analog_group_operator(codec, breakpoints, ensemble)
-            operators[key] = B
-        coefs = codec.coef_block(offset, count)
+            B = _analog_group_operator(codec, breakpoints, times, inc_t)
+            operators[group_start] = B
+        coefs = shared_coefs if shared_coefs is not None \
+            else codec.coef_block(offset, count)
         resid = coefs @ B - y
         sq = np.einsum("ij,ij->i", resid, resid)
         j = int(np.argmin(sq))
@@ -232,7 +252,8 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     # threaded path stays race-free and deterministic
     if threads > 1:
         for group_start, breakpoints in codec.iter_break_groups():
-            operators[group_start] = _analog_group_operator(codec, breakpoints, ensemble)
+            operators[group_start] = _analog_group_operator(
+                codec, breakpoints, times, inc_t)
     results = _run_blocks(block_min, blocks, threads)
     best_sq, best_idx = _fold_blocks(results)
     recon = codec.decode(best_idx)

@@ -296,6 +296,50 @@ class TestSweep:
         with pytest.raises(ValueError, match="a bug"):
             run_sweep(cfg)
 
+    @staticmethod
+    def count_codec_builds(monkeypatch) -> list:
+        built = []
+
+        def counting(cfg, **kw):
+            built.append(dict(cfg))
+            return codec_from_config(cfg, **kw)
+
+        monkeypatch.setattr(harness, "codec_from_config", counting)
+        return built
+
+    @pytest.mark.parametrize("regime", ["weak", "strong"])
+    def test_d_axis_builds_codec_once_with_per_point_bytes(self, monkeypatch,
+                                                           regime):
+        extra = {"panel_size": 6, "theorem_id": "T8",
+                 "bound_params": {"tau": 0.75, "t": 1.0}} \
+            if regime == "strong" else {}
+        cfg = small_config(regime=regime, axis={"name": "d", "values": [3, 5, 4]},
+                           trials=2, **extra)
+        per_point = []
+        for i, value in enumerate(cfg.axis["values"]):
+            monkeypatch.setattr(harness, "_panel_cache", None)
+            per_point += run_trials(harness._point_config(cfg, value), point=i,
+                                    axis_value=float(value))
+        monkeypatch.setattr(harness, "_panel_cache", None)
+        built = self.count_codec_builds(monkeypatch)
+        sweep = run_sweep(cfg)
+        assert built == [cfg.codec]
+        assert records_to_csv(sweep.records, cfg.master_seed) == \
+            records_to_csv(per_point, cfg.master_seed)
+
+    def test_delta_axis_builds_codec_per_point(self, monkeypatch):
+        built = self.count_codec_builds(monkeypatch)
+        cfg = small_config(
+            codec={"class": "sparse", "n": 8, "k": 1, "rho": 1.0, "delta": 0.2,
+                   "cap": 2**10},
+            axis={"name": "delta", "values": [0.2, 0.3, 1e-5, 0.2]},
+            theorem_id=None, bound_params={},
+        )
+        sweep = run_sweep(cfg)
+        assert [b["delta"] for b in built] == [0.2, 0.3, 1e-5, 0.2]
+        assert sweep.points[2].reason.startswith("CapacityError: ")
+        assert [p.reason for p in sweep.points[:2] + sweep.points[3:]] == [None] * 3
+
     def test_within_bound_recomputable_from_csv(self):
         cfg = small_config(axis={"name": "d", "values": [3, 5]}, trials=2)
         text = records_to_csv(run_sweep(cfg).records, cfg.master_seed)

@@ -1,16 +1,21 @@
 """Exhaustive codeword pursuit: optimality, ties, parallel determinism."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csplab.codecs import (ExplicitCodec, GridCodec, PiecewisePolyCodec,
                            SparseCodec, ceil_snap)
 from csplab.measurement import (measure, measure_analog, sample_ensemble,
                                 sample_wiener_ensemble)
+from csplab.piecewise import orthonormal_basis_matrix
 from csplab.rng import derive_stream
-from csplab.solver import csp_recover, csp_recover_analog, csp_recover_panel
+from csplab.solver import (_analog_group_operator, csp_recover, csp_recover_analog,
+                           csp_recover_panel)
 
 
 def naive_scan(y, A, codec):
@@ -186,6 +191,94 @@ class TestAnalog:
         ens = sample_wiener_ensemble(2, 512, 53, 0)
         with pytest.raises(ValueError):
             csp_recover_analog(np.zeros(3), ens, codec)  # wrong length
+
+
+def mask_group_operator(codec, breakpoints, ensemble):
+    """Reference operator: select each piece's cells with a boolean mask over
+    all grid times and integrate against a copy of those increment columns."""
+    times = ensemble.times
+    edges = np.concatenate(([0.0], breakpoints, [1.0]))
+    piece_of = np.searchsorted(breakpoints, times, side="right")
+    B = np.zeros((codec.n_coef, ensemble.d))
+    deg = codec.degree
+    for j in range(codec.n_breaks + 1):
+        cells = piece_of == j
+        if not np.any(cells):
+            continue
+        phi = orthonormal_basis_matrix(edges[j], edges[j + 1], deg, times[cells])
+        B[j * (deg + 1):(j + 1) * (deg + 1)] = phi @ ensemble.increments[:, cells].T
+    return B
+
+
+# (degree, n_breaks, delta, grid); built once each, the audit is not free
+OPERATOR_CODECS = [(0, 1, 0.5, 64), (1, 1, 0.6, 64), (1, 2, 0.9, 64),
+                   (2, 2, 0.9, 128), (0, 3, 0.9, 64), (2, 1, 0.9, 32)]
+
+
+@functools.lru_cache(maxsize=None)
+def ppoly_codec(degree, n_breaks, delta, grid):
+    return PiecewisePolyCodec(degree, n_breaks, 1.0, delta, grid=grid, cap=None)
+
+
+@st.composite
+def operator_cases(draw):
+    """A codec, a Wiener ensemble on its grid, and a sorted breakpoint layout
+    on the half-grid: on grid times, between them, and repeated."""
+    params = draw(st.sampled_from(OPERATOR_CODECS))
+    grid = params[3]
+    halves = draw(st.lists(st.integers(1, 2 * grid - 1),
+                           min_size=params[1], max_size=params[1]))
+    d = draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return params, tuple(sorted(halves)), d, seed
+
+
+class TestAnalogGroupOperator:
+    @settings(max_examples=80, deadline=None)
+    @given(case=operator_cases())
+    @example(case=((1, 2, 0.9, 64), (40, 40), 3, 5))     # empty middle piece
+    @example(case=((0, 3, 0.9, 64), (1, 1, 127), 8, 6))  # one-cell and empty pieces
+    def test_slices_match_mask_reference_bitwise(self, case):
+        params, halves, d, seed = case
+        codec = ppoly_codec(*params)
+        ens = sample_wiener_ensemble(d, codec.grid, seed, 0)
+        breakpoints = np.asarray(halves, dtype=float) / (2 * codec.grid)
+        inc_t = np.ascontiguousarray(ens.increments.T)
+        got = _analog_group_operator(codec, breakpoints, ens.times, inc_t)
+        assert np.array_equal(got, mask_group_operator(codec, breakpoints, ens))
+
+    @pytest.mark.parametrize("params", OPERATOR_CODECS)
+    def test_every_codec_group_matches_mask_reference_bitwise(self, params):
+        codec = ppoly_codec(*params)
+        ens = sample_wiener_ensemble(5, codec.grid, 60, 0)
+        inc_t = np.ascontiguousarray(ens.increments.T)
+        for _, breakpoints in codec.iter_break_groups():
+            got = _analog_group_operator(codec, breakpoints, ens.times, inc_t)
+            assert np.array_equal(got, mask_group_operator(codec, breakpoints, ens))
+
+    def test_block_sizes_agree_bitwise(self, monkeypatch):
+        codec = PiecewisePolyCodec(0, 1, 1.0, 0.2, grid=256)
+        assert codec.coef_space == 256
+        counts = []
+        coef_block = codec.coef_block
+
+        def counting(offset, count):
+            counts.append(count)
+            return coef_block(offset, count)
+
+        monkeypatch.setattr(codec, "coef_block", counting)
+        ens = sample_wiener_ensemble(6, 256, 61, 0)
+        f = codec.decode(codec.size // 3 + 17)
+        y = measure_analog(ens, f) + 0.05 * derive_stream(61, 1).generator.standard_normal(6)
+        base = csp_recover_analog(y, ens, codec)
+        assert base.residual > 0
+        assert counts == [256]  # one coefficient grid for all 128 groups
+        for bs in (7, 64, 255, 256):
+            counts.clear()
+            got = csp_recover_analog(y, ens, codec, block_size=bs)
+            assert got.chosen_index == base.chosen_index
+            assert got.residual == base.residual
+            assert max(counts) == bs  # memory stays O(block_size * n_coef)
 
 
 class TestValidation:
