@@ -14,9 +14,8 @@ from .bounds import (BoundEvaluation, BoundInputs, FiniteDimRate,
                      singular_value_tail)
 from .codecs import (CapacityError, Codec, DomainError, ExplicitCodec,
                      GridCodec, PiecewisePolyCodec, RateDistortionPoint,
-                     SparseCodec, build_grid_codec, build_ppoly_codec,
-                     build_sparse_codec, codec_from_config,
-                     entropy_lower_bound, rd_profile)
+                     SparseCodec, codec_from_config, entropy_lower_bound,
+                     rd_profile)
 from .harness import (ExperimentConfig, SweepPoint, SweepResult, TrialRecord,
                       build_panel, records_to_csv, run_sweep, run_trial,
                       run_trials, write_csv)
@@ -41,8 +40,7 @@ __all__ = [
     "PiecewisePolynomial", "PolylogRate", "PowerlawRate", "RandomStream",
     "RateDistortionPoint", "RecoveryResult", "SparseCodec", "SweepPoint",
     "SweepResult", "TrialRecord", "WienerEnsemble", "WienerPath",
-    "apply_noise", "build_grid_codec", "build_panel", "build_ppoly_codec",
-    "build_sparse_codec", "chi2_tail", "codec_from_config",
+    "apply_noise", "build_panel", "chi2_tail", "codec_from_config",
     "constant_function", "construct_indistinguishable_pair", "csp_recover",
     "csp_recover_analog", "csp_recover_panel", "derive_stream", "emit_svg",
     "entropy_lower_bound", "evaluate_bound", "gaussian_matrix",

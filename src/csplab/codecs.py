@@ -3,7 +3,8 @@
 Three signal classes are covered:
 
 * GridCodec      -- the Euclidean ball B2(rho) in R^n, covered by a uniform
-                    per-coordinate grid of spacing delta/sqrt(n).
+                    per-coordinate grid of spacing delta/sqrt(n); the
+                    SparseCodec with k = n.
 * SparseCodec    -- k-sparse vectors inside B2(rho), covered by a grid of
                     spacing delta/sqrt(k) on every size-k support.
 * PiecewisePolyCodec -- piecewise polynomials on [0,1] with bounded degree,
@@ -119,19 +120,6 @@ class Codec:
     def encode(self, x) -> int:
         raise NotImplementedError
 
-    def scan_blocks(self, block_size: int):
-        """Canonical block grid over the codebook: yields (start, count).
-
-        The grid depends only on the codebook size and block_size, never on
-        how the scan is partitioned, which is what makes parallel scans
-        reproduce the serial result bit for bit.
-        """
-        start = 0
-        while start < self.size:
-            count = min(block_size, self.size - start)
-            yield start, count
-            start += count
-
     def _check_cap(self, what: str):
         if self.cap is not None and self.size > self.cap:
             raise CapacityError(self.size, self.cap, what)
@@ -140,142 +128,14 @@ class Codec:
         raise NotImplementedError
 
 
-class GridCodec(Codec):
-    """Uniform product grid covering the ball B2(rho) in R^n.
-
-    Per coordinate the grid takes 2*ceil(rho*sqrt(n)/delta)+1 values spaced
-    delta/sqrt(n) apart (zero included), so every ball point is within
-    delta/2 of a codeword.  Enumeration is row-major with coordinate 0 most
-    significant and level index 0 at the most negative grid value.
-    """
-
-    kind = "grid"
-
-    def __init__(self, n: int, rho: float, delta: float,
-                 cap: int | None = DEFAULT_CAP,
-                 materialize_threshold: int = DEFAULT_MATERIALIZE):
-        if n < 1:
-            raise ValueError(f"n={n}; need n >= 1")
-        if rho <= 0:
-            raise ValueError(f"rho={rho}; need rho > 0")
-        if not 0 < delta <= rho * math.sqrt(n):
-            raise ValueError(
-                f"delta={delta} outside (0, rho*sqrt(n)] = (0, {rho * math.sqrt(n)}]"
-            )
-        self.n = int(n)
-        self.rho = float(rho)
-        self.delta = float(delta)
-        self.cap = cap
-        self.steps = ceil_snap(rho * math.sqrt(n) / delta)
-        self.spacing = delta / math.sqrt(n)
-        self.levels_per_dim = 2 * self.steps + 1
-        self.size = self.levels_per_dim**self.n
-        self.rate_bits = self.n * math.log2(self.levels_per_dim)
-        self._check_cap("grid codec")
-        self._materialize_threshold = materialize_threshold
-        self._cache = None
-
-    @property
-    def levels(self) -> np.ndarray:
-        return np.arange(-self.steps, self.steps + 1) * self.spacing
-
-    def worst_case_distortion(self) -> float:
-        """Half the cell diagonal; exactly delta/2 by construction."""
-        return 0.5 * self.spacing * math.sqrt(self.n)
-
-    def encode(self, x) -> int:
-        """Nearest codeword by per-coordinate rounding (half-up on ties).
-
-        Accepts ball members and, as exact fixed points, codewords themselves
-        (the construction keeps grid corners outside the ball, and those must
-        still round-trip).  Anything else is a domain error.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise DomainError(f"signal shape {x.shape}; expected ({self.n},)")
-        digits = np.clip(
-            np.floor(x / self.spacing + 0.5), -self.steps, self.steps
-        ).astype(np.int64) + self.steps
-        rounded = (digits - self.steps) * self.spacing
-        fixed_point = float(np.linalg.norm(x - rounded)) <= 1e-9 * max(
-            1.0, float(np.linalg.norm(x)))
-        if not fixed_point:
-            nrm = float(np.linalg.norm(x))
-            if nrm > self.rho * (1 + 1e-9):
-                raise DomainError(
-                    f"||x||_2 = {nrm} exceeds ball radius {self.rho}")
-        index = 0
-        for d in digits:
-            index = index * self.levels_per_dim + int(d)
-        return index
-
-    def decode(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.size:
-            raise IndexError(f"index {index} outside [0, {self.size})")
-        digits = np.empty(self.n, dtype=np.int64)
-        rem = int(index)
-        for i in range(self.n - 1, -1, -1):
-            rem, d = divmod(rem, self.levels_per_dim)
-            digits[i] = d
-        return (digits - self.steps) * self.spacing
-
-    def _raw_block(self, start: int, count: int) -> np.ndarray:
-        idx = np.arange(start, start + count, dtype=np.int64)
-        digits = np.stack(
-            np.unravel_index(idx, (self.levels_per_dim,) * self.n), axis=1
-        )
-        return (digits - self.steps) * self.spacing
-
-    def decode_block(self, start: int, count: int) -> np.ndarray:
-        """Codewords start .. start+count-1 as a (count, n) array.  Codebooks
-        at or under the materialization threshold are decoded once and served
-        from an immutable cache; larger ones are generated per block."""
-        if self.size <= self._materialize_threshold:
-            return self.materialize()[start:start + count]
-        return self._raw_block(start, count)
-
-    def materialize(self) -> np.ndarray:
-        """Full codebook as a (size, n) array, cached under the threshold."""
-        if self._cache is None:
-            block = self._raw_block(0, self.size)
-            if self.size <= self._materialize_threshold:
-                self._cache = block
-            return block
-        return self._cache
-
-    def is_member(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return x.shape == (self.n,) and float(np.linalg.norm(x)) <= self.rho * (1 + 1e-9)
-
-    def sample_member(self, gen: np.random.Generator) -> np.ndarray:
-        """Uniform draw from the ball: direction from a normalized gaussian,
-        radius rho * U^(1/n)."""
-        g = gen.standard_normal(self.n)
-        nrm = float(np.linalg.norm(g))
-        while nrm == 0.0:
-            g = gen.standard_normal(self.n)
-            nrm = float(np.linalg.norm(g))
-        return self.rho * gen.uniform() ** (1.0 / self.n) * g / nrm
-
-    def stress_member(self, index: int) -> np.ndarray | None:
-        """Deepest point of the Voronoi cell of a codeword (cell corner), or
-        None if it leaves the ball."""
-        x = self.decode(index) + 0.5 * self.spacing
-        return x if np.linalg.norm(x) <= self.rho else None
-
-    def config(self) -> dict:
-        return {
-            "class": "grid", "n": self.n, "rho": self.rho,
-            "delta": self.delta, "cap": self.cap,
-        }
-
-
 class SparseCodec(Codec):
     """Grid codewords on every size-k support: covers k-sparse ball points.
 
-    Index layout: index = support_rank * L^k + grid_index, supports in
-    lexicographic order, grid enumeration as in GridCodec restricted to the
-    support (ascending coordinate order).  The all-zero and other
+    Per support coordinate the grid takes L = 2*ceil(rho*sqrt(k)/delta)+1
+    values spaced delta/sqrt(k) apart (zero included).  Index layout:
+    index = support_rank * L^k + grid_index, supports in lexicographic order,
+    grid digits row-major over the support in ascending coordinate order
+    (level 0 at the most negative value).  The all-zero and other
     lower-sparsity codewords repeat across supports; encode always returns
     the lowest-index (lexicographically first support) occurrence.
     """
@@ -305,7 +165,7 @@ class SparseCodec(Codec):
         self.grid_size = self.levels_per_dim**self.k
         self.size = self.n_supports * self.grid_size
         self.rate_bits = math.log2(self.size)
-        self._check_cap("sparse codec")
+        self._check_cap(f"{self.kind} codec")
         self._materialize_threshold = materialize_threshold
         self._cache = None
 
@@ -411,14 +271,19 @@ class SparseCodec(Codec):
         """Uniform support, then a uniform draw from the k-dimensional ball
         of radius rho on that support."""
         support = np.sort(gen.choice(self.n, size=self.k, replace=False))
-        g = gen.standard_normal(self.k)
+        out = np.zeros(self.n)
+        out[support] = self._ball_draw(gen, self.k)
+        return out
+
+    def _ball_draw(self, gen: np.random.Generator, dim: int) -> np.ndarray:
+        """Uniform draw from the dim-dimensional ball of radius rho: direction
+        from a normalized gaussian, radius rho * U^(1/dim)."""
+        g = gen.standard_normal(dim)
         nrm = float(np.linalg.norm(g))
         while nrm == 0.0:
-            g = gen.standard_normal(self.k)
+            g = gen.standard_normal(dim)
             nrm = float(np.linalg.norm(g))
-        out = np.zeros(self.n)
-        out[support] = self.rho * gen.uniform() ** (1.0 / self.k) * g / nrm
-        return out
+        return self.rho * gen.uniform() ** (1.0 / dim) * g / nrm
 
     def stress_member(self, index: int) -> np.ndarray | None:
         """Cell corner of a codeword on its own support, or None if it
@@ -432,6 +297,38 @@ class SparseCodec(Codec):
     def config(self) -> dict:
         return {
             "class": "sparse", "n": self.n, "k": self.k, "rho": self.rho,
+            "delta": self.delta, "cap": self.cap,
+        }
+
+
+class GridCodec(SparseCodec):
+    """Uniform product grid covering the ball B2(rho) in R^n: the sparse
+    codec with k = n, whose one support makes the index the grid index.
+
+    Per coordinate the grid takes 2*ceil(rho*sqrt(n)/delta)+1 values spaced
+    delta/sqrt(n) apart (zero included), so every ball point is within
+    delta/2 of a codeword.  Only the rate (n*log2(L), not log2(L^n), which
+    can differ in the last bit), the ball draw and the descriptor differ.
+    """
+
+    kind = "grid"
+
+    def __init__(self, n: int, rho: float, delta: float,
+                 cap: int | None = DEFAULT_CAP,
+                 materialize_threshold: int = DEFAULT_MATERIALIZE):
+        if n < 1:
+            raise ValueError(f"n={n}; need n >= 1")
+        super().__init__(n, n, rho, delta, cap=cap,
+                         materialize_threshold=materialize_threshold)
+        self.rate_bits = self.n * math.log2(self.levels_per_dim)
+
+    def sample_member(self, gen: np.random.Generator) -> np.ndarray:
+        """Uniform draw from the ball, with no support draw first."""
+        return self._ball_draw(gen, self.n)
+
+    def config(self) -> dict:
+        return {
+            "class": "grid", "n": self.n, "rho": self.rho,
             "delta": self.delta, "cap": self.cap,
         }
 
@@ -751,23 +648,6 @@ class PiecewisePolyCodec(Codec):
             "Q": self.n_breaks, "rho": self.amp, "delta": self.delta,
             "cap": self.cap,
         }
-
-
-def build_grid_codec(n: int, rho: float, delta: float,
-                     cap: int | None = DEFAULT_CAP, **kw) -> GridCodec:
-    return GridCodec(n, rho, delta, cap=cap, **kw)
-
-
-def build_sparse_codec(n: int, k: int, rho: float, delta: float,
-                       cap: int | None = DEFAULT_CAP, **kw) -> SparseCodec:
-    return SparseCodec(n, k, rho, delta, cap=cap, **kw)
-
-
-def build_ppoly_codec(degree: int, n_breaks: int, amp: float, delta: float,
-                      basis_resolution: int = 4096,
-                      cap: int | None = DEFAULT_CAP, **kw) -> PiecewisePolyCodec:
-    return PiecewisePolyCodec(degree, n_breaks, amp, delta,
-                              grid=basis_resolution, cap=cap, **kw)
 
 
 _CODEC_KEYS = {

@@ -1,12 +1,15 @@
 """Compressible signal pursuit: exhaustive residual minimization.
 
 The recovery rule is argmin over all codewords c of ||y - A c||_2^2, with
-ties broken by the smallest codeword index.  The codebook is scanned in a
-canonical grid of fixed-size blocks; per-block minima are folded in block
-order, so the result is bit-identical no matter how many worker threads
-process the blocks.  Codewords are decoded blockwise and never materialized
-beyond one block (plus the codec's own small-codebook cache), keeping memory
-at O(block * n + d).
+ties broken by the smallest codeword index.  One grouped scan implements it:
+the codebook is a run of groups of codewords sharing one linear operator (the
+whole codebook for finite-dimensional codecs, one breakpoint layout for
+piecewise polynomials), cut into a canonical grid of fixed-size blocks whose
+minima are folded in block order, so the result is bit-identical no matter
+how many worker threads process the blocks.  The three solvers are front ends
+that choose the groups and the residual kernel.  Codewords are decoded
+blockwise and never materialized beyond one block (plus the codec's own
+small-codebook cache), keeping memory at O(block * n + d).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codecs import CapacityError, Codec, PiecewisePolyCodec
+from .codecs import Codec, PiecewisePolyCodec
 from .measurement import MeasurementEnsemble, WienerEnsemble
 from .piecewise import PiecewisePolynomial, orthonormal_basis_matrix
 
@@ -43,25 +46,89 @@ class RecoveryResult:
     wall_time: float
 
 
-def _check_capacity(codec: Codec):
-    if codec.cap is not None and codec.size > codec.cap:
-        raise CapacityError(codec.size, codec.cap, "csp scan")
+def _check(ys: np.ndarray, ensemble, codec, analog: bool = False) -> None:
+    """Validate a scan of codec against ensemble for (p, d) measurements."""
+    if ensemble.d < 1:
+        raise ValueError("need at least one measurement")
+    if ys.ndim != 2 or ys.shape[1] != ensemble.d:
+        raise ValueError(f"measurements have shape {ys.shape[1:]}; ensemble d={ensemble.d}")
+    # a non-finite residual could never win the fold; refuse it up front
+    if not np.isfinite(ys).all():
+        raise ValueError("measurements must be finite")
+    if analog:
+        if not isinstance(codec, PiecewisePolyCodec):
+            raise ValueError("analog recovery needs a piecewise-polynomial codec")
+        if codec.grid != ensemble.m:
+            raise ValueError(
+                f"grid mismatch: codec grid {codec.grid}, ensemble m={ensemble.m}")
+    elif getattr(codec, "n", None) != ensemble.n:
+        raise ValueError(
+            f"codec dimension {getattr(codec, 'n', None)} != ensemble n={ensemble.n}")
+    codec._check_cap("csp scan")
 
 
-def _fold_blocks(block_results):
-    """Ordered (residual^2, index) fold; strict < keeps the earliest index."""
-    best_sq, best_idx = np.inf, -1
-    for sq, idx in block_results:
-        if sq < best_sq:
-            best_sq, best_idx = sq, idx
-    return best_sq, best_idx
+def _scan(groups, coefs, kernel, p: int, block_size: int, threads: int):
+    """The one grouped scan behind every solver.
 
+    groups yields (start, size, B): codewords [start, start + size) whose
+    measurements are coefs(offset, count) @ B for offsets inside the group.
+    Each group is cut into the canonical block grid (fixed by the groups and
+    block_size alone) and kernel maps a block's measurements R (count, d) to
+    squared residuals (count, p) against the p signals.  Returns the minimum
+    squared residual and its codeword index per signal, smallest index on
+    ties, bit-identical for every thread count.  The block size is part of
+    the grid: BLAS can round a row of coefs @ B differently with its block's
+    row count, so another block size can move residuals in the last bits.
+    """
+    # groups are consumed (and their operators built) serially, up front
+    blocks = [(start + offset, offset, min(block_size, size - offset), B)
+              for start, size, B in groups for offset in range(0, size, block_size)]
+    mins = np.empty((len(blocks), p))
+    args = np.empty((len(blocks), p), dtype=np.int64)
+    cols = np.arange(p)
 
-def _run_blocks(fn, blocks, threads: int):
+    def block_min(b):
+        _, offset, count, B = blocks[b]
+        sq = kernel(coefs(offset, count) @ B)
+        j = args[b] = sq.argmin(axis=0)    # first occurrence per signal
+        mins[b] = sq[j, cols]
+
     if threads <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, blocks))
+        for b in range(len(blocks)):
+            block_min(b)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(block_min, range(len(blocks))))
+    # blocks are in index order, so the first block holding a signal's minimum
+    # is the one an ordered strict-< fold keeps
+    k = mins.argmin(axis=0)
+    bases = np.array([block[0] for block in blocks])
+    return mins[k, cols], bases[k] + args[k, cols]
+
+
+def _results(codec, sq, idx, t0, truths, error) -> list[RecoveryResult]:
+    wall = time.perf_counter() - t0
+    out = []
+    for s, (i, r) in enumerate(zip(idx.tolist(), np.sqrt(sq).tolist())):
+        recon = codec.decode(i)
+        out.append(RecoveryResult(
+            chosen_index=i, reconstruction=recon, residual=r,
+            error_l2=error(recon, truths[s]) if truths is not None else None,
+            candidates_scanned=codec.size, wall_time=wall,
+        ))
+    return out
+
+
+def _l2(recon, truth) -> float:
+    return float(np.linalg.norm(recon - truth))
+
+
+def _direct(y):
+    """Kernel ||R - y||^2 for one signal, as a (count, 1) column."""
+    def kernel(R):
+        resid = R - y
+        return np.einsum("ij,ij->i", resid, resid)[:, None]
+    return kernel
 
 
 def csp_recover(y, ensemble: MeasurementEnsemble, codec: Codec, truth=None,
@@ -75,36 +142,12 @@ def csp_recover(y, ensemble: MeasurementEnsemble, codec: Codec, truth=None,
     error guarantees only cover class members.
     """
     t0 = time.perf_counter()
-    y = np.asarray(y, dtype=float)
-    if ensemble.d < 1:
-        raise ValueError("need at least one measurement")
-    if y.shape != (ensemble.d,):
-        raise ValueError(f"y has shape {y.shape}; ensemble d={ensemble.d}")
-    if getattr(codec, "n", None) != ensemble.n:
-        raise ValueError(
-            f"codec dimension {getattr(codec, 'n', None)} != ensemble n={ensemble.n}"
-        )
-    _check_capacity(codec)
-    At = ensemble.matrix.T
-
-    def block_min(block):
-        start, count = block
-        cw = codec.decode_block(start, count)
-        resid = cw @ At - y
-        sq = np.einsum("ij,ij->i", resid, resid)
-        j = int(np.argmin(sq))
-        return float(sq[j]), start + j
-
-    results = _run_blocks(block_min, list(codec.scan_blocks(block_size)), threads)
-    best_sq, best_idx = _fold_blocks(results)
-    recon = codec.decode(best_idx)
-    err = float(np.linalg.norm(recon - np.asarray(truth, dtype=float))) \
-        if truth is not None else None
-    return RecoveryResult(
-        chosen_index=best_idx, reconstruction=recon,
-        residual=float(np.sqrt(max(best_sq, 0.0))), error_l2=err,
-        candidates_scanned=codec.size, wall_time=time.perf_counter() - t0,
-    )
+    ys = np.asarray(y, dtype=float)[None]
+    _check(ys, ensemble, codec)
+    sq, idx = _scan([(0, codec.size, ensemble.matrix.T)], codec.decode_block,
+                    _direct(ys[0]), 1, block_size, threads)
+    truths = None if truth is None else [np.asarray(truth, dtype=float)]
+    return _results(codec, sq, idx, t0, truths, _l2)[0]
 
 
 def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
@@ -112,51 +155,29 @@ def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
                       threads: int = 1) -> list[RecoveryResult]:
     """Recover a panel of signals against one shared ensemble in one pass.
 
-    Semantically identical to calling csp_recover per row of ys, but the
-    codebook is decoded and measured once per block for the whole panel,
+    The codebook is decoded and measured once per block for the whole panel,
     which is what the uniform-guarantee (one matrix, all signals) experiments
     need.  ys has shape (p, d); truths, if given, (p, n).
+
+    Residuals come from the expanded form ||R c||^2 + ||y||^2 - 2<R c, y>
+    (clipped at 0), which rounds differently from csp_recover's direct
+    ||y - R c||^2.  Each signal gets the same argmin as csp_recover except
+    where residuals tie within that rounding: at exact ties, such as
+    cell-corner stress points, the panel can choose another index than the
+    smallest one.  Reported residuals can differ in their last bits.
     """
     t0 = time.perf_counter()
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    p = ys.shape[0]
-    if ys.shape[1] != ensemble.d:
-        raise ValueError(f"panel measurements have {ys.shape[1]} columns; d={ensemble.d}")
-    if getattr(codec, "n", None) != ensemble.n:
-        raise ValueError(
-            f"codec dimension {getattr(codec, 'n', None)} != ensemble n={ensemble.n}"
-        )
-    _check_capacity(codec)
-    At = ensemble.matrix.T
+    _check(ys, ensemble, codec)
     yn = np.einsum("ij,ij->i", ys, ys)
 
-    def block_min(block):
-        start, count = block
-        cw = codec.decode_block(start, count)
-        R = cw @ At                        # (count, d)
+    def expanded(R):
         rn = np.einsum("ij,ij->i", R, R)
-        sq = np.maximum(rn[:, None] + yn[None, :] - 2.0 * (R @ ys.T), 0.0)
-        j = np.argmin(sq, axis=0)          # first occurrence per signal
-        return sq[j, np.arange(p)], start + j
+        return np.maximum(rn[:, None] + yn[None, :] - 2.0 * (R @ ys.T), 0.0)
 
-    results = _run_blocks(block_min, list(codec.scan_blocks(block_size)), threads)
-    best_sq = np.full(p, np.inf)
-    best_idx = np.full(p, -1, dtype=np.int64)
-    for sq, idx in results:
-        better = sq < best_sq
-        best_sq[better] = sq[better]
-        best_idx[better] = idx[better]
-    wall = time.perf_counter() - t0
-    out = []
-    for s in range(p):
-        recon = codec.decode(int(best_idx[s]))
-        err = float(np.linalg.norm(recon - truths[s])) if truths is not None else None
-        out.append(RecoveryResult(
-            chosen_index=int(best_idx[s]), reconstruction=recon,
-            residual=float(np.sqrt(best_sq[s])), error_l2=err,
-            candidates_scanned=codec.size, wall_time=wall,
-        ))
-    return out
+    sq, idx = _scan([(0, codec.size, ensemble.matrix.T)], codec.decode_block,
+                    expanded, len(ys), block_size, threads)
+    return _results(codec, sq, idx, t0, truths, _l2)
 
 
 def _analog_group_operator(codec: PiecewisePolyCodec, breakpoints: np.ndarray,
@@ -192,7 +213,8 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     Same optimality and tie-break contract as csp_recover, with residuals
     computed through the ensemble's left-point integral sums.  The codec's
     time grid must match the ensemble's so signal and codewords are measured
-    identically.
+    identically.  Each breakpoint layout is one group of the scan, with the
+    operator of _analog_group_operator.
 
     The increments are transposed once per scan into a C-contiguous (m, d)
     array.  The grid times are sorted, so each piece of a breakpoint layout
@@ -205,61 +227,22 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     so memory stays at O(block * n_coef).
     """
     t0 = time.perf_counter()
-    y = np.asarray(y, dtype=float)
-    if ensemble.d < 1:
-        raise ValueError("need at least one measurement path")
-    if y.shape != (ensemble.d,):
-        raise ValueError(f"y has shape {y.shape}; ensemble d={ensemble.d}")
-    if not isinstance(codec, PiecewisePolyCodec):
-        raise ValueError("analog recovery needs a piecewise-polynomial codec")
-    if codec.grid != ensemble.m:
-        raise ValueError(
-            f"grid mismatch: codec grid {codec.grid}, ensemble m={ensemble.m}"
-        )
-    _check_capacity(codec)
-
-    # canonical block grid: groups (fixed by the codec) split into sub-blocks
-    blocks = []
-    for group_start, breakpoints in codec.iter_break_groups():
-        offset = 0
-        while offset < codec.coef_space:
-            count = min(block_size, codec.coef_space - offset)
-            blocks.append((group_start, breakpoints, offset, count))
-            offset += count
-
+    ys = np.asarray(y, dtype=float)[None]
+    _check(ys, ensemble, codec, analog=True)
     times = ensemble.times
     inc_t = np.ascontiguousarray(ensemble.increments.T)
+    groups = ((start, codec.coef_space,
+               _analog_group_operator(codec, breakpoints, times, inc_t))
+              for start, breakpoints in codec.iter_break_groups())
     # every group scans the same coefficient grid; when a group is one block
     # that grid is built once for the whole scan
-    shared_coefs = codec.coef_block(0, codec.coef_space) \
+    shared = codec.coef_block(0, codec.coef_space) \
         if codec.coef_space <= block_size else None
-    operators = {}
 
-    def block_min(block):
-        group_start, breakpoints, offset, count = block
-        B = operators.get(group_start)
-        if B is None:
-            B = _analog_group_operator(codec, breakpoints, times, inc_t)
-            operators[group_start] = B
-        coefs = shared_coefs if shared_coefs is not None \
-            else codec.coef_block(offset, count)
-        resid = coefs @ B - y
-        sq = np.einsum("ij,ij->i", resid, resid)
-        j = int(np.argmin(sq))
-        return float(sq[j]), group_start + offset + j
+    def coefs(offset, count):
+        return codec.coef_block(offset, count) if shared is None else shared
 
-    # group operators are cached per scan; precompute them serially so the
-    # threaded path stays race-free and deterministic
-    if threads > 1:
-        for group_start, breakpoints in codec.iter_break_groups():
-            operators[group_start] = _analog_group_operator(
-                codec, breakpoints, times, inc_t)
-    results = _run_blocks(block_min, blocks, threads)
-    best_sq, best_idx = _fold_blocks(results)
-    recon = codec.decode(best_idx)
-    err = truth.l2_distance(recon) if truth is not None else None
-    return RecoveryResult(
-        chosen_index=best_idx, reconstruction=recon,
-        residual=float(np.sqrt(max(best_sq, 0.0))), error_l2=err,
-        candidates_scanned=codec.size, wall_time=time.perf_counter() - t0,
-    )
+    sq, idx = _scan(groups, coefs, _direct(ys[0]), 1, block_size, threads)
+    truths = None if truth is None else [truth]
+    return _results(codec, sq, idx, t0, truths,
+                    lambda recon, f: f.l2_distance(recon))[0]

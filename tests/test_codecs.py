@@ -7,8 +7,7 @@ import pytest
 
 from csplab.codecs import (CapacityError, DomainError, ExplicitCodec,
                            GridCodec, PiecewisePolyCodec, SparseCodec,
-                           build_ppoly_codec, codec_from_config,
-                           entropy_lower_bound, rd_profile)
+                           codec_from_config, entropy_lower_bound, rd_profile)
 from csplab.piecewise import constant_function, piecewise_constant
 from csplab.rng import derive_stream
 
@@ -95,7 +94,28 @@ class TestGridCodec:
         with pytest.raises(CapacityError) as err:
             GridCodec(8, 1.0, 0.01)
         assert "cap" in str(err.value)
+        assert str(err.value).startswith("grid codec: ")
         GridCodec(8, 1.0, 0.01, cap=None)  # uncapped build is fine
+        with pytest.raises(CapacityError, match="^sparse codec: "):
+            SparseCodec(8, 8, 1.0, 0.01)
+
+    def test_is_sparse_codec_with_k_equal_n(self):
+        # same codebook, encoder and cell corners; only the rate formula,
+        # the class draw and the descriptor are the grid's own
+        for n, rho, delta in [(1, 1.0, 1.0), (2, 1.0, 0.5), (3, 1.0, 0.4)]:
+            g, s = GridCodec(n, rho, delta), SparseCodec(n, n, rho, delta)
+            assert g.size == s.size
+            assert g.rate_bits == n * math.log2(g.levels_per_dim)
+            assert g.rate_bits == pytest.approx(s.rate_bits)
+            assert np.array_equal(g.materialize(), s.materialize())
+            for i in range(g.size):
+                cw = g.decode(i)
+                assert g.encode(cw) == s.encode(cw) == i
+                corner, sparse_corner = g.stress_member(i), s.stress_member(i)
+                assert (corner is None) == (sparse_corner is None)
+                assert corner is None or np.array_equal(corner, sparse_corner)
+            assert g.config() == {"class": "grid", "n": n, "rho": rho,
+                                  "delta": delta, "cap": g.cap}
 
     def test_decode_block_matches_decode(self):
         c = GridCodec(3, 1.0, 0.7)
@@ -233,7 +253,7 @@ class TestPiecewisePolyCodec:
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(ValueError):
-            build_ppoly_codec(0, 1, 1.0, 0.01, basis_resolution=64)
+            PiecewisePolyCodec(0, 1, 1.0, 0.01, grid=64)
 
 
 class TestExplicitCodec:

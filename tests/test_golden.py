@@ -21,6 +21,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 _SPARSE = {"class": "sparse", "n": 8, "k": 1, "rho": 1.0, "delta": 0.2}
 _WORST = {"kind": "bounded", "zeta": 0.05, "shape": "worst_aligned"}
+_GRID = {"class": "grid", "n": 3, "rho": 1.0, "delta": 0.4}  # n*log2(L) != log2(L^n)
 
 CONFIGS = {
     "weak": dict(
@@ -36,6 +37,16 @@ CONFIGS = {
     "strong_panel_worst": dict(
         codec=dict(_SPARSE, delta=0.4), regime="strong", noise=_WORST, d=6,
         trials=3, master_seed=13, panel_size=25,
+    ),
+    "grid_weak": dict(
+        codec=_GRID, regime="weak", noise=_WORST, d=4, trials=4,
+        master_seed=16, signal_source="codebook", theorem_id="T5",
+        bound_params={"tau1": 3.0, "tau2": 0.75},
+    ),
+    "grid_strong": dict(
+        codec=dict(_GRID, n=2, delta=0.5), regime="strong", noise=_WORST, d=3, trials=3,
+        master_seed=17, panel_size=80, theorem_id="T9",
+        bound_params={"tau": 0.75, "t": 1.0},
     ),
     "analog": dict(
         codec={"class": "ppoly", "n": 256, "N": 0, "Q": 0, "rho": 1.0,

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +100,22 @@ class TestParallelDeterminism:
         results = [csp_recover(y, ens, codec, threads=t) for t in (1, 2, 8)]
         assert len({r.chosen_index for r in results}) == 1
         assert len({r.residual for r in results}) == 1  # bit-identical floats
+
+    def test_many_threads_fill_every_block(self):
+        # workers write their block's minimum into shared per-block rows;
+        # switch threads as often as possible so any lost row would show
+        codec = SparseCodec(10, 2, 1.0, 0.2)
+        ens = sample_ensemble(6, 10, derive_stream(45, 2))
+        ys = derive_stream(45, 3).generator.standard_normal((4, 6))
+        serial = csp_recover_panel(ys, ens, codec, block_size=64)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = csp_recover_panel(ys, ens, codec, block_size=64, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(r.chosen_index, r.residual) for r in threaded] == \
+            [(r.chosen_index, r.residual) for r in serial]
 
     def test_analog_thread_counts_agree_bitwise(self):
         codec = PiecewisePolyCodec(0, 1, 1.0, 0.2, grid=256)
@@ -290,3 +307,122 @@ class TestValidation:
         wrong = sample_ensemble(4, 5, derive_stream(54, 1))
         with pytest.raises(ValueError):
             csp_recover(np.zeros(4), wrong, codec)
+        with pytest.raises(ValueError):
+            csp_recover(np.zeros((1, 4)), ens, codec)  # a panel is not one signal
+        with pytest.raises(ValueError):
+            csp_recover_panel(np.zeros((2, 5)), ens, codec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_measurements_rejected(self, bad):
+        # no residual could win the fold; fail loudly instead
+        codec = GridCodec(3, 1.0, 0.5)
+        ens = sample_ensemble(4, 3, derive_stream(55, 0))
+        y = np.array([0.0, 0.1, bad, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            csp_recover(y, ens, codec)
+        with pytest.raises(ValueError, match="finite"):
+            csp_recover_panel(np.stack([np.zeros(4), y]), ens, codec)
+        ppoly = PiecewisePolyCodec(0, 0, 1.0, 0.05, grid=512)
+        with pytest.raises(ValueError, match="finite"):
+            csp_recover_analog(y, sample_wiener_ensemble(4, 512, 55, 0), ppoly)
+
+
+# codecs per solver front end, built once each; the explicit codebook holds
+# every codeword twice, so noiseless measurements tie across the two copies
+SCAN_CODECS = {
+    "single": ("grid", "sparse", "explicit"),
+    "panel": ("grid", "sparse", "explicit"),
+    "analog": ("ppoly16", "ppoly256"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def scan_codec(name):
+    if name == "grid":
+        return GridCodec(2, 1.0, 0.5)
+    if name == "sparse":
+        return SparseCodec(6, 2, 1.0, 0.5)
+    if name == "explicit":
+        return ExplicitCodec(np.tile(derive_stream(62, 0).generator.standard_normal((25, 3)),
+                                     (2, 1)))
+    if name == "ppoly16":
+        return ppoly_codec(0, 1, 0.5, 64)   # 16 groups of 16 coefficient rows
+    return ppoly_codec(1, 1, 0.9, 32)       # 8 groups of 256
+
+
+def recover_all(front, codec, seed, noise, **kw):
+    """Recover three codewords (plus noise) with one solver front end."""
+    gen = derive_stream(seed, 1).generator
+    picks = [int(i) for i in gen.integers(0, codec.size, size=3)]
+    if front == "analog":
+        ens = sample_wiener_ensemble(3, codec.grid, seed, 0)
+        out = []
+        for i in picks:
+            f = codec.decode(i)
+            y = measure_analog(ens, f) + noise * gen.standard_normal(3)
+            out.append(csp_recover_analog(y, ens, codec, truth=f, **kw))
+        return out, picks
+    ens = sample_ensemble(3, codec.n, derive_stream(seed, 0))
+    xs = np.array([codec.decode(i) for i in picks])
+    ys = np.array([measure(ens, x) for x in xs]) + noise * gen.standard_normal((3, 3))
+    if front == "panel":
+        return csp_recover_panel(ys, ens, codec, truths=xs, **kw), picks
+    return [csp_recover(y, ens, codec, truth=x, **kw) for y, x in zip(ys, xs)], picks
+
+
+@st.composite
+def scan_cases(draw):
+    front = draw(st.sampled_from(sorted(SCAN_CODECS)))
+    name = draw(st.sampled_from(SCAN_CODECS[front]))
+    size = scan_codec(name).size
+    return (front, name, draw(st.integers(1, size + 1)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from((0.0, 0.1))))
+
+
+def outcome(results):
+    return [(r.chosen_index, r.residual, r.error_l2) for r in results]
+
+
+class TestScanInvariance:
+    """Every solver front end runs the one grouped scan.  Its canonical block
+    grid makes the thread count change no bit.  The block size sets that
+    grid, and numpy's coefs @ B can round a row differently with the row
+    count of its block (one-row blocks take BLAS gemv, small blocks another
+    gemm path), so across block sizes the argmin holds and the residuals
+    agree to rounding; the goldens pin the default block size."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=scan_cases())
+    @example(case=("analog", "ppoly16", 5, 7, 0.1))    # groups split across blocks
+    @example(case=("single", "explicit", 26, 8, 0.0))  # tied copies in two blocks
+    @example(case=("panel", "sparse", 1, 9, 0.0))      # one codeword per block
+    def test_threads_change_no_bit(self, case):
+        front, name, block_size, seed, noise = case
+        codec = scan_codec(name)
+        runs = [outcome(recover_all(front, codec, seed, noise, block_size=block_size,
+                                    threads=threads)[0]) for threads in (1, 2, 3)]
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=scan_cases())
+    @example(case=("analog", "ppoly256", 1, 0, 0.1))   # 2,048 one-row blocks
+    def test_block_size_keeps_the_argmin(self, case):
+        front, name, block_size, seed, _ = case
+        codec = scan_codec(name)
+        base, _ = recover_all(front, codec, seed, 0.1)
+        got, _ = recover_all(front, codec, seed, 0.1, block_size=block_size, threads=2)
+        assert [r.chosen_index for r in got] == [r.chosen_index for r in base]
+        for r, b in zip(got, base):
+            assert r.residual == pytest.approx(b.residual, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("front", ["single", "panel"])
+    @pytest.mark.parametrize("block_size", [4096, 25, 5])
+    def test_exact_ties_go_to_the_first_copy(self, front, block_size):
+        # block sizes dividing 25 put both copies at the same row of blocks of
+        # one shape, so their residuals are equal bit for bit
+        codec = scan_codec("explicit")
+        for seed in range(5):
+            results, picks = recover_all(front, codec, seed, 0.0,
+                                         block_size=block_size, threads=2)
+            assert [r.chosen_index for r in results] == [i % 25 for i in picks]
