@@ -24,8 +24,7 @@ from .measurement import (MeasurementEnsemble, NoiseModel, WienerEnsemble,
                           sample_ensemble, sample_wiener_ensemble)
 from .piecewise import (PiecewisePolynomial, constant_function,
                         piecewise_constant)
-from .rng import (RandomStream, WienerPath, derive_stream, gaussian_matrix,
-                  gaussian_vector, wiener_increment_matrix, wiener_path)
+from .rng import RandomStream, derive_stream, gaussian_matrix, gaussian_vector
 from .solver import (RecoveryResult, csp_recover, csp_recover_analog,
                      csp_recover_panel)
 from .svgplot import emit_svg, render_svg
@@ -39,7 +38,7 @@ __all__ = [
     "OptimizationResult", "ParameterError", "PiecewisePolyCodec",
     "PiecewisePolynomial", "PolylogRate", "PowerlawRate", "RandomStream",
     "RateDistortionPoint", "RecoveryResult", "SparseCodec", "SweepPoint",
-    "SweepResult", "TrialRecord", "WienerEnsemble", "WienerPath",
+    "SweepResult", "TrialRecord", "WienerEnsemble",
     "apply_noise", "build_panel", "chi2_tail", "codec_from_config",
     "constant_function", "construct_indistinguishable_pair", "csp_recover",
     "csp_recover_analog", "csp_recover_panel", "derive_stream", "emit_svg",
@@ -48,5 +47,5 @@ __all__ = [
     "optimize_free_params", "piecewise_constant", "rd_profile",
     "records_to_csv", "render_svg", "run_sweep", "run_trial", "run_trials",
     "sample_ensemble", "sample_wiener_ensemble", "singular_value_tail",
-    "wiener_increment_matrix", "wiener_path", "write_csv",
+    "write_csv",
 ]

@@ -29,14 +29,13 @@ Guarantee registry (theorem_id -> formula):
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .codecs import ceil_snap
-
-THEOREM_IDS = ("T3", "C4", "T5", "C6", "T6", "T7", "T8", "C9", "T9", "T10", "C11", "T11")
 
 
 class ParameterError(ValueError):
@@ -72,11 +71,6 @@ class BoundInputs:
     gamma1: float | None = None
     gamma2: float | None = None
 
-    @property
-    def beta(self) -> float:
-        """sqrt(log2(1/(e*delta))), the refinement factor used by T7."""
-        return math.sqrt(_log2_inv_edelta(self.delta, "beta", "T7"))
-
 
 @dataclass(frozen=True)
 class BoundEvaluation:
@@ -94,30 +88,28 @@ def _clamped(theorem_id: str, error: float, raw: float) -> BoundEvaluation:
                            float(min(max(raw, 0.0), 1.0)), float(raw))
 
 
+# range code -> (test, text) for the symbols _req pulls
+_RANGES = {
+    "pos": (lambda v: v > 0, "> 0"),
+    "nonneg": (lambda v: v >= 0, ">= 0"),
+    "open01": (lambda v: 0 < v < 1, "in (0,1)"),
+    "ge1": (lambda v: v >= 1, ">= 1"),
+    "gt1": (lambda v: v > 1, "> 1"),
+    "unit_lt": (lambda v: 0 < v < 1 / math.e, "in (0, 1/e)"),
+}
+
+
 def _req(inputs: BoundInputs, theorem: str, **checks) -> dict:
-    """Pull required symbols, enforcing each one's range.  Range codes:
-    'pos' > 0; 'nonneg' >= 0; 'open01' in (0,1); 'ge1' >= 1; 'gt1' > 1;
-    'unit_lt' in (0, 1/e)."""
+    """Pull required symbols, enforcing each one's range code (_RANGES)."""
     out = {}
     for name, kind in checks.items():
         val = getattr(inputs, name)
         if val is None:
             raise ParameterError(f"{theorem}: missing parameter {name}")
         val = float(val)
-        ok = {
-            "pos": val > 0,
-            "nonneg": val >= 0,
-            "open01": 0 < val < 1,
-            "ge1": val >= 1,
-            "gt1": val > 1,
-            "unit_lt": 0 < val < 1 / math.e,
-        }[kind]
-        if not ok:
-            ranges = {
-                "pos": "> 0", "nonneg": ">= 0", "open01": "in (0,1)",
-                "ge1": ">= 1", "gt1": "> 1", "unit_lt": "in (0, 1/e)",
-            }
-            raise ParameterError(f"{theorem}: {name}={val} must be {ranges[kind]}")
+        ok, text = _RANGES[kind]
+        if not ok(val):
+            raise ParameterError(f"{theorem}: {name}={val} must be {text}")
         out[name] = val
     return out
 
@@ -321,29 +313,39 @@ def _eval_T11(inputs: BoundInputs) -> BoundEvaluation:
     return _clamped("T11", err, raw)
 
 
-_EVALUATORS = {
-    "T3": _eval_T3, "C4": _eval_C4, "T5": _eval_T5, "C6": _eval_C6,
-    "T6": _eval_T6, "T7": _eval_T7, "T8": _eval_T8, "C9": _eval_C9,
-    "T9": _eval_T9, "T10": _eval_T10, "C11": _eval_C11, "T11": _eval_T11,
+# theorem_id -> (evaluator, free parameters optimize_free_params searches,
+# the (regime, noise kind) pairs it covers); the analog noiseless and
+# bounded-noise guarantees share the weak finite-dimensional formulas
+_GUARANTEES = {
+    "T3": (_eval_T3, ("tau1", "tau2"), (("weak", "none"), ("analog", "none"))),
+    "C4": (_eval_C4, ("eps",), (("weak", "none"),)),
+    "T5": (_eval_T5, ("tau1", "tau2"), (("weak", "bounded"), ("analog", "bounded"))),
+    "C6": (_eval_C6, ("eps",), (("weak", "bounded"),)),
+    "T6": (_eval_T6, ("tau1", "tau2", "tau3"), (("weak", "gaussian"),)),
+    "T7": (_eval_T7, ("eps_prime",), (("weak", "gaussian"),)),
+    "T8": (_eval_T8, ("tau", "t"), (("strong", "none"),)),
+    "C9": (_eval_C9, ("eps",), (("strong", "none"),)),
+    "T9": (_eval_T9, ("tau", "t"), (("strong", "bounded"),)),
+    "T10": (_eval_T10, ("tau", "t", "tau_prime"), (("strong", "gaussian"),)),
+    "C11": (_eval_C11, ("eps",), (("strong", "bounded"),)),
+    "T11": (_eval_T11, ("tau", "t", "gamma"), (("strong", "gaussian"),)),
 }
+THEOREM_IDS = tuple(_GUARANTEES)
+
+
+def compatible_theorems(regime: str, noise_kind: str) -> list[str]:
+    """Sorted ids of the guarantees that cover (regime, noise kind)."""
+    return sorted(tid for tid, (_, _, covers) in _GUARANTEES.items()
+                  if (regime, noise_kind) in covers)
 
 
 def evaluate_bound(theorem_id: str, inputs: BoundInputs) -> BoundEvaluation:
     """Evaluate one guarantee; pure, same inputs -> identical outputs."""
-    if theorem_id not in _EVALUATORS:
+    if theorem_id not in _GUARANTEES:
         raise ParameterError(
             f"unknown theorem_id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}"
         )
-    return _EVALUATORS[theorem_id](inputs)
-
-
-# free parameters searched per guarantee; everything else is fixed input
-FREE_PARAMS = {
-    "T3": ("tau1", "tau2"), "T5": ("tau1", "tau2"), "T6": ("tau1", "tau2", "tau3"),
-    "T7": ("eps_prime",), "T8": ("tau", "t"), "T9": ("tau", "t"),
-    "T10": ("tau", "t", "tau_prime"), "T11": ("tau", "t", "gamma"),
-    "C4": ("eps",), "C6": ("eps",), "C9": ("eps",), "C11": ("eps",),
-}
+    return _GUARANTEES[theorem_id][0](inputs)
 
 
 @dataclass(frozen=True)
@@ -369,7 +371,7 @@ def _grid_positive() -> list[float]:
 
 def _candidate_grids(theorem_id: str, inputs: BoundInputs) -> dict[str, list[float]]:
     grids: dict[str, list[float]] = {}
-    for name in FREE_PARAMS[theorem_id]:
+    for name in _GUARANTEES[theorem_id][1]:
         if name in ("tau2", "tau"):
             g = _grid_open01() + [0.75]
             if inputs.eta is not None and inputs.eps is not None and inputs.delta and \
@@ -413,46 +415,29 @@ def optimize_free_params(theorem_id: str, inputs: BoundInputs,
         )
     # target 0 is unattainable by construction (every failure formula is a
     # sum of strictly positive exponentials), so it always reports infeasible
-    if theorem_id not in FREE_PARAMS:
+    if theorem_id not in _GUARANTEES:
         raise ParameterError(f"unknown theorem_id {theorem_id!r}")
 
     grids = _candidate_grids(theorem_id, inputs)
-    names = list(grids)
-
-    best_feasible: tuple | None = None      # (error, values, evaluation)
-    best_any: tuple | None = None           # (failure, error, values, evaluation)
-
-    def walk(i: int, partial: dict):
-        nonlocal best_feasible, best_any
-        if i == len(names):
-            trial = replace(inputs, **partial)
-            try:
-                ev = evaluate_bound(theorem_id, trial)
-            except ParameterError:
-                return
-            key_any = (ev.failure_probability, ev.error_bound,
-                       tuple(partial[n] for n in names))
-            if best_any is None or key_any < best_any[:3]:
-                best_any = key_any + (trial, ev)
-            if target_failure > 0 and ev.failure_probability <= target_failure:
-                key = (ev.error_bound, tuple(partial[n] for n in names))
-                if best_feasible is None or key < best_feasible[:2]:
-                    best_feasible = key + (trial, ev)
-            return
-        for val in grids[names[i]]:
-            partial[names[i]] = val
-            walk(i + 1, partial)
-        del partial[names[i]]
-
-    walk(0, {})
+    best_feasible: tuple | None = None      # (error, values, inputs, evaluation)
+    best_any: tuple | None = None           # (failure, error, values, inputs, evaluation)
+    for values in itertools.product(*grids.values()):
+        trial = replace(inputs, **dict(zip(grids, values)))
+        try:
+            ev = evaluate_bound(theorem_id, trial)
+        except ParameterError:
+            continue
+        key_any = (ev.failure_probability, ev.error_bound, values)
+        if best_any is None or key_any < best_any[:3]:
+            best_any = key_any + (trial, ev)
+        if target_failure > 0 and ev.failure_probability <= target_failure:
+            key = (ev.error_bound, values)
+            if best_feasible is None or key < best_feasible[:2]:
+                best_feasible = key + (trial, ev)
     if best_any is None:
         raise ParameterError(f"{theorem_id}: no admissible grid point")
-    if best_feasible is not None:
-        _, _, trial, ev = best_feasible[0], best_feasible[1], best_feasible[2], best_feasible[3]
-        return OptimizationResult(theorem_id, trial, ev, True,
-                                  float(target_failure), ev.failure_probability)
-    _, _, _, trial, ev = best_any
-    return OptimizationResult(theorem_id, trial, ev, False,
+    trial, ev = (best_feasible or best_any)[-2:]
+    return OptimizationResult(theorem_id, trial, ev, best_feasible is not None,
                               float(target_failure), ev.failure_probability)
 
 
@@ -490,10 +475,11 @@ class PowerlawRate:
         return self.c * (1.0 / delta) ** (1.0 / self.beta_smooth)
 
 
-def measurement_budget(rate_model, delta: float, eta: float,
-                       regime: str = "weak") -> int:
-    """Measurement count d = ceil(eta * r(delta) / log2(1/(e*delta))),
-    doubled in the strong (one-matrix-for-all-signals) regime.
+def budget_for_rate(r_bits: float, delta: float, eta: float,
+                    regime: str = "weak") -> int:
+    """The budget rule: a code of r_bits bits at distortion delta needs
+    d = ceil(eta * r_bits / log2(1/(e*delta))) measurements, doubled in the
+    strong (one-matrix-for-all-signals) regime.
 
     The ceiling snaps values within 1e-9 of an integer before rounding up so
     algebraically exact budgets are not inflated by float noise.
@@ -507,9 +493,16 @@ def measurement_budget(rate_model, delta: float, eta: float,
             f"delta={delta} must be in (0, 1/e) for the budget denominator"
         )
     mult = 2.0 if regime == "strong" else 1.0
-    r = rate_model.rate_bits(delta)
-    d = ceil_snap(mult * eta * r / math.log2(1.0 / (math.e * delta)))
+    d = ceil_snap(mult * eta * r_bits / math.log2(1.0 / (math.e * delta)))
     return max(int(d), 1)
+
+
+def measurement_budget(rate_model, delta: float, eta: float,
+                       regime: str = "weak") -> int:
+    """budget_for_rate at the rate r(delta) of the model; the model is read
+    only at a delta the rule accepts."""
+    r = rate_model.rate_bits(delta) if 0 < delta < 1 / math.e else math.nan
+    return budget_for_rate(r, delta, eta, regime)
 
 
 @dataclass

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .piecewise import PiecewisePolynomial, orthonormal_basis_matrix
+from .piecewise import (PiecewisePolynomial, constant_function,
+                        orthonormal_basis_matrix, piecewise_constant)
 from .rng import derive_stream
 
 DEFAULT_CAP = 2**24
@@ -223,14 +224,9 @@ class SparseCodec(Codec):
     def decode(self, index: int) -> np.ndarray:
         if not 0 <= index < self.size:
             raise IndexError(f"index {index} outside [0, {self.size})")
-        support_rank, grid_index = divmod(int(index), self.grid_size)
-        support = _comb_unrank(support_rank, self.n, self.k)
-        out = np.zeros(self.n)
-        rem = grid_index
-        for i in range(self.k - 1, -1, -1):
-            rem, d = divmod(rem, self.levels_per_dim)
-            out[support[i]] = (d - self.steps) * self.spacing
-        return out
+        if self.size <= self._materialize_threshold:
+            return self.materialize()[index].copy()  # callers may mutate it
+        return self._raw_block(int(index), 1)[0]
 
     def _raw_block(self, start: int, count: int) -> np.ndarray:
         block = np.zeros((count, self.n))
@@ -600,14 +596,10 @@ class PiecewisePolyCodec(Codec):
             yield self._piecewise_constant_member(breaks, vals)
 
     def _constant_member(self, value: float) -> PiecewisePolynomial:
-        from .piecewise import constant_function
-
         return constant_function(float(np.clip(value, -self.amp, self.amp)),
                                  amp_bound=self.amp)
 
     def _piecewise_constant_member(self, breaks, vals) -> PiecewisePolynomial:
-        from .piecewise import piecewise_constant
-
         f = piecewise_constant(breaks, vals, amp_bound=self.amp)
         coeffs = np.zeros((f.n_pieces, self.degree + 1))
         coeffs[:, 0] = f.coeffs[:, 0]
@@ -615,18 +607,14 @@ class PiecewisePolyCodec(Codec):
 
     def sample_member(self, gen: np.random.Generator) -> PiecewisePolynomial:
         """Random class member: uniform sorted breakpoints, and per piece a
-        random polynomial rescaled to a uniform fraction of the amplitude."""
+        random polynomial rescaled so its sup-norm is a uniform fraction of
+        the amplitude bound."""
         q = int(gen.integers(0, self.n_breaks + 1))
         if q:
             breaks = np.sort(gen.uniform(0.0, 1.0, size=q))
             breaks = breaks[(breaks > 0) & (breaks < 1)]
         else:
             breaks = np.empty(0)
-        return self._random_member(gen, breaks)
-
-    def _random_member(self, gen, breaks) -> PiecewisePolynomial:
-        """Random class member: per piece, a random polynomial rescaled so its
-        sup-norm is a uniform fraction of the amplitude bound."""
         edges = np.concatenate(([0.0], breaks, [1.0]))
         coeffs = np.zeros((breaks.size + 1, self.degree + 1))
         for j in range(breaks.size + 1):

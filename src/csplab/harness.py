@@ -24,9 +24,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import rng as _rng
-from .bounds import BoundInputs, ParameterError, evaluate_bound
+from .bounds import (BoundInputs, ParameterError, budget_for_rate,
+                     compatible_theorems, evaluate_bound)
 from .codecs import (CapacityError, Codec, GridResolutionError, PiecewisePolyCodec,
-                     ceil_snap, codec_from_config)
+                     codec_from_config)
 from .measurement import (NoiseModel, apply_noise, measure, measure_analog,
                           sample_ensemble, sample_wiener_ensemble)
 from .solver import csp_recover, csp_recover_analog, csp_recover_panel
@@ -45,19 +46,6 @@ def stream_id(point: int, trial: int, channel: int) -> int:
         raise ValueError(f"stream id components out of range: {point},{trial},{channel}")
     return (point << (_TRIAL_BITS + _CHANNEL_BITS)) | (trial << _CHANNEL_BITS) | channel
 
-
-# theorem ids admissible per (regime, noise kind); the analog noiseless and
-# bounded-noise guarantees share the weak finite-dimensional formulas
-_COMPATIBLE = {
-    ("weak", "none"): {"T3", "C4"},
-    ("weak", "bounded"): {"T5", "C6"},
-    ("weak", "gaussian"): {"T6", "T7"},
-    ("strong", "none"): {"T8", "C9"},
-    ("strong", "bounded"): {"T9", "C11"},
-    ("strong", "gaussian"): {"T10", "T11"},
-    ("analog", "none"): {"T3"},
-    ("analog", "bounded"): {"T5"},
-}
 
 _AXES = ("d", "delta", "sigma", "zeta")
 
@@ -103,12 +91,12 @@ class ExperimentConfig:
             if not self.axis.get("values"):
                 raise ValueError("axis values must be nonempty")
         if self.theorem_id is not None:
-            allowed = _COMPATIBLE.get((self.regime, self.noise["kind"]), set())
+            allowed = compatible_theorems(self.regime, self.noise["kind"])
             if self.theorem_id not in allowed:
                 raise ValueError(
                     f"theorem {self.theorem_id} incompatible with regime="
                     f"{self.regime}, noise={self.noise['kind']}; "
-                    f"allowed: {sorted(allowed)}"
+                    f"allowed: {allowed}"
                 )
         bad = set(self.bound_params) - {f.name for f in fields(BoundInputs)}
         if bad:
@@ -193,12 +181,9 @@ def _resolve_d(config: ExperimentConfig, codec: Codec) -> int:
         if config.d < 1:
             raise ValueError("d must be >= 1")
         d = int(config.d)
-    else:
-        if not 0 < codec.delta < 1 / math.e:
-            raise ValueError("the eta budget rule needs delta in (0, 1/e)")
-        mult = 2.0 if config.regime == "strong" else 1.0
-        denom = math.log2(1.0 / (math.e * codec.delta))
-        d = max(1, ceil_snap(mult * config.eta * codec.rate_bits / denom))
+    else:  # analog measurements take the weak (fixed-signal) multiplier
+        d = budget_for_rate(codec.rate_bits, codec.delta, config.eta,
+                            "strong" if config.regime == "strong" else "weak")
     if config.regime == "analog" and d > MAX_WIENER_PATHS:
         raise ValueError(
             f"analog d={d} exceeds {MAX_WIENER_PATHS}: Wiener path i takes stream "

@@ -121,31 +121,12 @@ class PiecewisePolynomial:
         """
         return self._eval(t, right_limits=True)
 
-    def merged_edges_with(self, other: "PiecewisePolynomial | None" = None) -> np.ndarray:
-        pts = [self.edges]
-        if other is not None:
-            pts.append(other.edges)
-        return np.unique(np.concatenate(pts))
-
-    def l2_inner(self, other: "PiecewisePolynomial") -> float:
-        """Exact integral of self*other over [0,1]."""
-        edges = self.merged_edges_with(other)
-        deg = max(self.degree, other.degree)
-        nodes, weights = _gauss_nodes(deg + 1)
-        total = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b <= a:
-                continue
-            t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            total += 0.5 * (b - a) * np.sum(weights * self(t) * other(t))
-        return float(total)
-
     def l2_norm(self) -> float:
-        return float(np.sqrt(max(self.l2_inner(self), 0.0)))
+        return self.l2_distance(constant_function(0.0))
 
     def l2_distance(self, other: "PiecewisePolynomial") -> float:
         """Exact L2([0,1]) distance to another piecewise polynomial."""
-        edges = self.merged_edges_with(other)
+        edges = np.unique(np.concatenate([self.edges, other.edges]))
         deg = max(self.degree, other.degree)
         nodes, weights = _gauss_nodes(deg + 1)
         total = 0.0

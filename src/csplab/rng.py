@@ -68,55 +68,3 @@ def gaussian_matrix(stream: RandomStream, rows: int, cols: int) -> np.ndarray:
         raise EmptyRequestError(f"requested a {rows}x{cols} gaussian matrix")
     return gaussian_vector(stream, rows * cols).reshape(rows, cols)
 
-
-@dataclass
-class WienerPath:
-    """A standard Wiener path on [0,1], discretized into m uniform steps.
-
-    increments[k] = W((k+1)/m) - W(k/m) ~ N(0, 1/m), mutually independent.
-    Partial sums give W at the grid points, with W(0) = 0.
-    """
-
-    m: int
-    increments: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        """Grid points 0, 1/m, ..., 1."""
-        return np.linspace(0.0, 1.0, self.m + 1)
-
-    @property
-    def values(self) -> np.ndarray:
-        """W evaluated on the grid; values[0] is exactly 0."""
-        out = np.empty(self.m + 1)
-        out[0] = 0.0
-        np.cumsum(self.increments, out=out[1:])
-        return out
-
-
-def wiener_path(stream: RandomStream, m: int) -> WienerPath:
-    """Draw one discretized Wiener path with m uniform steps on [0,1].
-
-    Each increment is N(0, 1/m); increments over disjoint index ranges are
-    independent because they come from disjoint stretches of the stream.
-    Raises EmptyRequestError for m < 1.
-    """
-    if m < 1:
-        raise EmptyRequestError(f"requested a Wiener path with m={m} steps")
-    inc = gaussian_vector(stream, m) * np.sqrt(1.0 / m)
-    return WienerPath(m=int(m), increments=inc)
-
-
-def wiener_increment_matrix(stream: RandomStream, n_paths: int, m: int) -> np.ndarray:
-    """Increments of n_paths independent Wiener paths as an (n_paths, m) array.
-
-    Row i holds the increments of path i; rows are independent because they
-    occupy disjoint stretches of the stream.  Equivalent in distribution to
-    calling wiener_path n_paths times on the same stream, but in one draw,
-    which is what the Monte Carlo checks want.
-    """
-    if n_paths < 1:
-        raise EmptyRequestError(f"requested {n_paths} Wiener paths")
-    if m < 1:
-        raise EmptyRequestError(f"requested Wiener paths with m={m} steps")
-    return gaussian_matrix(stream, n_paths, m) * np.sqrt(1.0 / m)

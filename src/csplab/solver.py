@@ -25,7 +25,6 @@ from .measurement import MeasurementEnsemble, WienerEnsemble
 from .piecewise import PiecewisePolynomial, orthonormal_basis_matrix
 
 DEFAULT_BLOCK = 4096
-EXACT_RECOVERY_TOL = 1e-9  # "error 0" means l2 error at or below this
 
 
 @dataclass

@@ -66,6 +66,12 @@ class TestSingularValueTail:
 
 
 class TestEvaluateBound:
+    def test_unknown_id_lists_the_registry_in_order(self):
+        with pytest.raises(ParameterError) as err:
+            evaluate_bound("X1", BoundInputs())
+        assert str(err.value) == ("unknown theorem_id 'X1'; known: T3, C4, T5, "
+                                  "C6, T6, T7, T8, C9, T9, T10, C11, T11")
+
     def test_t3_worked_value(self):
         ev = evaluate_bound("T3", BoundInputs(r=10, d=40, delta=0.05,
                                               tau1=3.0, tau2=0.75))

@@ -1,9 +1,12 @@
 """Codec constructions: rates, covering, enumeration, encode/decode."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csplab.codecs import (CapacityError, DomainError, ExplicitCodec,
                            GridCodec, PiecewisePolyCodec, SparseCodec,
@@ -254,6 +257,56 @@ class TestPiecewisePolyCodec:
     def test_grid_too_small_rejected(self):
         with pytest.raises(ValueError):
             PiecewisePolyCodec(0, 1, 1.0, 0.01, grid=64)
+
+
+# small codecs for the round-trip properties; the "lazy" ones sit above their
+# materialization threshold, so decode takes the block-enumeration path
+ROUND_TRIP_CODECS = {
+    "sparse": lambda: SparseCodec(6, 2, 1.0, 0.5),
+    "sparse-lazy": lambda: SparseCodec(10, 2, 1.0, 0.2, materialize_threshold=10),
+    "grid": lambda: GridCodec(3, 1.0, 0.3),
+    "grid-lazy": lambda: GridCodec(2, 1.0, 0.5, materialize_threshold=4),
+    "ppoly": lambda: PiecewisePolyCodec(0, 1, 1.0, 0.2),
+    "ppoly-deg1": lambda: PiecewisePolyCodec(1, 1, 1.0, 0.3, grid=256),
+}
+FINITE = ("sparse", "sparse-lazy", "grid", "grid-lazy")
+
+
+@functools.lru_cache(maxsize=None)
+def round_trip_codec(name):
+    return ROUND_TRIP_CODECS[name]()
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(FINITE), data=st.data())
+    def test_finite_encode_returns_first_occurrence(self, name, data):
+        c = round_trip_codec(name)
+        i = data.draw(st.integers(0, c.size - 1))
+        x = c.decode(i)
+        j = c.encode(x)
+        assert j <= i
+        assert c.decode(j).tobytes() == x.tobytes()
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(("ppoly", "ppoly-deg1")), data=st.data())
+    def test_ppoly_codeword_is_a_fixed_point(self, name, data):
+        c = round_trip_codec(name)
+        f = c.decode(data.draw(st.integers(0, c.size - 1)))
+        assert c.decode(c.encode(f)).l2_distance(f) <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(name=st.sampled_from(sorted(ROUND_TRIP_CODECS)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_class_samples_land_within_delta(self, name, seed):
+        c = round_trip_codec(name)
+        member = c.sample_member(derive_stream(seed, 0).generator)
+        got = c.decode(c.encode(member))
+        if name in FINITE:
+            err = float(np.linalg.norm(member - got))
+        else:
+            err = member.l2_distance(got)
+        assert err <= c.delta * (1 + 1e-9)
 
 
 class TestExplicitCodec:

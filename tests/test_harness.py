@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from csplab import harness
+from csplab.bounds import THEOREM_IDS, ParameterError
 from csplab.codecs import SparseCodec, codec_from_config
 from csplab.harness import (CSV_COLUMNS, MAX_WIENER_PATHS, ExperimentConfig,
                             build_panel, records_to_csv, run_sweep, run_trial,
@@ -45,11 +46,35 @@ class TestConfig:
         with pytest.raises(ValueError, match="eta"):
             small_config(d=None, eta=None)
 
-    def test_theorem_regime_compatibility(self):
-        with pytest.raises(ValueError, match="incompatible"):
-            small_config(theorem_id="T8")  # strong-regime bound, weak config
-        with pytest.raises(ValueError, match="incompatible"):
-            small_config(theorem_id="T6")  # gaussian-noise bound, no noise
+    # the guarantees each (regime, noise kind) admits; the analog noiseless
+    # and bounded-noise guarantees share the weak finite-dimensional formulas
+    ALLOWED = {
+        ("weak", "none"): ["C4", "T3"],
+        ("weak", "bounded"): ["C6", "T5"],
+        ("weak", "gaussian"): ["T6", "T7"],
+        ("strong", "none"): ["C9", "T8"],
+        ("strong", "bounded"): ["C11", "T9"],
+        ("strong", "gaussian"): ["T10", "T11"],
+        ("analog", "none"): ["T3"],
+        ("analog", "bounded"): ["T5"],
+        ("analog", "gaussian"): [],
+    }
+    NOISE = {"none": {"kind": "none"}, "bounded": {"kind": "bounded", "zeta": 0.05},
+             "gaussian": {"kind": "gaussian", "sigma": 0.05}}
+
+    @pytest.mark.parametrize("regime,kind", sorted(ALLOWED))
+    def test_theorem_regime_compatibility(self, regime, kind):
+        allowed = self.ALLOWED[regime, kind]
+        for tid in THEOREM_IDS:
+            kw = dict(regime=regime, noise=self.NOISE[kind], theorem_id=tid,
+                      bound_params={})
+            if tid in allowed:
+                assert small_config(**kw).theorem_id == tid
+                continue
+            with pytest.raises(ValueError) as err:
+                small_config(**kw)
+            assert str(err.value) == (f"theorem {tid} incompatible with regime="
+                                      f"{regime}, noise={kind}; allowed: {allowed}")
 
     def test_round_trip(self):
         cfg = small_config()
@@ -65,6 +90,25 @@ class TestConfig:
         want = math.ceil(2.0 * codec.rate_bits
                          / math.log2(1.0 / (math.e * codec.delta)))
         assert rec.d == want == 8
+
+    @pytest.mark.parametrize("regime,codec,mult", [
+        ("strong", {"class": "sparse", "n": 12, "k": 1, "rho": 4.0, "delta": 0.05}, 2),
+        ("analog", {"class": "ppoly", "n": 256, "N": 0, "Q": 0, "rho": 1.0,
+                    "delta": 0.1}, 1),
+    ])
+    def test_eta_budget_multiplier_per_regime(self, regime, codec, mult):
+        # one matrix for the whole class doubles the budget; analog
+        # measurements of one signal take the weak rule
+        cfg = small_config(d=None, eta=2.0, regime=regime, codec=codec, trials=1,
+                           theorem_id=None, bound_params={}, panel_size=20)
+        c = codec_from_config(codec)
+        want = math.ceil(mult * 2.0 * c.rate_bits / math.log2(1.0 / (math.e * c.delta)))
+        assert run_trial(cfg, 0).d == want
+
+    def test_eta_budget_needs_eta_above_one(self):
+        # the harness applies measurement_budget's rule, range checks included
+        with pytest.raises(ParameterError, match=r"eta=0\.5 must be > 1"):
+            run_trial(small_config(d=None, eta=0.5), 0)
 
 
 class TestTrials:
@@ -286,6 +330,18 @@ class TestSweep:
         assert all(r.axis_value == 0.2 for r in sweep.records)
         assert sweep.points[0].reason is None
         assert sweep.points[1].reason.startswith("CapacityError: ")
+
+    def test_delta_outside_budget_range_is_unavailable(self):
+        # the eta rule needs delta in (0, 1/e); 0.5 is a parameter error
+        cfg = small_config(d=None, eta=2.0,
+                           axis={"name": "delta", "values": [0.1, 0.5]})
+        sweep = run_sweep(cfg)
+        assert sweep.points[0].reason is None
+        assert not math.isnan(sweep.points[0].mean_error)
+        assert math.isnan(sweep.points[1].mean_error)
+        assert sweep.points[1].reason == (
+            "ParameterError: delta=0.5 must be in (0, 1/e) for the budget denominator")
+        assert all(r.axis_value == 0.1 for r in sweep.records)
 
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):

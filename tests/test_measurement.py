@@ -8,7 +8,7 @@ from csplab.measurement import (NoiseModel, WienerEnsemble, apply_noise,
                                 measure, measure_analog, sample_ensemble,
                                 sample_wiener_ensemble)
 from csplab.piecewise import constant_function, piecewise_constant
-from csplab.rng import derive_stream, wiener_increment_matrix
+from csplab.rng import derive_stream, gaussian_matrix
 
 
 def big_wiener_ensemble(seed, n_paths, m):
@@ -17,7 +17,7 @@ def big_wiener_ensemble(seed, n_paths, m):
     Row-for-row identical in distribution to sampling n_paths independent
     streams, but cheap enough for 1e5-path law checks.
     """
-    inc = wiener_increment_matrix(derive_stream(seed, 0), n_paths, m)
+    inc = gaussian_matrix(derive_stream(seed, 0), n_paths, m) * np.sqrt(1.0 / m)
     return WienerEnsemble(d=n_paths, m=m, increments=inc,
                           master_seed=seed, base_stream_id=0)
 

@@ -1,10 +1,10 @@
-"""Stream derivation, gaussian generation, and Wiener path statistics."""
+"""Stream derivation and gaussian generation."""
 
 import numpy as np
 import pytest
 
 from csplab.rng import (EmptyRequestError, derive_stream, gaussian_matrix,
-                        gaussian_vector, wiener_increment_matrix, wiener_path)
+                        gaussian_vector)
 
 N_MC = 100_000
 
@@ -61,8 +61,6 @@ def test_empty_requests_rejected():
     with pytest.raises(EmptyRequestError):
         gaussian_vector(s, 0)
     with pytest.raises(EmptyRequestError):
-        wiener_path(s, 0)
-    with pytest.raises(EmptyRequestError):
         gaussian_matrix(s, 0, 4)
 
 
@@ -71,48 +69,3 @@ def test_matrix_is_row_major_slice_of_stream():
     mat = gaussian_matrix(derive_stream(9, 9), 3, 4)
     assert np.array_equal(mat, flat.reshape(3, 4))
 
-
-def test_wiener_path_shape_and_origin():
-    p = wiener_path(derive_stream(1, 0), 16)
-    assert p.increments.shape == (16,)
-    assert p.values[0] == 0.0
-    assert p.values.shape == (17,)
-    assert np.allclose(p.values[-1], p.increments.sum())
-
-
-def test_wiener_increment_variance_m1():
-    inc = wiener_increment_matrix(derive_stream(2, 0), N_MC, 1)
-    var = inc[:, 0].var()
-    assert 0.97 <= var <= 1.03
-
-
-def test_wiener_endpoint_variance_m4():
-    inc = wiener_increment_matrix(derive_stream(3, 0), N_MC, 4)
-    w1 = inc.sum(axis=1)  # W(1) ~ N(0,1)
-    assert 0.97 <= w1.var() <= 1.03
-    assert -0.02 <= w1.mean() <= 0.02
-
-
-def test_wiener_increments_match_path_api():
-    # the batched matrix draws exactly what repeated wiener_path calls draw
-    stream_a = derive_stream(5, 1)
-    batched = wiener_increment_matrix(stream_a, 3, 8)
-    stream_b = derive_stream(5, 1)
-    single = np.array([wiener_path(stream_b, 8).increments for _ in range(3)])
-    assert np.array_equal(batched, single)
-
-
-def test_per_increment_variance():
-    m = 8
-    inc = wiener_increment_matrix(derive_stream(4, 0), N_MC, m)
-    for k in range(m):
-        assert abs(inc[:, k].var() - 1.0 / m) <= 0.03 / m
-        assert abs(inc[:, k].mean()) <= 0.02
-
-
-def test_disjoint_interval_sums_uncorrelated():
-    inc = wiener_increment_matrix(derive_stream(6, 0), N_MC, 8)
-    first = inc[:, :4].sum(axis=1)
-    second = inc[:, 4:].sum(axis=1)
-    corr = np.corrcoef(first, second)[0, 1]
-    assert abs(corr) <= 0.01
