@@ -475,6 +475,12 @@ class PowerlawRate:
         return self.c * (1.0 / delta) ** (1.0 / self.beta_smooth)
 
 
+def check_eta(eta: float) -> None:
+    """The budget rule's oversampling factor must exceed 1."""
+    if eta <= 1:
+        raise ParameterError(f"eta={eta} must be > 1")
+
+
 def budget_for_rate(r_bits: float, delta: float, eta: float,
                     regime: str = "weak") -> int:
     """The budget rule: a code of r_bits bits at distortion delta needs
@@ -486,8 +492,7 @@ def budget_for_rate(r_bits: float, delta: float, eta: float,
     """
     if regime not in ("weak", "strong"):
         raise ParameterError(f"regime={regime!r} must be 'weak' or 'strong'")
-    if eta <= 1:
-        raise ParameterError(f"eta={eta} must be > 1")
+    check_eta(eta)
     if not 0 < delta < 1 / math.e:
         raise ParameterError(
             f"delta={delta} must be in (0, 1/e) for the budget denominator"

@@ -40,19 +40,16 @@ def _add_common(p: argparse.ArgumentParser, config: bool = False):
     p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--trials", type=int, default=None, help="trial count override")
-    p.add_argument("--threads", type=int, default=None, help="scan worker threads")
 
 
 def _load_config(args) -> ExperimentConfig:
     raw = json.loads(Path(args.config).read_text())
-    config = ExperimentConfig.from_dict(raw)
+    # overrides go in before construction, so they are validated like the file
     if args.seed is not None:
-        config.master_seed = args.seed
+        raw["master_seed"] = args.seed
     if args.trials is not None:
-        config.trials = args.trials
-    if args.threads is not None:
-        config.threads = args.threads
-    return config
+        raw["trials"] = args.trials
+    return ExperimentConfig.from_dict(raw)
 
 
 def _cmd_rd_profile(args) -> int:
@@ -152,7 +149,6 @@ def _cmd_analog_demo(args) -> int:
         trials=args.trials if args.trials else 50,
         master_seed=args.seed or 0,
         theorem_id="T3", bound_params={"tau1": 3.0, "tau2": 0.75},
-        threads=args.threads or 1,
     )
     records = run_trials(config)
     out = Path(args.out) / "analog.csv"

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import rng as _rng
-from .bounds import (BoundInputs, ParameterError, budget_for_rate,
+from .bounds import (BoundInputs, ParameterError, budget_for_rate, check_eta,
                      compatible_theorems, evaluate_bound)
 from .codecs import (CapacityError, Codec, GridResolutionError, PiecewisePolyCodec,
                      codec_from_config)
@@ -68,8 +68,7 @@ class ExperimentConfig:
     signal_source: str = "class"
     panel_size: int = 200
     axis: dict | None = None
-    threads: int = 1
-    block_size: int = 4096
+    threads: int = 1  # the scan is serial; kept so configs saying 1 still load
     record_timings: bool = False
 
     def __post_init__(self):
@@ -77,6 +76,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.threads != 1:
+            raise ValueError(f"threads={self.threads} must be 1: the scan is serial")
+        if self.eta is not None:
+            check_eta(self.eta)
         if self.signal_source not in ("class", "codebook"):
             raise ValueError(f"unknown signal_source {self.signal_source!r}")
         if self.d is None and self.eta is None:
@@ -178,14 +181,15 @@ class SweepResult:
 
 def _resolve_d(config: ExperimentConfig, codec: Codec) -> int:
     if config.d is not None:
-        if config.d < 1:
-            raise ValueError("d must be >= 1")
+        # a d axis arrives as floats: 4.0 is d=4, 2.7 is no measurement count
+        if not (config.d >= 1 and float(config.d).is_integer()):
+            raise ParameterError(f"d={config.d} must be an integer >= 1")
         d = int(config.d)
     else:  # analog measurements take the weak (fixed-signal) multiplier
         d = budget_for_rate(codec.rate_bits, codec.delta, config.eta,
                             "strong" if config.regime == "strong" else "weak")
     if config.regime == "analog" and d > MAX_WIENER_PATHS:
-        raise ValueError(
+        raise ParameterError(
             f"analog d={d} exceeds {MAX_WIENER_PATHS}: Wiener path i takes stream "
             f"channel {CH_WIENER_BASE} + i, which must fit in {_CHANNEL_BITS} bits"
         )
@@ -352,8 +356,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
             if float(np.linalg.norm(direction)) <= 1e-15:
                 direction = None
         y = _apply_trial_noise(y, model, noise_stream, direction)
-        res = csp_recover_analog(y, ensemble, codec, truth=f,
-                                 block_size=config.block_size, threads=config.threads)
+        res = csp_recover_analog(y, ensemble, codec, truth=f)
         ensemble_seed = wiener_base
         error, residual = res.error_l2, res.residual
         wall = res.wall_time
@@ -367,10 +370,8 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
             y = measure(ensemble, x)
             direction = _worst_direction(ensemble, r) if worst_aligned else None
             ys.append(_apply_trial_noise(y, model, noise_stream, direction))
-        results = csp_recover_panel(
-            np.asarray(ys), ensemble, codec, truths=panel.truths,
-            block_size=config.block_size, threads=config.threads,
-        )
+        results = csp_recover_panel(np.asarray(ys), ensemble, codec,
+                                    truths=panel.truths)
         errors = np.asarray([r.error_l2 for r in results])
         worst = int(np.argmax(errors))
         error = float(errors[worst])
@@ -385,8 +386,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
         direction = _worst_direction(ensemble, _quantization_residual(codec, x)) \
             if worst_aligned else None
         y = _apply_trial_noise(y, model, noise_stream, direction)
-        res = csp_recover(y, ensemble, codec, truth=x,
-                          block_size=config.block_size, threads=config.threads)
+        res = csp_recover(y, ensemble, codec, truth=x)
         ensemble_seed = ens_sid
         error, residual = res.error_l2, res.residual
         wall = res.wall_time
@@ -419,7 +419,7 @@ def run_trials(config: ExperimentConfig, point: int = 0,
 def _point_config(config: ExperimentConfig, value: float) -> ExperimentConfig:
     name = config.axis["name"]
     if name == "d":
-        return replace(config, d=int(value), axis=None)
+        return replace(config, d=value, axis=None)
     if name == "delta":
         codec = dict(config.codec)
         codec["delta"] = float(value)

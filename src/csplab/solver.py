@@ -5,17 +5,15 @@ ties broken by the smallest codeword index.  One grouped scan implements it:
 the codebook is a run of groups of codewords sharing one linear operator (the
 whole codebook for finite-dimensional codecs, one breakpoint layout for
 piecewise polynomials), cut into a canonical grid of fixed-size blocks whose
-minima are folded in block order, so the result is bit-identical no matter
-how many worker threads process the blocks.  The three solvers are front ends
-that choose the groups and the residual kernel.  Codewords are decoded
-blockwise and never materialized beyond one block (plus the codec's own
-small-codebook cache), keeping memory at O(block * n + d).
+minima are folded serially, in block order, into a running incumbent.  The
+three solvers are front ends that choose the groups and the residual kernel.
+Codewords are decoded blockwise and never materialized beyond one block (plus
+the codec's own small-codebook cache), keeping memory at O(block * n + d).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,43 +64,33 @@ def _check(ys: np.ndarray, ensemble, codec, analog: bool = False) -> None:
     codec._check_cap("csp scan")
 
 
-def _scan(groups, coefs, kernel, p: int, block_size: int, threads: int):
+def _scan(groups, coefs, kernel, p: int, block_size: int):
     """The one grouped scan behind every solver.
 
     groups yields (start, size, B): codewords [start, start + size) whose
     measurements are coefs(offset, count) @ B for offsets inside the group.
     Each group is cut into the canonical block grid (fixed by the groups and
     block_size alone) and kernel maps a block's measurements R (count, d) to
-    squared residuals (count, p) against the p signals.  Returns the minimum
-    squared residual and its codeword index per signal, smallest index on
-    ties, bit-identical for every thread count.  The block size is part of
-    the grid: BLAS can round a row of coefs @ B differently with its block's
-    row count, so another block size can move residuals in the last bits.
+    squared residuals (count, p) against the p signals.  Blocks are folded in
+    index order into a running minimum; the comparison is strict, so the
+    earlier block keeps a tie.  Returns the minimum squared residual and its
+    codeword index per signal, smallest index on ties.  The block size is
+    part of the grid: BLAS can round a row of coefs @ B differently with its
+    block's row count, so another block size can move residuals in the last
+    bits.
     """
-    # groups are consumed (and their operators built) serially, up front
-    blocks = [(start + offset, offset, min(block_size, size - offset), B)
-              for start, size, B in groups for offset in range(0, size, block_size)]
-    mins = np.empty((len(blocks), p))
-    args = np.empty((len(blocks), p), dtype=np.int64)
+    best = np.full(p, np.inf)
+    at = np.zeros(p, dtype=np.int64)
     cols = np.arange(p)
-
-    def block_min(b):
-        _, offset, count, B = blocks[b]
-        sq = kernel(coefs(offset, count) @ B)
-        j = args[b] = sq.argmin(axis=0)    # first occurrence per signal
-        mins[b] = sq[j, cols]
-
-    if threads <= 1:
-        for b in range(len(blocks)):
-            block_min(b)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(block_min, range(len(blocks))))
-    # blocks are in index order, so the first block holding a signal's minimum
-    # is the one an ordered strict-< fold keeps
-    k = mins.argmin(axis=0)
-    bases = np.array([block[0] for block in blocks])
-    return mins[k, cols], bases[k] + args[k, cols]
+    for start, size, B in groups:
+        for offset in range(0, size, block_size):
+            sq = kernel(coefs(offset, min(block_size, size - offset)) @ B)
+            j = sq.argmin(axis=0)    # first occurrence per signal
+            m = sq[j, cols]
+            better = m < best
+            best[better] = m[better]
+            at[better] = start + offset + j[better]
+    return best, at
 
 
 def _results(codec, sq, idx, t0, truths, error) -> list[RecoveryResult]:
@@ -131,7 +119,7 @@ def _direct(y):
 
 
 def csp_recover(y, ensemble: MeasurementEnsemble, codec: Codec, truth=None,
-                block_size: int = DEFAULT_BLOCK, threads: int = 1) -> RecoveryResult:
+                block_size: int = DEFAULT_BLOCK) -> RecoveryResult:
     """Recover a finite-dimensional signal from y = A x (+ noise).
 
     Scans every codeword, computing ||y - A c||_2^2 fused with the blockwise
@@ -144,14 +132,14 @@ def csp_recover(y, ensemble: MeasurementEnsemble, codec: Codec, truth=None,
     ys = np.asarray(y, dtype=float)[None]
     _check(ys, ensemble, codec)
     sq, idx = _scan([(0, codec.size, ensemble.matrix.T)], codec.decode_block,
-                    _direct(ys[0]), 1, block_size, threads)
+                    _direct(ys[0]), 1, block_size)
     truths = None if truth is None else [np.asarray(truth, dtype=float)]
     return _results(codec, sq, idx, t0, truths, _l2)[0]
 
 
 def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
-                      truths=None, block_size: int = DEFAULT_BLOCK,
-                      threads: int = 1) -> list[RecoveryResult]:
+                      truths=None,
+                      block_size: int = DEFAULT_BLOCK) -> list[RecoveryResult]:
     """Recover a panel of signals against one shared ensemble in one pass.
 
     The codebook is decoded and measured once per block for the whole panel,
@@ -175,7 +163,7 @@ def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
         return np.maximum(rn[:, None] + yn[None, :] - 2.0 * (R @ ys.T), 0.0)
 
     sq, idx = _scan([(0, codec.size, ensemble.matrix.T)], codec.decode_block,
-                    expanded, len(ys), block_size, threads)
+                    expanded, len(ys), block_size)
     return _results(codec, sq, idx, t0, truths, _l2)
 
 
@@ -205,8 +193,7 @@ def _analog_group_operator(codec: PiecewisePolyCodec, breakpoints: np.ndarray,
 
 def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
                        truth: PiecewisePolynomial | None = None,
-                       block_size: int = DEFAULT_BLOCK,
-                       threads: int = 1) -> RecoveryResult:
+                       block_size: int = DEFAULT_BLOCK) -> RecoveryResult:
     """Recover a function from stochastic-integral measurements.
 
     Same optimality and tie-break contract as csp_recover, with residuals
@@ -230,9 +217,11 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     _check(ys, ensemble, codec, analog=True)
     times = ensemble.times
     inc_t = np.ascontiguousarray(ensemble.increments.T)
-    groups = ((start, codec.coef_space,
+    # operators are built before the scan starts: built between its blocks
+    # they cost the analog-groups benchmark about 4% more time per trial
+    groups = [(start, codec.coef_space,
                _analog_group_operator(codec, breakpoints, times, inc_t))
-              for start, breakpoints in codec.iter_break_groups())
+              for start, breakpoints in codec.iter_break_groups()]
     # every group scans the same coefficient grid; when a group is one block
     # that grid is built once for the whole scan
     shared = codec.coef_block(0, codec.coef_space) \
@@ -241,7 +230,7 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     def coefs(offset, count):
         return codec.coef_block(offset, count) if shared is None else shared
 
-    sq, idx = _scan(groups, coefs, _direct(ys[0]), 1, block_size, threads)
+    sq, idx = _scan(groups, coefs, _direct(ys[0]), 1, block_size)
     truths = None if truth is None else [truth]
     return _results(codec, sq, idx, t0, truths,
                     lambda recon, f: f.l2_distance(recon))[0]

@@ -48,6 +48,14 @@ def test_recover_overrides(tmp_path, weak_config):
     assert len(lines) == 2 + 2  # provenance + header + 2 trials
 
 
+def test_override_is_validated(tmp_path, weak_config, capsys):
+    rc = main(["recover", "--config", str(weak_config), "--out", str(tmp_path),
+               "--trials", "0"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: trials must be >= 1\n"
+    assert not (tmp_path / "recover.csv").exists()
+
+
 def test_sweep_outputs(tmp_path):
     cfg = {
         "codec": {"class": "sparse", "n": 8, "k": 1, "rho": 1.0, "delta": 0.2},

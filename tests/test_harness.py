@@ -110,6 +110,30 @@ class TestConfig:
         with pytest.raises(ParameterError, match=r"eta=0\.5 must be > 1"):
             run_trial(small_config(d=None, eta=0.5), 0)
 
+    @pytest.mark.parametrize("eta", [0.5, 1.0])
+    def test_eta_checked_at_construction(self, eta):
+        # eta's range is known up front, unlike the codec-dependent delta range
+        with pytest.raises(ParameterError, match=rf"^eta={eta} must be > 1$"):
+            ExperimentConfig(codec={"class": "grid", "n": 2, "rho": 1.0, "delta": 0.5},
+                             eta=eta)
+
+    @pytest.mark.parametrize("threads", [2, 0])
+    def test_threads_other_than_one_rejected(self, threads):
+        with pytest.raises(ValueError, match=rf"^threads={threads} must be 1: "):
+            small_config(threads=threads)
+
+    def test_threads_one_still_loads(self):
+        # configs written for the threaded scan, the benchmark's too, say threads=1
+        cfg = ExperimentConfig.from_dict({
+            "codec": {"class": "grid", "n": 2, "rho": 1.0, "delta": 0.5},
+            "d": 2, "threads": 1,
+        })
+        assert cfg.threads == 1
+
+    def test_block_size_is_not_a_config_key(self):
+        with pytest.raises(ValueError, match=r"unknown config keys: \['block_size'\]"):
+            ExperimentConfig.from_dict({**small_config().to_dict(), "block_size": 64})
+
 
 class TestTrials:
     def test_reruns_are_byte_identical(self):
@@ -287,8 +311,17 @@ class TestWienerStreams:
 
         monkeypatch.setattr(harness, "sample_wiener_ensemble", fail)
         monkeypatch.setattr(harness._rng, "derive_stream", fail)
-        with pytest.raises(ValueError, match="exceeds 65520"):
+        with pytest.raises(ParameterError, match="exceeds 65520"):
             run_trial(self.analog_config(MAX_WIENER_PATHS + 1), 0)
+
+    def test_too_many_paths_on_an_axis_is_unavailable(self):
+        cfg = replace(self.analog_config(4), axis={"name": "d", "values": [4, 65521]})
+        sweep = run_sweep(cfg)
+        assert not math.isnan(sweep.points[0].mean_error)
+        assert math.isnan(sweep.points[1].mean_error)
+        assert sweep.points[1].reason.startswith(
+            "ParameterError: analog d=65521 exceeds 65520: ")
+        assert all(r.axis_value == 4.0 for r in sweep.records)
 
 
 class TestSweep:
@@ -342,6 +375,16 @@ class TestSweep:
         assert sweep.points[1].reason == (
             "ParameterError: delta=0.5 must be in (0, 1/e) for the budget denominator")
         assert all(r.axis_value == 0.1 for r in sweep.records)
+
+    def test_invalid_d_points_are_unavailable(self):
+        # the axis sends floats: 4.0 is d=4, while 0 and 2.7 are no d at all
+        sweep = run_sweep(small_config(axis={"name": "d", "values": [4, 0, 2.7]}))
+        assert sweep.points[0].reason is None
+        assert {r.d for r in sweep.records} == {4}
+        assert [p.reason for p in sweep.points[1:]] == [
+            "ParameterError: d=0.0 must be an integer >= 1",
+            "ParameterError: d=2.7 must be an integer >= 1"]
+        assert all(math.isnan(p.mean_error) for p in sweep.points[1:])
 
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
