@@ -37,9 +37,9 @@ _BOUND_FLAGS = [f.name for f in fields(BoundInputs)]
 def _add_common(p: argparse.ArgumentParser, config: bool = False):
     if config:
         p.add_argument("--config", required=True, help="JSON experiment config")
+        p.add_argument("--trials", type=int, default=None, help="trial count override")
     p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--trials", type=int, default=None, help="trial count override")
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -146,7 +146,7 @@ def _cmd_analog_demo(args) -> int:
         codec={"class": "ppoly", "N": 0, "Q": 0, "rho": args.amp,
                "delta": args.delta, "n": args.grid},
         regime="analog", d=args.d,
-        trials=args.trials if args.trials else 50,
+        trials=args.trials,
         master_seed=args.seed or 0,
         theorem_id="T3", bound_params={"tau1": 3.0, "tau2": 0.75},
     )
@@ -214,6 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--amp", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=4096)
+    p.add_argument("--trials", type=int, default=50)
     _add_common(p)
     p.set_defaults(func=_cmd_analog_demo)
     return parser

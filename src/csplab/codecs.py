@@ -544,16 +544,21 @@ class PiecewisePolyCodec(Codec):
             coef_index = coef_index * self.coef_levels + int(d)
         return self._break_rank(snapped) * self.coef_space + coef_index
 
-    def iter_break_groups(self):
-        """Yield (start_index, breakpoint_values) per breakpoint combo.
+    @functools.cached_property
+    def break_layouts(self) -> np.ndarray:
+        """Read-only table of breakpoint values, shape (n_break_combos, n_breaks).
 
-        Codewords within one group occupy the contiguous index range
-        [start, start + coef_levels^n_coef) and share their piece layout,
-        which lets the analog scan vectorize over coefficients.
+        Row r is the piece layout shared by the codewords in the contiguous
+        index range [r * coef_space, (r + 1) * coef_space), which lets the
+        analog scan vectorize over coefficients.  Built on first use and kept
+        for the codec's lifetime, never in __init__: rate-only codecs built
+        without a cap can have astronomically many layouts.
         """
-        for rank in range(self.n_break_combos):
-            levels = self._break_unrank(rank)
-            yield rank * self.coef_space, self._break_value(np.asarray(levels))
+        levels = np.array([self._break_unrank(r) for r in range(self.n_break_combos)],
+                          dtype=np.int64).reshape(self.n_break_combos, self.n_breaks)
+        table = self._break_value(levels)
+        table.flags.writeable = False
+        return table
 
     def coef_block(self, group_offset: int, count: int) -> np.ndarray:
         """Coefficient matrices for `count` codewords starting at the given

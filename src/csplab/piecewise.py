@@ -18,22 +18,26 @@ from numpy.polynomial import legendre as npleg
 
 
 def orthonormal_basis_matrix(a: float, b: float, degree: int, t: np.ndarray) -> np.ndarray:
-    """Values of the orthonormal Legendre basis of [a,b] at points t.
+    """Values of the orthonormal Legendre basis of [a,b] at the 1-D points t.
 
     Returns an array of shape (degree+1, len(t)); row k is
     phi_k(t) = sqrt((2k+1)/(b-a)) * P_k(2(t-a)/(b-a) - 1), which satisfies
-    integral_a^b phi_j phi_k = delta_jk.
+    integral_a^b phi_j phi_k = delta_jk.  P_0 is 1, so row 0 is the constant
+    sqrt(1/(b-a)), written without evaluating a polynomial (legval of [1]
+    is exactly 1.0 at every finite point); rows k >= 1 come from legval.
     """
     if b <= a:
         raise ValueError(f"degenerate interval [{a}, {b}]")
     t = np.asarray(t, dtype=float)
-    u = 2.0 * (t - a) / (b - a) - 1.0
-    rows = []
-    for k in range(degree + 1):
-        ck = np.zeros(k + 1)
-        ck[k] = 1.0
-        rows.append(np.sqrt((2 * k + 1) / (b - a)) * npleg.legval(u, ck))
-    return np.vstack(rows)
+    out = np.empty((degree + 1, t.size))
+    out[0] = np.sqrt(1.0 / (b - a))
+    if degree:
+        u = 2.0 * (t - a) / (b - a) - 1.0
+        for k in range(1, degree + 1):
+            ck = np.zeros(k + 1)
+            ck[k] = 1.0
+            out[k] = np.sqrt((2 * k + 1) / (b - a)) * npleg.legval(u, ck)
+    return out
 
 
 def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -151,7 +151,11 @@ def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
     ||y - R c||^2.  Each signal gets the same argmin as csp_recover except
     where residuals tie within that rounding: at exact ties, such as
     cell-corner stress points, the panel can choose another index than the
-    smallest one.  Reported residuals can differ in their last bits.
+    smallest one.  The cancellation costs about half the digits: a reported
+    residual can be off by about sqrt(eps) * ||y|| (a noiseless codeword
+    with ||y|| about 4.2 reports 8.4e-8 where csp_recover gives about
+    1e-16).  ROADMAP item 2 plans a certified re-check with the direct
+    kernel.
     """
     t0 = time.perf_counter()
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
@@ -167,28 +171,36 @@ def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
     return _results(codec, sq, idx, t0, truths, _l2)
 
 
-def _analog_group_operator(codec: PiecewisePolyCodec, breakpoints: np.ndarray,
-                           times: np.ndarray, inc_t: np.ndarray) -> np.ndarray:
-    """Matrix B (n_coef, d) with y_c = coeffs @ B for every codeword whose
-    piece layout is given by `breakpoints`: B rows are the stochastic
-    integrals of the basis functions of each (piece, degree) slot.
+def _analog_operators(codec: PiecewisePolyCodec, layouts: np.ndarray,
+                      times: np.ndarray, inc_t: np.ndarray) -> list[np.ndarray]:
+    """One matrix B (n_coef, d) per row of layouts (n_layouts, n_breaks),
+    with y_c = coeffs @ B for every codeword whose pieces are split at that
+    row's breakpoints: B rows are the stochastic integrals of the basis
+    functions of each (piece, degree) slot.
 
     times is the sorted grid of left endpoints and inc_t the (m, d)
-    C-contiguous transpose of the ensemble's increments, so piece j covers
-    the contiguous cells [cuts[j], cuts[j+1]) and its integrals are one
-    product with a row slice of inc_t."""
+    C-contiguous transpose of the ensemble's increments, so piece j of a
+    layout covers the contiguous cells [cuts[j], cuts[j+1]) and its integrals
+    are one product with a row slice of inc_t.  The cuts of every layout come
+    from one searchsorted over the whole table."""
     m, d = inc_t.shape
-    edges = np.concatenate(([0.0], breakpoints, [1.0]))
-    cuts = np.concatenate(([0], np.searchsorted(times, breakpoints, side="left"), [m]))
-    B = np.zeros((codec.n_coef, d))
+    n = len(layouts)
+    edges = np.hstack((np.zeros((n, 1)), layouts, np.ones((n, 1))))
+    cuts = np.hstack((np.zeros((n, 1), dtype=np.int64),
+                      np.searchsorted(times, layouts, side="left"),
+                      np.full((n, 1), m)))
     deg = codec.degree
-    for j in range(codec.n_breaks + 1):
-        lo, hi = cuts[j], cuts[j + 1]
-        if hi <= lo:
-            continue
-        phi = orthonormal_basis_matrix(edges[j], edges[j + 1], deg, times[lo:hi])
-        B[j * (deg + 1):(j + 1) * (deg + 1)] = phi @ inc_t[lo:hi]
-    return B
+    ops = []
+    for e, c in zip(edges.tolist(), cuts.tolist()):
+        B = np.zeros((codec.n_coef, d))
+        for j in range(codec.n_breaks + 1):
+            lo, hi = c[j], c[j + 1]
+            if hi <= lo:
+                continue
+            phi = orthonormal_basis_matrix(e[j], e[j + 1], deg, times[lo:hi])
+            B[j * (deg + 1):(j + 1) * (deg + 1)] = phi @ inc_t[lo:hi]
+        ops.append(B)
+    return ops
 
 
 def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
@@ -199,12 +211,15 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     Same optimality and tie-break contract as csp_recover, with residuals
     computed through the ensemble's left-point integral sums.  The codec's
     time grid must match the ensemble's so signal and codewords are measured
-    identically.  Each breakpoint layout is one group of the scan, with the
-    operator of _analog_group_operator.
+    identically.  Each row r of the codec's breakpoint layout table
+    (codec.break_layouts, built once per codec) is one group of the scan,
+    the codewords [r * coef_space, (r + 1) * coef_space), with the operator
+    of _analog_operators.
 
     The increments are transposed once per scan into a C-contiguous (m, d)
     array.  The grid times are sorted, so each piece of a breakpoint layout
     covers a contiguous run of cells and its operator rows are one product
+    of its basis values (row 0 a constant, see orthonormal_basis_matrix)
     with a row slice of that transpose.  Row slices reproduce the bits of a
     masked copy of increments[:, cells]; column slices of the increments
     (views or copies) take another BLAS path and can differ in the last bits,
@@ -215,13 +230,11 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     t0 = time.perf_counter()
     ys = np.asarray(y, dtype=float)[None]
     _check(ys, ensemble, codec, analog=True)
-    times = ensemble.times
     inc_t = np.ascontiguousarray(ensemble.increments.T)
     # operators are built before the scan starts: built between its blocks
     # they cost the analog-groups benchmark about 4% more time per trial
-    groups = [(start, codec.coef_space,
-               _analog_group_operator(codec, breakpoints, times, inc_t))
-              for start, breakpoints in codec.iter_break_groups()]
+    ops = _analog_operators(codec, codec.break_layouts, ensemble.times, inc_t)
+    groups = [(r * codec.coef_space, codec.coef_space, B) for r, B in enumerate(ops)]
     # every group scans the same coefficient grid; when a group is one block
     # that grid is built once for the whole scan
     shared = codec.coef_block(0, codec.coef_space) \

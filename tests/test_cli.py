@@ -109,3 +109,30 @@ def test_bad_config_reports_error(tmp_path, capsys):
     rc = main(["recover", "--config", str(path)])
     assert rc == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_analog_demo_rejects_zero_trials(tmp_path, capsys):
+    rc = main(["analog-demo", "--d", "4", "--grid", "256", "--trials", "0",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: trials must be >= 1\n"
+    assert not (tmp_path / "analog.csv").exists()
+
+
+def test_analog_demo_defaults_to_50_trials(tmp_path):
+    assert main(["analog-demo", "--d", "4", "--delta", "0.2", "--grid", "256",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "analog.csv").read_text().strip().split("\n")
+    assert len(lines) == 2 + 50  # provenance + header + 50 trials
+
+
+@pytest.mark.parametrize("argv", [
+    ["rd-profile", "--codec-class", "grid", "--n", "2", "--rho", "1",
+     "--deltas", "0.1"],
+    ["pair", "--n", "10", "--k", "2", "--d", "3"],
+])
+def test_trials_offered_only_where_read(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--trials", "7", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trials 7" in capsys.readouterr().err

@@ -54,6 +54,27 @@ CONFIGS = {
         regime="analog", d=6, trials=2, master_seed=14, theorem_id="T3",
         bound_params={"tau1": 3.0, "tau2": 0.75},
     ),
+    # 128 breakpoint layouts of two pieces each
+    "analog_breaks": dict(
+        codec={"class": "ppoly", "n": 256, "N": 0, "Q": 1, "rho": 1.0,
+               "delta": 0.2},
+        regime="analog", noise=_WORST, d=8, trials=2, master_seed=18,
+        theorem_id="T5", bound_params={"tau1": 3.0, "tau2": 0.75},
+    ),
+    # degree 2: basis rows k >= 1 enter every operator
+    "analog_quadratic": dict(
+        codec={"class": "ppoly", "n": 64, "N": 2, "Q": 1, "rho": 1.0,
+               "delta": 0.9},
+        regime="analog", noise={"kind": "gaussian", "sigma": 0.05}, d=8,
+        trials=2, master_seed=19,
+    ),
+    # repeated breakpoints make empty pieces
+    "analog_empty_pieces": dict(
+        codec={"class": "ppoly", "n": 64, "N": 0, "Q": 2, "rho": 1.0,
+               "delta": 0.5},
+        regime="analog", d=8, trials=2, master_seed=20, theorem_id="T3",
+        bound_params={"tau1": 3.0, "tau2": 0.75},
+    ),
 }
 
 # the last delta needs a codebook above the cap: an unavailable point

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from csplab.codecs import (ExplicitCodec, GridCodec, PiecewisePolyCodec,
@@ -14,7 +14,7 @@ from csplab.measurement import (measure, measure_analog, sample_ensemble,
                                 sample_wiener_ensemble)
 from csplab.piecewise import orthonormal_basis_matrix
 from csplab.rng import derive_stream
-from csplab.solver import (_analog_group_operator, csp_recover, csp_recover_analog,
+from csplab.solver import (_analog_operators, csp_recover, csp_recover_analog,
                            csp_recover_panel)
 
 
@@ -190,6 +190,25 @@ class TestAnalog:
             csp_recover_analog(np.zeros(3), ens, codec)  # wrong length
 
 
+def legacy_basis(a, b, degree, t):
+    """Reference basis values: every row from legval, stacked with vstack."""
+    t = np.asarray(t, dtype=float)
+    u = 2.0 * (t - a) / (b - a) - 1.0
+    rows = []
+    for k in range(degree + 1):
+        ck = np.zeros(k + 1)
+        ck[k] = 1.0
+        rows.append(np.sqrt((2 * k + 1) / (b - a)) * np.polynomial.legendre.legval(u, ck))
+    return np.vstack(rows)
+
+
+def legacy_layouts(codec):
+    """Reference layouts: the breakpoint values of each rank, unranked one by
+    one as the former per-trial group generator did."""
+    return [codec._break_value(np.asarray(codec._break_unrank(rank)))
+            for rank in range(codec.n_break_combos)]
+
+
 def mask_group_operator(codec, breakpoints, ensemble):
     """Reference operator: select each piece's cells with a boolean mask over
     all grid times and integrate against a copy of those increment columns."""
@@ -202,9 +221,33 @@ def mask_group_operator(codec, breakpoints, ensemble):
         cells = piece_of == j
         if not np.any(cells):
             continue
-        phi = orthonormal_basis_matrix(edges[j], edges[j + 1], deg, times[cells])
+        phi = legacy_basis(edges[j], edges[j + 1], deg, times[cells])
         B[j * (deg + 1):(j + 1) * (deg + 1)] = phi @ ensemble.increments[:, cells].T
     return B
+
+
+@st.composite
+def basis_cases(draw):
+    """An interval [a, b] of [0, 1], down to tiny widths, and points inside it
+    and at its ends."""
+    a = draw(st.floats(0.0, 0.999))
+    width = draw(st.one_of(st.floats(1e-12, 1e-6), st.floats(1e-6, 1.0 - a)))
+    b = a + width
+    assume(b > a)
+    fracs = draw(st.lists(st.floats(0.0, 1.0), max_size=20))
+    t = np.clip(a + np.asarray(fracs, dtype=float) * (b - a), a, b)
+    return a, b, draw(st.integers(0, 3)), np.concatenate(([a], t, [b]))
+
+
+class TestBasisValues:
+    @settings(max_examples=200, deadline=None)
+    @given(case=basis_cases())
+    @example(case=(0.25, 0.25 + 2.0**-40, 3, np.array([0.25, 0.25 + 2.0**-41, 0.25 + 2.0**-40])))
+    def test_matches_legacy_bitwise(self, case):
+        a, b, degree, t = case
+        got = orthonormal_basis_matrix(a, b, degree, t)
+        assert got.shape == (degree + 1, t.size)
+        assert np.array_equal(got, legacy_basis(a, b, degree, t))
 
 
 # (degree, n_breaks, delta, grid); built once each, the audit is not free
@@ -241,7 +284,7 @@ class TestAnalogGroupOperator:
         ens = sample_wiener_ensemble(d, codec.grid, seed, 0)
         breakpoints = np.asarray(halves, dtype=float) / (2 * codec.grid)
         inc_t = np.ascontiguousarray(ens.increments.T)
-        got = _analog_group_operator(codec, breakpoints, ens.times, inc_t)
+        got = _analog_operators(codec, breakpoints[None], ens.times, inc_t)[0]
         assert np.array_equal(got, mask_group_operator(codec, breakpoints, ens))
 
     @pytest.mark.parametrize("params", OPERATOR_CODECS)
@@ -249,9 +292,41 @@ class TestAnalogGroupOperator:
         codec = ppoly_codec(*params)
         ens = sample_wiener_ensemble(5, codec.grid, 60, 0)
         inc_t = np.ascontiguousarray(ens.increments.T)
-        for _, breakpoints in codec.iter_break_groups():
-            got = _analog_group_operator(codec, breakpoints, ens.times, inc_t)
+        ops = _analog_operators(codec, codec.break_layouts, ens.times, inc_t)
+        assert len(ops) == codec.n_break_combos
+        for got, breakpoints in zip(ops, codec.break_layouts):
             assert np.array_equal(got, mask_group_operator(codec, breakpoints, ens))
+
+    @pytest.mark.parametrize("params", OPERATOR_CODECS)
+    def test_layout_table_matches_legacy_groups(self, params):
+        codec = ppoly_codec(*params)
+        table = codec.break_layouts
+        assert table.shape == (codec.n_break_combos, codec.n_breaks)
+        assert table.dtype == np.float64
+        for row, values in zip(table, legacy_layouts(codec), strict=True):
+            assert np.array_equal(row, values)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.5
+
+    def test_layout_table_built_once_per_codec(self, monkeypatch):
+        codec = PiecewisePolyCodec(0, 1, 1.0, 0.5, grid=64)
+        ens = sample_wiener_ensemble(4, 64, 63, 0)
+        y = measure_analog(ens, codec.decode(codec.size // 2 + 3))
+        calls = []
+        unrank = codec._break_unrank
+
+        def counting(rank):
+            calls.append(rank)
+            return unrank(rank)
+
+        monkeypatch.setattr(codec, "_break_unrank", counting)
+        first = csp_recover_analog(y, ens, codec)
+        # the table unranks every layout once; decoding the result adds one
+        assert len(calls) == codec.n_break_combos + 1
+        calls.clear()
+        second = csp_recover_analog(y, ens, codec)
+        assert len(calls) == 1
+        assert second.chosen_index == first.chosen_index == codec.size // 2 + 3
 
     def test_block_sizes_agree_bitwise(self, monkeypatch):
         codec = PiecewisePolyCodec(0, 1, 1.0, 0.2, grid=256)
