@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -476,9 +477,11 @@ class PowerlawRate:
 
 
 def check_eta(eta: float) -> None:
-    """The budget rule's oversampling factor must exceed 1."""
-    if eta <= 1:
-        raise ParameterError(f"eta={eta} must be > 1")
+    """The budget rule's oversampling factor must be a finite number > 1."""
+    if isinstance(eta, bool) or not isinstance(eta, numbers.Real):
+        raise ParameterError(f"eta={eta!r} must be a number")
+    if not 1 < eta < math.inf:
+        raise ParameterError(f"eta={eta} must be " + ("> 1" if eta <= 1 else "finite"))
 
 
 def budget_for_rate(r_bits: float, delta: float, eta: float,
@@ -521,15 +524,14 @@ class IndistinguishablePair:
     columns: tuple
 
 
-def construct_indistinguishable_pair(A, k: int, stream=None,
-                                     max_attempts: int = 32) -> IndistinguishablePair:
+def construct_indistinguishable_pair(A, k: int, stream=None) -> IndistinguishablePair:
     """Build two k-sparse vectors the measurement matrix cannot tell apart.
 
     Requires d <= 2k-1 and d+1 <= n.  Takes d+1 columns of A (the first d+1,
-    then other selections on numerical degeneracy), finds a null-space
-    combination of them, and splits its support into two disjoint halves of
-    sizes ceil((d+1)/2) and floor((d+1)/2).  By construction A(x1 - x2) = 0
-    up to solver roundoff.
+    then, on numerical degeneracy, other selections, 32 in all at most),
+    finds a null-space combination of them, and splits its support into two
+    disjoint halves of sizes ceil((d+1)/2) and floor((d+1)/2).  By
+    construction A(x1 - x2) = 0 up to solver roundoff.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -549,7 +551,7 @@ def construct_indistinguishable_pair(A, k: int, stream=None,
 
     attempts = 0
     seen = set()
-    while attempts < max_attempts:
+    while attempts < 32:
         if selections:
             cols = selections.pop(0)
         elif gen is not None:

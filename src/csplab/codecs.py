@@ -30,7 +30,8 @@ from .piecewise import (PiecewisePolynomial, constant_function,
 from .rng import derive_stream
 
 DEFAULT_CAP = 2**24
-DEFAULT_MATERIALIZE = 2**16
+_CODEBOOK_FLOATS = 2**22  # 32 MiB: larger sparse codebooks are decoded per block
+_AUDIT_SAMPLES = 64  # class samples per calibration audit, beside the probes
 
 # fixed seed for build-time calibration audits; not related to user seeds
 _CALIBRATION_SEED = 271828182845
@@ -144,8 +145,7 @@ class SparseCodec(Codec):
     kind = "sparse"
 
     def __init__(self, n: int, k: int, rho: float, delta: float,
-                 cap: int | None = DEFAULT_CAP,
-                 materialize_threshold: int = DEFAULT_MATERIALIZE):
+                 cap: int | None = DEFAULT_CAP):
         if not 1 <= k <= n:
             raise ValueError(f"k={k} outside [1, n={n}]")
         if rho <= 0:
@@ -167,8 +167,6 @@ class SparseCodec(Codec):
         self.size = self.n_supports * self.grid_size
         self.rate_bits = math.log2(self.size)
         self._check_cap(f"{self.kind} codec")
-        self._materialize_threshold = materialize_threshold
-        self._cache = None
 
     def worst_case_distortion(self) -> float:
         return 0.5 * self.spacing * math.sqrt(self.k)
@@ -188,6 +186,8 @@ class SparseCodec(Codec):
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DomainError(f"signal shape {x.shape}; expected ({self.n},)")
+        if not np.isfinite(x).all():
+            raise DomainError("signal must be finite")
         nnz = int(np.count_nonzero(x))
         if nnz > self.k:
             raise DomainError(f"||x||_0 = {nnz} exceeds sparsity {self.k}")
@@ -224,9 +224,7 @@ class SparseCodec(Codec):
     def decode(self, index: int) -> np.ndarray:
         if not 0 <= index < self.size:
             raise IndexError(f"index {index} outside [0, {self.size})")
-        if self.size <= self._materialize_threshold:
-            return self.materialize()[index].copy()  # callers may mutate it
-        return self._raw_block(int(index), 1)[0]
+        return self.decode_block(int(index), 1)[0].copy()  # callers may mutate it
 
     def _raw_block(self, start: int, count: int) -> np.ndarray:
         block = np.zeros((count, self.n))
@@ -244,18 +242,23 @@ class SparseCodec(Codec):
             pos += in_support
         return block
 
+    @functools.cached_property
+    def _codebook(self) -> np.ndarray | None:
+        """The whole codebook, read-only, when it holds at most
+        _CODEBOOK_FLOATS floats; None for a larger one."""
+        if self.size * self.n > _CODEBOOK_FLOATS:
+            return None
+        book = self._raw_block(0, self.size)
+        book.flags.writeable = False
+        return book
+
     def decode_block(self, start: int, count: int) -> np.ndarray:
-        if self.size <= self._materialize_threshold:
-            return self.materialize()[start:start + count]
-        return self._raw_block(start, count)
+        if self._codebook is None:
+            return self._raw_block(start, count)
+        return self._codebook[start:start + count]
 
     def materialize(self) -> np.ndarray:
-        if self._cache is None:
-            block = self._raw_block(0, self.size)
-            if self.size <= self._materialize_threshold:
-                self._cache = block
-            return block
-        return self._cache
+        return self.decode_block(0, self.size)
 
     def is_member(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -310,12 +313,10 @@ class GridCodec(SparseCodec):
     kind = "grid"
 
     def __init__(self, n: int, rho: float, delta: float,
-                 cap: int | None = DEFAULT_CAP,
-                 materialize_threshold: int = DEFAULT_MATERIALIZE):
+                 cap: int | None = DEFAULT_CAP):
         if n < 1:
             raise ValueError(f"n={n}; need n >= 1")
-        super().__init__(n, n, rho, delta, cap=cap,
-                         materialize_threshold=materialize_threshold)
+        super().__init__(n, n, rho, delta, cap=cap)
         self.rate_bits = self.n * math.log2(self.levels_per_dim)
 
     def sample_member(self, gen: np.random.Generator) -> np.ndarray:
@@ -330,13 +331,15 @@ class GridCodec(SparseCodec):
 
 
 class ExplicitCodec(Codec):
-    """A codec wrapping an explicit list of codewords (test/diagnostic tool;
-    encode is brute-force nearest codeword, first index on ties)."""
+    """A codec wrapping a read-only copy of a list of codewords (test and
+    diagnostic tool; encode is brute-force nearest codeword, first index on
+    ties)."""
 
     kind = "explicit"
 
     def __init__(self, codewords):
-        self._codewords = np.atleast_2d(np.asarray(codewords, dtype=float))
+        self._codewords = np.array(codewords, dtype=float, ndmin=2)
+        self._codewords.flags.writeable = False
         self.size = self._codewords.shape[0]
         self.n = self._codewords.shape[1]
         self.rate_bits = math.log2(self.size) if self.size > 1 else 0.0
@@ -389,8 +392,7 @@ class PiecewisePolyCodec(Codec):
     kind = "ppoly"
 
     def __init__(self, degree: int, n_breaks: int, amp: float, delta: float,
-                 grid: int = 4096, cap: int | None = DEFAULT_CAP,
-                 audit_samples: int = 64):
+                 grid: int = 4096, cap: int | None = DEFAULT_CAP):
         if degree < 0 or n_breaks < 0:
             raise ValueError("degree and n_breaks must be >= 0")
         if amp <= 0:
@@ -410,7 +412,7 @@ class PiecewisePolyCodec(Codec):
         bc, bt = self._initial_bits()
         for attempt in range(9):
             self._configure(bc, bt)
-            worst = self._audit_distortion(audit_samples)
+            worst = self._audit_distortion()
             if worst <= self.delta * (1 + 1e-9):
                 self.audit_worst = worst
                 break
@@ -569,22 +571,22 @@ class PiecewisePolyCodec(Codec):
         )
         return self._coef_value(digits)
 
-    def _audit_distortion(self, n_samples: int) -> float:
+    def _audit_distortion(self) -> float:
         """Measured worst encode/decode L2 error over sampled class members
         plus ties-to-the-quantizer adversarial probes."""
         worst = 0.0
-        for f in self._audit_members(n_samples):
+        for f in self._audit_members():
             err = f.l2_distance(self.decode(self.encode(f)))
             worst = max(worst, err)
         return worst
 
-    def _audit_members(self, n_samples: int):
+    def _audit_members(self):
         stream = derive_stream(
             _CALIBRATION_SEED, self.degree * 1000 + self.n_breaks
         )
         gen = stream.generator
         yield from self._adversarial_members()
-        for _ in range(n_samples):
+        for _ in range(_AUDIT_SAMPLES):
             yield self.sample_member(gen)
 
     def _adversarial_members(self):
@@ -650,7 +652,7 @@ _CODEC_KEYS = {
 }
 
 
-def codec_from_config(cfg: dict, **kw) -> Codec:
+def codec_from_config(cfg: dict) -> Codec:
     """Build a codec from its JSON descriptor; unknown keys are rejected.
 
     ppoly descriptors reuse "rho" for the amplitude bound and "n" for the
@@ -664,12 +666,12 @@ def codec_from_config(cfg: dict, **kw) -> Codec:
         raise ValueError(f"unknown codec config keys: {sorted(extra)}")
     cap = cfg.get("cap", DEFAULT_CAP)
     if kind == "grid":
-        return GridCodec(cfg["n"], cfg["rho"], cfg["delta"], cap=cap, **kw)
+        return GridCodec(cfg["n"], cfg["rho"], cfg["delta"], cap=cap)
     if kind == "sparse":
-        return SparseCodec(cfg["n"], cfg["k"], cfg["rho"], cfg["delta"], cap=cap, **kw)
+        return SparseCodec(cfg["n"], cfg["k"], cfg["rho"], cfg["delta"], cap=cap)
     return PiecewisePolyCodec(
         cfg.get("N", 0), cfg.get("Q", 0), cfg["rho"], cfg["delta"],
-        grid=cfg.get("n", 4096), cap=cap, **kw,
+        grid=cfg.get("n", 4096), cap=cap,
     )
 
 

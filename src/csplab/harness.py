@@ -17,6 +17,7 @@ Regimes:
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -74,8 +75,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.regime not in ("weak", "strong", "analog"):
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name, least in (("trials", 1), ("panel_size", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name}={value!r} must be an integer")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.threads != 1:
             raise ValueError(f"threads={self.threads} must be 1: the scan is serial")
         if self.eta is not None:
@@ -283,40 +288,30 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _PanelEntry:
+class _Panel:
     """One strong-regime panel with its read-only members, their stacked
     truths and, on first use by worst_aligned noise, their quantization
-    residuals.  Holds the codec, so the key can never alias a dead one."""
+    residuals."""
 
-    def __init__(self, codec: Codec, key: tuple, panel: list):
+    def __init__(self, codec: Codec, panel: list):
         self.codec = codec
-        self.key = key
         self.members = tuple(_frozen(x) for x, _ in panel)
         self.descs = tuple(desc for _, desc in panel)
         self.truths = _frozen(np.asarray(self.members))
-        self._residuals = None
 
+    @functools.cached_property
     def residuals(self) -> tuple:
-        if self._residuals is None:
-            self._residuals = tuple(_frozen(_quantization_residual(self.codec, x))
-                                    for x in self.members)
-        return self._residuals
+        return tuple(_frozen(_quantization_residual(self.codec, x))
+                     for x in self.members)
 
 
-# Single-entry panel cache: consecutive trials of one sweep point share it.
-# A concurrent caller can at worst rebuild the same panel.
-_panel_cache: _PanelEntry | None = None
-
-
+# One entry: consecutive trials of one sweep point share it.  The key holds
+# the codec itself, so a dead codec can never alias a live one.
+@functools.lru_cache(maxsize=1)
 def _cached_panel(codec: Codec, master_seed: int, panel_sid: int,
-                  size: int) -> _PanelEntry:
-    global _panel_cache
-    entry = _panel_cache
-    key = (master_seed, panel_sid, size)
-    if entry is None or entry.codec is not codec or entry.key != key:
-        panel = build_panel(codec, size, _rng.derive_stream(master_seed, panel_sid))
-        entry = _panel_cache = _PanelEntry(codec, key, panel)
-    return entry
+                  size: int) -> _Panel:
+    return _Panel(codec, build_panel(codec, size,
+                                     _rng.derive_stream(master_seed, panel_sid)))
 
 
 def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
@@ -364,7 +359,7 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
         ensemble = sample_ensemble(d, codec.n, _rng.derive_stream(seed, ens_sid))
         panel_sid = stream_id(point, 0, CH_PANEL)  # panel fixed across trials
         panel = _cached_panel(codec, seed, panel_sid, config.panel_size)
-        residuals = panel.residuals() if worst_aligned else (None,) * len(panel.members)
+        residuals = panel.residuals if worst_aligned else (None,) * len(panel.members)
         ys = []
         for x, r in zip(panel.members, residuals):
             y = measure(ensemble, x)

@@ -142,15 +142,15 @@ class PiecewisePolynomial:
             total += 0.5 * (b - a) * np.sum(weights * diff * diff)
         return float(np.sqrt(max(total, 0.0)))
 
-    def sup_norm(self, samples_per_piece: int = 257) -> float:
-        """Numerical sup-norm estimate from dense sampling on each piece."""
+    def sup_norm(self) -> float:
+        """Numerical sup-norm estimate from 257 samples on each piece."""
         edges = self.edges
         best = 0.0
         for j in range(self.n_pieces):
             a, b = edges[j], edges[j + 1]
             if b <= a:
                 continue
-            t = np.linspace(a, b, samples_per_piece)
+            t = np.linspace(a, b, 257)
             phi = orthonormal_basis_matrix(a, b, self.degree, t)
             best = max(best, float(np.max(np.abs(self.coeffs[j] @ phi))))
         return best

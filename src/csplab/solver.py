@@ -13,6 +13,7 @@ the codec's own small-codebook cache), keeping memory at O(block * n + d).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -22,7 +23,8 @@ from .codecs import Codec, PiecewisePolyCodec
 from .measurement import MeasurementEnsemble, WienerEnsemble
 from .piecewise import PiecewisePolynomial, orthonormal_basis_matrix
 
-DEFAULT_BLOCK = 4096
+# rows per block of the scan grid; part of the output, see _scan
+_BLOCK = 4096
 
 
 @dataclass
@@ -64,27 +66,27 @@ def _check(ys: np.ndarray, ensemble, codec, analog: bool = False) -> None:
     codec._check_cap("csp scan")
 
 
-def _scan(groups, coefs, kernel, p: int, block_size: int):
+def _scan(groups, coefs, kernel, p: int):
     """The one grouped scan behind every solver.
 
     groups yields (start, size, B): codewords [start, start + size) whose
     measurements are coefs(offset, count) @ B for offsets inside the group.
-    Each group is cut into the canonical block grid (fixed by the groups and
-    block_size alone) and kernel maps a block's measurements R (count, d) to
+    Each group is cut into the canonical block grid of _BLOCK rows, fixed by
+    the groups alone, and kernel maps a block's measurements R (count, d) to
     squared residuals (count, p) against the p signals.  Blocks are folded in
     index order into a running minimum; the comparison is strict, so the
     earlier block keeps a tie.  Returns the minimum squared residual and its
-    codeword index per signal, smallest index on ties.  The block size is
-    part of the grid: BLAS can round a row of coefs @ B differently with its
-    block's row count, so another block size can move residuals in the last
-    bits.
+    codeword index per signal, smallest index on ties.  The fixed grid is
+    part of the output: BLAS can round a row of coefs @ B differently with
+    its block's row count, so another grid could move residuals in the last
+    bits, and the argmin at ties.
     """
     best = np.full(p, np.inf)
     at = np.zeros(p, dtype=np.int64)
     cols = np.arange(p)
     for start, size, B in groups:
-        for offset in range(0, size, block_size):
-            sq = kernel(coefs(offset, min(block_size, size - offset)) @ B)
+        for offset in range(0, size, _BLOCK):
+            sq = kernel(coefs(offset, min(_BLOCK, size - offset)) @ B)
             j = sq.argmin(axis=0)    # first occurrence per signal
             m = sq[j, cols]
             better = m < best
@@ -118,8 +120,8 @@ def _direct(y):
     return kernel
 
 
-def csp_recover(y, ensemble: MeasurementEnsemble, codec: Codec, truth=None,
-                block_size: int = DEFAULT_BLOCK) -> RecoveryResult:
+def csp_recover(y, ensemble: MeasurementEnsemble, codec: Codec,
+                truth=None) -> RecoveryResult:
     """Recover a finite-dimensional signal from y = A x (+ noise).
 
     Scans every codeword, computing ||y - A c||_2^2 fused with the blockwise
@@ -132,14 +134,13 @@ def csp_recover(y, ensemble: MeasurementEnsemble, codec: Codec, truth=None,
     ys = np.asarray(y, dtype=float)[None]
     _check(ys, ensemble, codec)
     sq, idx = _scan([(0, codec.size, ensemble.matrix.T)], codec.decode_block,
-                    _direct(ys[0]), 1, block_size)
+                    _direct(ys[0]), 1)
     truths = None if truth is None else [np.asarray(truth, dtype=float)]
     return _results(codec, sq, idx, t0, truths, _l2)[0]
 
 
 def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
-                      truths=None,
-                      block_size: int = DEFAULT_BLOCK) -> list[RecoveryResult]:
+                      truths=None) -> list[RecoveryResult]:
     """Recover a panel of signals against one shared ensemble in one pass.
 
     The codebook is decoded and measured once per block for the whole panel,
@@ -167,7 +168,7 @@ def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
         return np.maximum(rn[:, None] + yn[None, :] - 2.0 * (R @ ys.T), 0.0)
 
     sq, idx = _scan([(0, codec.size, ensemble.matrix.T)], codec.decode_block,
-                    expanded, len(ys), block_size)
+                    expanded, len(ys))
     return _results(codec, sq, idx, t0, truths, _l2)
 
 
@@ -204,8 +205,7 @@ def _analog_operators(codec: PiecewisePolyCodec, layouts: np.ndarray,
 
 
 def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
-                       truth: PiecewisePolynomial | None = None,
-                       block_size: int = DEFAULT_BLOCK) -> RecoveryResult:
+                       truth: PiecewisePolynomial | None = None) -> RecoveryResult:
     """Recover a function from stochastic-integral measurements.
 
     Same optimality and tie-break contract as csp_recover, with residuals
@@ -235,15 +235,10 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     # they cost the analog-groups benchmark about 4% more time per trial
     ops = _analog_operators(codec, codec.break_layouts, ensemble.times, inc_t)
     groups = [(r * codec.coef_space, codec.coef_space, B) for r, B in enumerate(ops)]
-    # every group scans the same coefficient grid; when a group is one block
-    # that grid is built once for the whole scan
-    shared = codec.coef_block(0, codec.coef_space) \
-        if codec.coef_space <= block_size else None
-
-    def coefs(offset, count):
-        return codec.coef_block(offset, count) if shared is None else shared
-
-    sq, idx = _scan(groups, coefs, _direct(ys[0]), 1, block_size)
+    # every group scans the same coefficient grid: when a group is one block
+    # the one-entry memo builds it once per scan, otherwise block by block
+    coefs = functools.lru_cache(maxsize=1)(codec.coef_block)
+    sq, idx = _scan(groups, coefs, _direct(ys[0]), 1)
     truths = None if truth is None else [truth]
     return _results(codec, sq, idx, t0, truths,
                     lambda recon, f: f.l2_distance(recon))[0]

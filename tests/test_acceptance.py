@@ -41,7 +41,7 @@ def binomial_3sigma(p: float, trials: int) -> float:
 
 def test_01_exact_codeword_recovery():
     with criterion(1, "exact codeword recovery, 1000 trials", 60):
-        codec = SparseCodec(16, 2, 1.0, 0.1, materialize_threshold=2**17)
+        codec = SparseCodec(16, 2, 1.0, 0.1)
         config = ExperimentConfig(
             codec=codec.config(), regime="weak", d=8, trials=1000,
             master_seed=101, signal_source="codebook",

@@ -56,6 +56,25 @@ def test_override_is_validated(tmp_path, weak_config, capsys):
     assert not (tmp_path / "recover.csv").exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("trials", 2.0, "trials=2.0 must be an integer"),
+    ("panel_size", 0, "panel_size must be >= 1"),
+    ("master_seed", 1.5, "master_seed=1.5 must be an integer"),
+    ("eta", float("inf"), "eta=inf must be finite"),
+    ("eta", float("nan"), "eta=nan must be finite"),
+])
+def test_bad_config_fields_exit_2_before_running(tmp_path, weak_config, capsys,
+                                                  key, value, message):
+    # json writes inf and nan as Infinity and NaN, and reads them back
+    cfg = json.loads(weak_config.read_text())
+    cfg[key] = value
+    weak_config.write_text(json.dumps(cfg))
+    rc = main(["recover", "--config", str(weak_config), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "recover.csv").exists()
+
+
 def test_sweep_outputs(tmp_path):
     cfg = {
         "codec": {"class": "sparse", "n": 8, "k": 1, "rho": 1.0, "delta": 0.2},

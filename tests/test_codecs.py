@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csplab import codecs
 from csplab.codecs import (CapacityError, DomainError, ExplicitCodec,
                            GridCodec, PiecewisePolyCodec, SparseCodec,
                            codec_from_config, entropy_lower_bound, rd_profile)
@@ -86,6 +87,12 @@ class TestGridCodec:
         c = GridCodec(2, 1.0, 0.5)
         with pytest.raises(DomainError):
             c.encode(np.array([0.9, 0.9]))  # norm 1.27, not a codeword
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_rejected(self, bad):
+        # a nan or inf used to round to a grid digit of its own (or overflow)
+        with pytest.raises(DomainError, match="finite"):
+            GridCodec(2, 1.0, 0.5).encode(np.array([bad, 0.0]))
 
     def test_index_string_round_trip(self):
         c = GridCodec(2, 1.0, 0.5)
@@ -198,6 +205,12 @@ class TestSparseCodec:
         with pytest.raises(ValueError):
             SparseCodec(4, 5, 1.0, 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signal_rejected(self, bad):
+        c = SparseCodec(6, 2, 1.0, 0.5)
+        with pytest.raises(DomainError, match="finite"):
+            c.encode(np.array([bad, 0.0, 0.0, 0.0, 0.0, 0.0]))
+
     def test_decode_block_spans_supports(self):
         c = SparseCodec(5, 2, 1.0, 0.8)
         start = c.grid_size - 2  # straddles a support boundary
@@ -259,13 +272,13 @@ class TestPiecewisePolyCodec:
             PiecewisePolyCodec(0, 1, 1.0, 0.01, grid=64)
 
 
-# small codecs for the round-trip properties; the "lazy" ones sit above their
-# materialization threshold, so decode takes the block-enumeration path
+# codecs for the round-trip properties; the "lazy" ones hold more than 2^22
+# floats, so they keep no codebook and decode takes the block-enumeration path
 ROUND_TRIP_CODECS = {
     "sparse": lambda: SparseCodec(6, 2, 1.0, 0.5),
-    "sparse-lazy": lambda: SparseCodec(10, 2, 1.0, 0.2, materialize_threshold=10),
+    "sparse-lazy": lambda: SparseCodec(64, 2, 1.0, 0.2),   # 582,624 x 64
     "grid": lambda: GridCodec(3, 1.0, 0.3),
-    "grid-lazy": lambda: GridCodec(2, 1.0, 0.5, materialize_threshold=4),
+    "grid-lazy": lambda: GridCodec(5, 1.0, 0.3),           # 17^5 x 5
     "ppoly": lambda: PiecewisePolyCodec(0, 1, 1.0, 0.2),
     "ppoly-deg1": lambda: PiecewisePolyCodec(1, 1, 1.0, 0.3, grid=256),
 }
@@ -309,12 +322,62 @@ class TestRoundTripProperties:
         assert err <= c.delta * (1 + 1e-9)
 
 
+class TestCodebookCache:
+    @pytest.mark.parametrize("name,cached", [
+        ("sparse", True), ("sparse-lazy", False), ("grid", True), ("grid-lazy", False),
+    ])
+    def test_round_trip_codecs_are_what_they_say(self, name, cached):
+        c = round_trip_codec(name)
+        assert (c._codebook is not None) == cached
+        assert (c.size * c.n <= 2**22) == cached
+
+    @pytest.mark.parametrize("args,size,cached", [
+        ((32, 2, 1.0, 0.1), 476_656, False),      # weak-scan: 15.3 M floats
+        ((64, 1, 1.0, 0.25), 576, True),          # strong-panel: 36,864 floats
+        ((16, 2, 1.0, 0.1), 115_320, True),       # acceptance criterion 01
+        ((1000, 1, 1.0, 1 / 32), 65_000, False),  # would be 496 MiB
+    ])
+    def test_decision_follows_the_float_count(self, args, size, cached):
+        c = SparseCodec(*args)
+        assert c.size == size
+        # a lazy codec answers None without building anything
+        assert (c._codebook is not None) == cached
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        c, over = SparseCodec(6, 2, 1.0, 0.5), SparseCodec(6, 2, 1.0, 0.5)
+        monkeypatch.setattr(codecs, "_CODEBOOK_FLOATS", c.size * c.n)
+        assert c._codebook is not None
+        monkeypatch.setattr(codecs, "_CODEBOOK_FLOATS", c.size * c.n - 1)
+        assert over._codebook is None
+        assert np.array_equal(over.materialize(), c.materialize())
+
+    @pytest.mark.parametrize("name", ["sparse", "grid"])
+    def test_codebook_handed_out_is_read_only(self, name):
+        c = round_trip_codec(name)
+        before = c.decode(0)
+        for book in (c.materialize(), c.decode_block(0, 3)):
+            with pytest.raises(ValueError, match="read-only"):
+                book[0] = 7.0
+        x = c.decode(0)
+        x[:] = 7.0  # decode hands out a private copy
+        assert np.array_equal(c.decode(0), before)
+
+
 class TestExplicitCodec:
     def test_round_trip_and_nearest(self):
         cw = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         c = ExplicitCodec(cw)
         assert c.encode([0.9, 0.1]) == 1
         assert np.array_equal(c.decode(2), [0.0, 1.0])
+
+    def test_codebook_is_a_read_only_copy(self):
+        cw = np.array([[0.0, 0.0], [1.0, 0.0]])
+        c = ExplicitCodec(cw)
+        cw[0] = 7.0
+        assert np.array_equal(c.decode(0), [0.0, 0.0])
+        with pytest.raises(ValueError, match="read-only"):
+            c.materialize()[0] = 7.0
+        assert np.array_equal(c.decode(0), [0.0, 0.0])
 
 
 class TestProfiles:

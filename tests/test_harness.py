@@ -1,6 +1,7 @@
 """Experiment runner: determinism, CSV contract, sweeps, panels, SVG."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -116,6 +117,30 @@ class TestConfig:
         with pytest.raises(ParameterError, match=rf"^eta={eta} must be > 1$"):
             ExperimentConfig(codec={"class": "grid", "n": 2, "rho": 1.0, "delta": 0.5},
                              eta=eta)
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("trials", 2.0, "trials=2.0 must be an integer"),
+        ("trials", True, "trials=True must be an integer"),
+        ("trials", 0, "trials must be >= 1"),
+        ("panel_size", 0, "panel_size must be >= 1"),
+        ("panel_size", "200", "panel_size='200' must be an integer"),
+        ("master_seed", 1.5, "master_seed=1.5 must be an integer"),
+        ("master_seed", False, "master_seed=False must be an integer"),
+        ("master_seed", -1, "master_seed must be >= 0"),
+    ])
+    def test_integer_fields_checked_at_construction(self, name, value, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            small_config(**{name: value})
+
+    @pytest.mark.parametrize("eta,message", [
+        (math.inf, "eta=inf must be finite"),
+        (math.nan, "eta=nan must be finite"),
+        ("2", "eta='2' must be a number"),
+        (True, "eta=True must be a number"),
+    ])
+    def test_eta_must_be_a_finite_number(self, eta, message):
+        with pytest.raises(ParameterError, match=rf"^{re.escape(message)}$"):
+            small_config(d=None, eta=eta)
 
     @pytest.mark.parametrize("threads", [2, 0])
     def test_threads_other_than_one_rejected(self, threads):
@@ -245,18 +270,18 @@ class TestPanelCache:
         codec = codec_from_config(cfg.codec)
         fresh = []
         for t in range(5):
-            monkeypatch.setattr(harness, "_panel_cache", None)
+            harness._cached_panel.cache_clear()
             fresh.append(run_trial(cfg, t, codec=codec))
         builds = []
         real = harness.build_panel
         monkeypatch.setattr(harness, "build_panel",
                             lambda *a: builds.append(a) or real(*a))
-        monkeypatch.setattr(harness, "_panel_cache", None)
+        harness._cached_panel.cache_clear()
         cached = [run_trial(cfg, t, codec=codec) for t in range(5)]
         assert cached == fresh  # field by field
         assert len(builds) == 1
 
-    def test_interleaved_keys_never_return_a_stale_panel(self, monkeypatch):
+    def test_interleaved_keys_never_return_a_stale_panel(self):
         cfg = strong_config(noise={"kind": "bounded", "zeta": 0.05,
                                    "shape": "worst_aligned"})
         codecs = [SparseCodec(8, 1, 1.0, 0.4), SparseCodec(8, 1, 1.0, 0.5)]
@@ -268,17 +293,20 @@ class TestPanelCache:
             seed = (21, 22)[s]
             run = replace(cfg, master_seed=seed)
             got = run_trial(run, trial, point=point, codec=codecs[c])
-            monkeypatch.setattr(harness, "_panel_cache", None)
+            harness._cached_panel.cache_clear()
             want = run_trial(run, trial, point=point, codec=codecs[c])
             assert got == want
 
-    def test_cached_arrays_are_read_only(self, monkeypatch):
+    def test_cached_arrays_are_read_only(self):
         cfg = strong_config(noise={"kind": "bounded", "zeta": 0.05,
                                    "shape": "worst_aligned"})
-        monkeypatch.setattr(harness, "_panel_cache", None)
-        run_trial(cfg, 0)
-        entry = harness._panel_cache
-        for arr in (entry.members[0], entry.truths, entry.residuals()[0]):
+        codec = codec_from_config(cfg.codec)
+        harness._cached_panel.cache_clear()
+        run_trial(cfg, 0, codec=codec)
+        entry = harness._cached_panel(codec, cfg.master_seed,
+                                      stream_id(0, 0, harness.CH_PANEL), cfg.panel_size)
+        assert harness._cached_panel.cache_info().hits == 1  # the trial's own entry
+        for arr in (entry.members[0], entry.truths, entry.residuals[0]):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
@@ -399,9 +427,9 @@ class TestSweep:
     def count_codec_builds(monkeypatch) -> list:
         built = []
 
-        def counting(cfg, **kw):
+        def counting(cfg):
             built.append(dict(cfg))
-            return codec_from_config(cfg, **kw)
+            return codec_from_config(cfg)
 
         monkeypatch.setattr(harness, "codec_from_config", counting)
         return built
@@ -416,10 +444,10 @@ class TestSweep:
                            trials=2, **extra)
         per_point = []
         for i, value in enumerate(cfg.axis["values"]):
-            monkeypatch.setattr(harness, "_panel_cache", None)
+            harness._cached_panel.cache_clear()
             per_point += run_trials(harness._point_config(cfg, value), point=i,
                                     axis_value=float(value))
-        monkeypatch.setattr(harness, "_panel_cache", None)
+        harness._cached_panel.cache_clear()
         built = self.count_codec_builds(monkeypatch)
         sweep = run_sweep(cfg)
         assert built == [cfg.codec]

@@ -1,5 +1,6 @@
 """Exhaustive codeword pursuit: optimality, ties, block-size invariance."""
 
+import contextlib
 import functools
 import math
 
@@ -13,9 +14,19 @@ from csplab.codecs import (ExplicitCodec, GridCodec, PiecewisePolyCodec,
 from csplab.measurement import (measure, measure_analog, sample_ensemble,
                                 sample_wiener_ensemble)
 from csplab.piecewise import orthonormal_basis_matrix
+from csplab import solver
 from csplab.rng import derive_stream
 from csplab.solver import (_analog_operators, csp_recover, csp_recover_analog,
                            csp_recover_panel)
+
+
+@contextlib.contextmanager
+def scan_block(rows):
+    """Scan with a block grid of the given row count instead of the fixed
+    one, to reach multi-block folds on small codebooks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_BLOCK", rows)
+        yield
 
 
 def naive_scan(y, A, codec):
@@ -84,9 +95,10 @@ class TestOracleEquivalence:
         codec = SparseCodec(6, 2, 1.0, 0.5)
         ens = sample_ensemble(4, 6, derive_stream(44, 0))
         y = derive_stream(44, 1).generator.standard_normal(4)
-        base = csp_recover(y, ens, codec, block_size=4096)
+        base = csp_recover(y, ens, codec)
         for bs in (1, 7, 64, 733):
-            got = csp_recover(y, ens, codec, block_size=bs)
+            with scan_block(bs):
+                got = csp_recover(y, ens, codec)
             assert got.chosen_index == base.chosen_index
             assert got.residual == pytest.approx(base.residual, abs=1e-12)
 
@@ -169,7 +181,8 @@ class TestAnalog:
             ens = sample_wiener_ensemble(3, codec.grid, seed, 0)
             y = measure_analog(ens, codec.decode(int(gen.integers(0, codec.size))))
             y = y + 0.1 * gen.standard_normal(3)
-            res = csp_recover_analog(y, ens, codec, block_size=block_size)
+            with scan_block(block_size):
+                res = csp_recover_analog(y, ens, codec)
             naive = [np.linalg.norm(y - measure_analog(ens, codec.decode(i)))
                      for i in range(codec.size)]
             assert res.residual == pytest.approx(min(naive), abs=1e-12)
@@ -347,10 +360,11 @@ class TestAnalogGroupOperator:
         assert counts == [256]  # one coefficient grid for all 128 groups
         for bs in (7, 64, 255, 256):
             counts.clear()
-            got = csp_recover_analog(y, ens, codec, block_size=bs)
+            with scan_block(bs):
+                got = csp_recover_analog(y, ens, codec)
             assert got.chosen_index == base.chosen_index
             assert got.residual == base.residual
-            assert max(counts) == bs  # memory stays O(block_size * n_coef)
+            assert max(counts) == bs  # memory stays O(block * n_coef)
 
 
 class TestValidation:
@@ -405,7 +419,7 @@ def scan_codec(name):
     return ppoly_codec(1, 1, 0.9, 32)       # 8 groups of 256
 
 
-def recover_all(front, codec, seed, noise, **kw):
+def recover_all(front, codec, seed, noise):
     """Recover three codewords (plus noise) with one solver front end."""
     gen = derive_stream(seed, 1).generator
     picks = [int(i) for i in gen.integers(0, codec.size, size=3)]
@@ -415,14 +429,14 @@ def recover_all(front, codec, seed, noise, **kw):
         for i in picks:
             f = codec.decode(i)
             y = measure_analog(ens, f) + noise * gen.standard_normal(3)
-            out.append(csp_recover_analog(y, ens, codec, truth=f, **kw))
+            out.append(csp_recover_analog(y, ens, codec, truth=f))
         return out, picks
     ens = sample_ensemble(3, codec.n, derive_stream(seed, 0))
     xs = np.array([codec.decode(i) for i in picks])
     ys = np.array([measure(ens, x) for x in xs]) + noise * gen.standard_normal((3, 3))
     if front == "panel":
-        return csp_recover_panel(ys, ens, codec, truths=xs, **kw), picks
-    return [csp_recover(y, ens, codec, truth=x, **kw) for y, x in zip(ys, xs)], picks
+        return csp_recover_panel(ys, ens, codec, truths=xs), picks
+    return [csp_recover(y, ens, codec, truth=x) for y, x in zip(ys, xs)], picks
 
 
 @st.composite
@@ -439,7 +453,7 @@ class TestScanInvariance:
     numpy's coefs @ B can round a row differently with the row count of its
     block (one-row blocks take BLAS gemv, small blocks another gemm path), so
     across block sizes the argmin holds and the residuals agree to rounding;
-    the goldens pin the default block size."""
+    the program fixes the block size and the goldens pin it."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(case=scan_cases())
@@ -451,7 +465,8 @@ class TestScanInvariance:
         front, name, block_size, seed = case
         codec = scan_codec(name)
         base, _ = recover_all(front, codec, seed, 0.1)
-        got, _ = recover_all(front, codec, seed, 0.1, block_size=block_size)
+        with scan_block(block_size):
+            got, _ = recover_all(front, codec, seed, 0.1)
         assert [r.chosen_index for r in got] == [r.chosen_index for r in base]
         for r, b in zip(got, base):
             assert r.residual == pytest.approx(b.residual, rel=1e-12, abs=1e-12)
@@ -463,6 +478,22 @@ class TestScanInvariance:
         # one shape, so their residuals are equal bit for bit
         codec = scan_codec("explicit")
         for seed in range(5):
-            results, picks = recover_all(front, codec, seed, 0.0,
-                                         block_size=block_size)
+            with scan_block(block_size):
+                results, picks = recover_all(front, codec, seed, 0.0)
             assert [r.chosen_index for r in results] == [i % 25 for i in picks]
+
+    @pytest.mark.parametrize("front", ["single", "panel"])
+    @pytest.mark.parametrize("block_size", [4096, 5])
+    def test_cached_and_lazy_codebooks_agree_bitwise(self, front, block_size):
+        # a slice of the cached codebook and a freshly decoded block hold the
+        # same values, so the scan's products and residuals are the same bits
+        cached = SparseCodec(6, 2, 1.0, 0.5)
+        lazy = SparseCodec(6, 2, 1.0, 0.5)
+        lazy.__dict__["_codebook"] = None   # as if over the size limit
+        assert cached._codebook is not None
+        for seed in range(5):
+            with scan_block(block_size):
+                want, _ = recover_all(front, cached, seed, 0.1)
+                got, _ = recover_all(front, lazy, seed, 0.1)
+            assert [(r.chosen_index, r.residual) for r in got] == \
+                [(r.chosen_index, r.residual) for r in want]
