@@ -94,7 +94,7 @@ _RANGES = {
     "pos": (lambda v: v > 0, "> 0"),
     "nonneg": (lambda v: v >= 0, ">= 0"),
     "open01": (lambda v: 0 < v < 1, "in (0,1)"),
-    "ge1": (lambda v: v >= 1, ">= 1"),
+    "count": (lambda v: v >= 1 and v.is_integer(), "an integer >= 1"),
     "gt1": (lambda v: v > 1, "> 1"),
     "unit_lt": (lambda v: 0 < v < 1 / math.e, "in (0, 1/e)"),
 }
@@ -113,17 +113,6 @@ def _req(inputs: BoundInputs, theorem: str, **checks) -> dict:
             raise ParameterError(f"{theorem}: {name}={val} must be {text}")
         out[name] = val
     return out
-
-
-def _log2_inv_edelta(delta: float | None, symbol: str, theorem: str) -> float:
-    if delta is None:
-        raise ParameterError(f"{theorem}: missing parameter delta")
-    if not 0 < delta < 1 / math.e:
-        raise ParameterError(
-            f"{theorem}: delta={delta} must be in (0, 1/e) so that "
-            f"log2(1/(e*delta)) > 0 ({symbol})"
-        )
-    return math.log2(1.0 / (math.e * delta))
 
 
 def _check_eps_slack(eps: float, eta: float, delta: float, theorem: str, symbol: str):
@@ -167,7 +156,7 @@ def singular_value_tail(n: int, d: int, t: float) -> SingularValueTail:
     if d < 1 or n < 1:
         raise ParameterError("singular_value_tail: need d >= 1 and n >= 1")
     threshold = math.sqrt(d) + math.sqrt(n) + t * math.sqrt(d)
-    return SingularValueTail(bound=math.exp(-d * t * t / 2.0), threshold=threshold)
+    return SingularValueTail(bound=math.exp(-d * t ** 2 / 2.0), threshold=threshold)
 
 
 def _codebook_union_term(r_bits: float, d: float, tau_low: float, copies: int = 1) -> float:
@@ -178,15 +167,15 @@ def _codebook_union_term(r_bits: float, d: float, tau_low: float, copies: int = 
 
 
 def _eval_T3(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "T3", r="nonneg", d="ge1", delta="pos", tau1="pos", tau2="open01")
+    v = _req(inputs, "T3", r="nonneg", d="count", delta="pos", tau1="pos", tau2="open01")
     err = v["delta"] * math.sqrt((1 + v["tau1"]) / (1 - v["tau2"]))
     raw = (_codebook_union_term(v["r"], v["d"], v["tau2"])
-           + chi2_tail(int(v["d"]), v["tau1"], "upper"))
+           + chi2_tail(v["d"], v["tau1"], "upper"))
     return _clamped("T3", err, raw)
 
 
 def _eval_C4(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "C4", r="pos", d="ge1", delta="unit_lt", eta="gt1", eps="pos")
+    v = _req(inputs, "C4", r="pos", d="count", delta="unit_lt", eta="gt1", eps="pos")
     _check_eps_slack(v["eps"], v["eta"], v["delta"], "C4", "eps")
     theta = 2.0 * math.exp(-(1 + v["eps"]) / v["eta"])
     err = theta * v["delta"] ** (1 - (1 + v["eps"]) / v["eta"])
@@ -195,7 +184,7 @@ def _eval_C4(inputs: BoundInputs) -> BoundEvaluation:
 
 
 def _eval_T5(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "T5", r="nonneg", d="ge1", delta="pos", zeta="nonneg",
+    v = _req(inputs, "T5", r="nonneg", d="count", delta="pos", zeta="nonneg",
              tau1="pos", tau2="open01")
     base = _eval_T3(inputs)
     err = base.error_bound + 2.0 * v["zeta"] / math.sqrt((1 - v["tau2"]) * v["d"])
@@ -203,7 +192,7 @@ def _eval_T5(inputs: BoundInputs) -> BoundEvaluation:
 
 
 def _eval_C6(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "C6", r="pos", d="ge1", delta="unit_lt", eta="gt1", eps="pos")
+    v = _req(inputs, "C6", r="pos", d="count", delta="unit_lt", eta="gt1", eps="pos")
     if inputs.zeta is not None and not math.isclose(inputs.zeta, v["delta"]):
         raise ParameterError(f"C6: zeta={inputs.zeta} must equal delta={v['delta']}")
     _check_eps_slack(v["eps"], v["eta"], v["delta"], "C6", "eps")
@@ -214,13 +203,13 @@ def _eval_C6(inputs: BoundInputs) -> BoundEvaluation:
 
 
 def _eval_T6(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "T6", r="nonneg", d="ge1", delta="pos", sigma="nonneg",
+    v = _req(inputs, "T6", r="nonneg", d="count", delta="pos", sigma="nonneg",
              tau1="nonneg", tau2="open01", tau3="nonneg")
     err = (v["delta"] * math.sqrt(1 + v["tau1"])
            + 2.0 * v["sigma"] * math.sqrt(1 + v["tau3"])) / math.sqrt(1 - v["tau2"])
     raw = _codebook_union_term(v["r"], v["d"], v["tau2"])
     for tau in (v["tau1"], v["tau3"]):
-        raw += math.exp(-(v["d"] / 2.0) * (tau - math.log1p(tau))) if tau > 0 else 1.0
+        raw += chi2_tail(v["d"], tau, "upper") if tau > 0 else 1.0
     return _clamped("T6", err, raw)
 
 
@@ -228,7 +217,7 @@ def _eval_T7(inputs: BoundInputs) -> BoundEvaluation:
     v = _req(inputs, "T7", r="pos", delta="unit_lt", sigma="nonneg",
              eta="gt1", eps_prime="pos")
     _check_eps_slack(v["eps_prime"], v["eta"], v["delta"], "T7", "eps_prime")
-    L = _log2_inv_edelta(v["delta"], "log2(1/(e*delta))", "T7")
+    L = math.log2(1.0 / (math.e * v["delta"]))
     beta = math.sqrt(L)
     amp = (math.e * v["delta"]) ** (-(1 + v["eps_prime"]) / v["eta"])
     err = amp * (
@@ -245,19 +234,19 @@ def _eval_T7(inputs: BoundInputs) -> BoundEvaluation:
 
 
 def _eval_T8(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "T8", r="nonneg", d="ge1", n="ge1", delta="pos",
+    v = _req(inputs, "T8", r="nonneg", d="count", n="count", delta="pos",
              tau="open01", t="nonneg")
     err = (2.0 * v["delta"] / math.sqrt(1 - v["tau"])) * (
         math.sqrt(v["n"] / v["d"]) + 1 + v["t"])
-    raw = (math.exp(-v["d"] * v["t"] ** 2 / 2.0)
+    raw = (singular_value_tail(v["n"], v["d"], v["t"]).bound
            + _codebook_union_term(v["r"], v["d"], v["tau"], copies=2))
     return _clamped("T8", err, raw)
 
 
 def _eval_C9(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "C9", r="pos", n="ge1", delta="unit_lt", eta="gt1", eps="pos")
+    v = _req(inputs, "C9", r="pos", n="count", delta="unit_lt", eta="gt1", eps="pos")
     _check_eps_slack(v["eps"], v["eta"], v["delta"], "C9", "eps")
-    d = 2.0 * v["eta"] * v["r"] / _log2_inv_edelta(v["delta"], "d", "C9")
+    d = 2.0 * v["eta"] * v["r"] / math.log2(1.0 / (math.e * v["delta"]))
     theta = 2.0 * (math.sqrt(v["n"] / d) + 2.0)
     err = theta * v["delta"] ** (1 - (1 + v["eps"]) / v["eta"])
     raw = math.exp(-d / 2.0) + math.exp(-0.6 * v["eps"] * v["r"])
@@ -265,35 +254,35 @@ def _eval_C9(inputs: BoundInputs) -> BoundEvaluation:
 
 
 def _eval_T9(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "T9", r="nonneg", d="ge1", n="ge1", delta="pos",
+    v = _req(inputs, "T9", r="nonneg", d="count", n="count", delta="pos",
              zeta="nonneg", tau="open01", t="nonneg")
     c = math.sqrt(v["n"] / v["d"]) + 1 + v["t"]
     err = (2.0 * c * v["delta"] / math.sqrt(1 - v["tau"])
            + 2.0 * v["zeta"] / math.sqrt(v["d"] * (1 - v["tau"])))
-    raw = (math.exp(-v["d"] * v["t"] ** 2 / 2.0)
+    raw = (singular_value_tail(v["n"], v["d"], v["t"]).bound
            + _codebook_union_term(v["r"], v["d"], v["tau"], copies=2))
     return _clamped("T9", err, raw)
 
 
 def _eval_T10(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "T10", r="nonneg", d="ge1", n="ge1", delta="pos",
+    v = _req(inputs, "T10", r="nonneg", d="count", n="count", delta="pos",
              sigma="nonneg", tau="open01", t="nonneg", tau_prime="nonneg")
     c = math.sqrt(v["n"] / v["d"]) + v["t"] + 1
     err = (2.0 * c * v["delta"]
            + 2.0 * v["sigma"] * math.sqrt(1 + v["tau_prime"])) / math.sqrt(1 - v["tau"])
     tp = v["tau_prime"]
     raw = (_codebook_union_term(v["r"], v["d"], v["tau"])
-           + math.exp(-v["d"] * v["t"] ** 2 / 2.0)
-           + (math.exp(-(v["d"] / 2.0) * (tp - math.log1p(tp))) if tp > 0 else 1.0))
+           + singular_value_tail(v["n"], v["d"], v["t"]).bound
+           + (chi2_tail(v["d"], tp, "upper") if tp > 0 else 1.0))
     return _clamped("T10", err, raw)
 
 
 def _eval_C11(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "C11", r="pos", n="ge1", delta="unit_lt", eta="gt1", eps="pos")
+    v = _req(inputs, "C11", r="pos", n="count", delta="unit_lt", eta="gt1", eps="pos")
     if inputs.zeta is not None and not math.isclose(inputs.zeta, v["delta"]):
         raise ParameterError(f"C11: zeta={inputs.zeta} must equal delta={v['delta']}")
     _check_eps_slack(v["eps"], v["eta"], v["delta"], "C11", "eps")
-    d = 2.0 * v["eta"] * v["r"] / _log2_inv_edelta(v["delta"], "d", "C11")
+    d = 2.0 * v["eta"] * v["r"] / math.log2(1.0 / (math.e * v["delta"]))
     theta = 2.0 * (math.sqrt(v["n"] / d) + 2.0) + 2.0 / math.sqrt(d)
     err = theta * v["delta"] ** (1 - (1 + v["eps"]) / v["eta"])
     raw = math.exp(-d / 2.0) + math.exp(-0.6 * v["eps"] * v["r"])
@@ -301,16 +290,14 @@ def _eval_C11(inputs: BoundInputs) -> BoundEvaluation:
 
 
 def _eval_T11(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "T11", r="nonneg", d="ge1", n="ge1", delta="pos",
+    v = _req(inputs, "T11", r="nonneg", d="count", n="count", delta="pos",
              sigma="nonneg", tau="open01", t="pos", gamma="pos")
     err = ((2.0 * (math.sqrt(v["n"]) + (v["t"] + 1) * math.sqrt(v["d"])) * v["delta"]
             + 2.0 * v["gamma"] * v["sigma"])
            / math.sqrt((1 - v["tau"]) * v["d"])) + v["delta"]
-    log_pair = 2.0 * v["r"] * math.log(2.0)
-    raw = (math.exp(-v["d"] * v["t"] ** 2 / 2.0)
-           + math.exp(min(log_pair - v["gamma"] ** 2 / 2.0, 700.0))
-           + math.exp(min(log_pair + (v["d"] / 2.0) * (v["tau"] + math.log1p(-v["tau"])),
-                          700.0)))
+    raw = (singular_value_tail(v["n"], v["d"], v["t"]).bound
+           + math.exp(min(2.0 * v["r"] * math.log(2.0) - v["gamma"] ** 2 / 2.0, 700.0))
+           + _codebook_union_term(v["r"], v["d"], v["tau"], copies=2))
     return _clamped("T11", err, raw)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .bounds import (BoundInputs, construct_indistinguishable_pair,
                      evaluate_bound)
 from .codecs import rd_profile
-from .harness import ExperimentConfig, records_to_csv, run_sweep, run_trials
+from .harness import ExperimentConfig, run_sweep, run_trials, write_csv
 from .measurement import sample_ensemble
 from .rng import derive_stream
 from .svgplot import emit_svg
@@ -75,7 +75,7 @@ def _cmd_recover(args) -> int:
     config = _load_config(args)
     records = run_trials(config)
     out = Path(args.out) / "recover.csv"
-    out.write_text(records_to_csv(records, config.master_seed))
+    write_csv(records, config.master_seed, out)
     errs = np.array([r.error_l2 for r in records])
     print(f"wrote {out} ({len(records)} trials; mean error {errs.mean():.6g}, "
           f"max {errs.max():.6g})")
@@ -91,7 +91,7 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args)
     sweep = run_sweep(config)
     out_csv = Path(args.out) / "sweep.csv"
-    out_csv.write_text(records_to_csv(sweep.records, config.master_seed))
+    write_csv(sweep.records, config.master_seed, out_csv)
     out_svg = Path(args.out) / "sweep.svg"
     emit_svg(sweep, out_svg, log_y=args.log_scale,
              title=f"{config.regime} sweep over {sweep.axis_name}")
@@ -152,7 +152,7 @@ def _cmd_analog_demo(args) -> int:
     )
     records = run_trials(config)
     out = Path(args.out) / "analog.csv"
-    out.write_text(records_to_csv(records, config.master_seed))
+    write_csv(records, config.master_seed, out)
     errs = np.array([r.error_l2 for r in records])
     within = float(np.mean([r.within_bound for r in records]))
     print(f"wrote {out}: constants codec delta={args.delta}, d={args.d}, "

@@ -122,6 +122,15 @@ class Codec:
     def encode(self, x) -> int:
         raise NotImplementedError
 
+    def _signal(self, x) -> np.ndarray:
+        """x as a float vector, or DomainError unless it is finite of shape (n,)."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n,):
+            raise DomainError(f"signal shape {x.shape}; expected ({self.n},)")
+        if not np.isfinite(x).all():
+            raise DomainError("signal must be finite")
+        return x
+
     def _check_cap(self, what: str):
         if self.cap is not None and self.size > self.cap:
             raise CapacityError(self.size, self.cap, what)
@@ -177,17 +186,13 @@ class SparseCodec(Codec):
         ).astype(np.int64) + self.steps
 
     def encode(self, x) -> int:
-        """Round on the top-k-magnitude support, then canonicalize so the
+        """Round every coordinate to the grid, then canonicalize so the
         returned index is the first occurrence of the chosen codeword.
 
         Accepts k-sparse ball members, plus codewords as exact fixed points
         (codewords near the grid boundary can fall outside the ball).
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise DomainError(f"signal shape {x.shape}; expected ({self.n},)")
-        if not np.isfinite(x).all():
-            raise DomainError("signal must be finite")
+        x = self._signal(x)
         nnz = int(np.count_nonzero(x))
         if nnz > self.k:
             raise DomainError(f"||x||_0 = {nnz} exceeds sparsity {self.k}")
@@ -199,25 +204,16 @@ class SparseCodec(Codec):
         fixed_point = float(np.linalg.norm(kept - rounded)) <= 1e-9 * max(1.0, nrm)
         if not fixed_point and nrm > self.rho * (1 + 1e-9):
             raise DomainError(f"||x||_2 = {nrm} exceeds ball radius {self.rho}")
-        order = np.argsort(-np.abs(x), kind="stable")
-        support = np.sort(order[: self.k])
-        digits = self._grid_digits(x[support])
-        # indices whose rounded value is nonzero must stay; pad the rest with
-        # the smallest unused coordinates so the support is lexicographically
-        # minimal among all supports containing this codeword
-        keep = [int(s) for s, d in zip(support, digits) if d != self.steps]
-        fill = []
-        cursor = 0
-        while len(keep) + len(fill) < self.k:
-            while cursor in keep:
-                cursor += 1
-            fill.append(cursor)
-            cursor += 1
-        canon = sorted(keep + fill)
-        level_by_coord = {int(s): int(d) for s, d in zip(support, digits)}
-        canon_digits = [level_by_coord.get(c, self.steps) for c in canon]
+        # x has at most k nonzeros, so every coordinate off the top-k support
+        # rounds to level zero.  Coordinates whose rounded value is nonzero
+        # must stay; the smallest others pad the support, so it is
+        # lexicographically minimal among all supports holding this codeword
+        digits = self._grid_digits(x)
+        stay = np.flatnonzero(digits != self.steps)
+        pad = np.flatnonzero(digits == self.steps)[:self.k - stay.size]
+        canon = np.sort(np.concatenate((stay, pad))).tolist()
         grid_index = 0
-        for d in canon_digits:
+        for d in digits[canon]:
             grid_index = grid_index * self.levels_per_dim + int(d)
         return _comb_rank(canon, self.n, self.k) * self.grid_size + grid_index
 
@@ -347,8 +343,7 @@ class ExplicitCodec(Codec):
         self.cap = None
 
     def encode(self, x) -> int:
-        x = np.asarray(x, dtype=float)
-        d2 = ((self._codewords - x) ** 2).sum(axis=1)
+        d2 = ((self._codewords - self._signal(x)) ** 2).sum(axis=1)
         return int(np.argmin(d2))
 
     def decode(self, index: int) -> np.ndarray:

@@ -201,10 +201,6 @@ def _resolve_d(config: ExperimentConfig, codec: Codec) -> int:
     return d
 
 
-def _signal_dim(config: ExperimentConfig, codec: Codec) -> int:
-    return codec.grid if config.regime == "analog" else codec.n
-
-
 def _bound_for(config: ExperimentConfig, codec: Codec, d: int, n: int):
     if config.theorem_id is None:
         return None
@@ -227,22 +223,18 @@ def _quantization_residual(codec: Codec, x) -> np.ndarray:
     return np.asarray(x) - codec.decode(codec.encode(x))
 
 
-def _worst_direction(ensemble, residual) -> np.ndarray | None:
-    """Direction of A r for the quantization residual r = x - decode(encode(x)):
-    the stress stand-in for noise aligned against recovery."""
-    u = ensemble.matrix @ residual
-    nrm = float(np.linalg.norm(u))
-    return u if nrm > 1e-15 else None
-
-
-def _apply_trial_noise(y, model: NoiseModel, noise_stream, direction):
+def _noisy(y, model: NoiseModel, stream, direction) -> np.ndarray:
+    """y plus the model's noise.  For worst_aligned noise, direction() gives
+    the measured quantization residual, the stress stand-in for noise
+    aligned against recovery; it is called for no other model."""
     if model.kind == "bounded" and model.shape == "worst_aligned":
-        if direction is None:
-            # signal sits on a codeword: any direction is an admissible
-            # adversary, fall back to a random one
-            return apply_noise(y, NoiseModel.bounded(model.zeta), noise_stream)
-        return apply_noise(y, model, noise_stream, context=direction)
-    return apply_noise(y, model, noise_stream)
+        u = direction()
+        if float(np.linalg.norm(u)) > 1e-15:
+            return apply_noise(y, model, stream, context=u)
+        # the signal sits on a codeword: any direction is an admissible
+        # adversary, fall back to a random one
+        model = NoiseModel.bounded(model.zeta)
+    return apply_noise(y, model, stream)
 
 
 def build_panel(codec: Codec, size: int, stream) -> list:
@@ -316,87 +308,76 @@ def _cached_panel(codec: Codec, master_seed: int, panel_sid: int,
 
 def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
               codec: Codec | None = None, axis_value: float | None = None) -> TrialRecord:
-    """Run one trial (one ensemble draw).  In the strong regime the trial
-    evaluates the whole signal panel against its one matrix and records the
-    panel maximum error.  The panel is built once per (codec, master_seed,
-    point, panel_size) and reused by the following trials with the same
-    four, so a run_trials loop builds it once."""
+    """Run one trial (one ensemble draw): sample the ensemble, take the
+    signals, measure, add noise, recover, and record the worst result.  The
+    weak and analog regimes draw one signal; the strong regime evaluates the
+    whole signal panel against its one matrix and records the panel maximum
+    error.  The panel is built once per (codec, master_seed, point,
+    panel_size) and reused by the following trials with the same four, so a
+    run_trials loop builds it once."""
     if codec is None:
         codec = codec_from_config(config.codec)
-    if isinstance(codec, PiecewisePolyCodec) != (config.regime == "analog"):
-        if config.regime == "analog":
+    analog = config.regime == "analog"
+    strong = config.regime == "strong"
+    if isinstance(codec, PiecewisePolyCodec) != analog:
+        if analog:
             raise ValueError("analog regime needs a ppoly codec")
         raise ValueError(
             f"the {config.regime} regime needs a finite-dimensional codec"
         )
     d = _resolve_d(config, codec)
-    n = _signal_dim(config, codec)
+    n = codec.grid if analog else codec.n
     bound = _bound_for(config, codec, d, n)
     model = config.noise_model()
-    worst_aligned = model.kind == "bounded" and model.shape == "worst_aligned"
     seed = config.master_seed
-
-    ens_sid = stream_id(point, trial_index, CH_ENSEMBLE)
-    sig_sid = stream_id(point, trial_index, CH_SIGNAL)
     noise_stream = _rng.derive_stream(seed, stream_id(point, trial_index, CH_NOISE))
 
-    if config.regime == "analog":
-        wiener_base = stream_id(point, trial_index, CH_WIENER_BASE)
-        ensemble = sample_wiener_ensemble(d, codec.grid, seed, wiener_base)
-        f, desc = _draw_signal(config, codec, _rng.derive_stream(seed, sig_sid))
-        y = measure_analog(ensemble, f)
-        direction = None
-        if worst_aligned:
-            direction = y - measure_analog(ensemble, codec.decode(codec.encode(f)))
-            if float(np.linalg.norm(direction)) <= 1e-15:
-                direction = None
-        y = _apply_trial_noise(y, model, noise_stream, direction)
-        res = csp_recover_analog(y, ensemble, codec, truth=f)
-        ensemble_seed = wiener_base
-        error, residual = res.error_l2, res.residual
-        wall = res.wall_time
-    elif config.regime == "strong":
-        ensemble = sample_ensemble(d, codec.n, _rng.derive_stream(seed, ens_sid))
-        panel_sid = stream_id(point, 0, CH_PANEL)  # panel fixed across trials
-        panel = _cached_panel(codec, seed, panel_sid, config.panel_size)
-        residuals = panel.residuals if worst_aligned else (None,) * len(panel.members)
-        ys = []
-        for x, r in zip(panel.members, residuals):
-            y = measure(ensemble, x)
-            direction = _worst_direction(ensemble, r) if worst_aligned else None
-            ys.append(_apply_trial_noise(y, model, noise_stream, direction))
+    if analog:
+        ensemble_seed = stream_id(point, trial_index, CH_WIENER_BASE)
+        ensemble = sample_wiener_ensemble(d, codec.grid, seed, ensemble_seed)
+    else:
+        ensemble_seed = stream_id(point, trial_index, CH_ENSEMBLE)
+        ensemble = sample_ensemble(d, codec.n, _rng.derive_stream(seed, ensemble_seed))
+    if strong:
+        signal_seed = stream_id(point, 0, CH_PANEL)  # panel fixed across trials
+        panel = _cached_panel(codec, seed, signal_seed, config.panel_size)
+        signals, descs = panel.members, panel.descs
+    else:
+        signal_seed = stream_id(point, trial_index, CH_SIGNAL)
+        x, desc = _draw_signal(config, codec, _rng.derive_stream(seed, signal_seed))
+        signals, descs = (x,), (desc,)
+
+    def aligned(i: int, y) -> np.ndarray:  # measured quantization residual
+        if analog:
+            return y - measure_analog(ensemble, codec.decode(codec.encode(signals[i])))
+        r = panel.residuals[i] if strong else _quantization_residual(codec, signals[i])
+        return ensemble.matrix @ r
+
+    ys = []
+    for i, x in enumerate(signals):
+        y = measure_analog(ensemble, x) if analog else measure(ensemble, x)
+        ys.append(_noisy(y, model, noise_stream, functools.partial(aligned, i, y)))
+    if strong:
         results = csp_recover_panel(np.asarray(ys), ensemble, codec,
                                     truths=panel.truths)
-        errors = np.asarray([r.error_l2 for r in results])
-        worst = int(np.argmax(errors))
-        error = float(errors[worst])
-        residual = results[worst].residual
-        wall = results[0].wall_time
-        desc = f"panel-max[{panel.descs[worst]}]"
-        ensemble_seed, sig_sid = ens_sid, panel_sid
-    else:  # weak
-        ensemble = sample_ensemble(d, codec.n, _rng.derive_stream(seed, ens_sid))
-        x, desc = _draw_signal(config, codec, _rng.derive_stream(seed, sig_sid))
-        y = measure(ensemble, x)
-        direction = _worst_direction(ensemble, _quantization_residual(codec, x)) \
-            if worst_aligned else None
-        y = _apply_trial_noise(y, model, noise_stream, direction)
-        res = csp_recover(y, ensemble, codec, truth=x)
-        ensemble_seed = ens_sid
-        error, residual = res.error_l2, res.residual
-        wall = res.wall_time
+    elif analog:
+        results = [csp_recover_analog(ys[0], ensemble, codec, truth=signals[0])]
+    else:
+        results = [csp_recover(ys[0], ensemble, codec, truth=signals[0])]
+    worst = int(np.argmax([r.error_l2 for r in results]))
+    error = float(results[worst].error_l2)
 
     return TrialRecord(
         trial=trial_index, axis_value=axis_value,
-        ensemble_seed=ensemble_seed, signal_seed=sig_sid,
+        ensemble_seed=ensemble_seed, signal_seed=signal_seed,
         n=n, d=d, rate_bits=codec.rate_bits, delta=codec.delta,
         noise_kind=model.kind, noise_level=model.level,
-        error_l2=error, residual=residual,
+        error_l2=error, residual=results[worst].residual,
         bound_error=None if bound is None else bound.error_bound,
         bound_fail_prob=None if bound is None else bound.failure_probability,
         within_bound=None if bound is None else bool(error <= bound.error_bound),
-        wall_ms=(wall * 1e3) if config.record_timings else 0.0,
-        signal_desc=desc,
+        wall_ms=(results[0].wall_time * 1e3) if config.record_timings else 0.0,
+        signal_desc=f"panel-max[{descs[worst]}]" if strong else descs[0],
     )
 
 

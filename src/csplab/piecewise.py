@@ -66,6 +66,8 @@ class PiecewisePolynomial:
         if self.breakpoints.size == 0:
             self.breakpoints = self.breakpoints.reshape(0)
         self.coeffs = np.atleast_2d(np.asarray(self.coeffs, dtype=float))
+        if not (np.isfinite(self.breakpoints).all() and np.isfinite(self.coeffs).all()):
+            raise ValueError("breakpoints and coefficients must be finite")
         if np.any(np.diff(self.breakpoints) < 0):
             raise ValueError("breakpoints must be sorted")
         if self.breakpoints.size and (

@@ -178,6 +178,20 @@ class TestEvaluateBound:
         with pytest.raises(ParameterError):
             evaluate_bound("T99", BoundInputs())
 
+    @pytest.mark.parametrize("tid,name,value", [
+        ("T3", "d", 2.5), ("T3", "d", 0), ("T3", "d", math.inf),
+        ("T8", "n", 7.5), ("T8", "d", math.nan),
+    ])
+    def test_counts_must_be_integers(self, tid, name, value):
+        # T3 at d=2.5 used int(d)=2 in one tail and 2.5 in the other
+        base = dict(r=10.0, d=40, n=64, delta=0.05, tau=0.75, t=1.0,
+                    tau1=3.0, tau2=0.75)
+        with pytest.raises(ParameterError, match=f"{tid}: {name}=.* an integer >= 1"):
+            evaluate_bound(tid, BoundInputs(**dict(base, **{name: value})))
+        # an integer-valued float is the same count
+        assert (evaluate_bound(tid, BoundInputs(**dict(base, **{name: 3.0})))
+                == evaluate_bound(tid, BoundInputs(**dict(base, **{name: 3}))))
+
 
 class TestOptimizer:
     def test_optimum_dominates_hand_picked_seed(self):

@@ -105,6 +105,13 @@ def test_bounds_table(capsys):
     assert float(out[1].split(",")[2]) == pytest.approx(0.2)
 
 
+def test_bounds_rejects_a_fractional_count(capsys):
+    rc = main(["bounds", "--theorem", "T3", "--r", "1", "--d", "2.5",
+               "--delta", "0.1", "--tau1", "3", "--tau2", "0.75"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: T3: d=2.5 must be an integer >= 1\n"
+
+
 def test_pair_output(tmp_path):
     assert main(["pair", "--n", "10", "--k", "2", "--d", "3", "--seed", "4",
                  "--out", str(tmp_path)]) == 0

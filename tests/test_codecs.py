@@ -370,6 +370,14 @@ class TestExplicitCodec:
         assert c.encode([0.9, 0.1]) == 1
         assert np.array_equal(c.decode(2), [0.0, 1.0])
 
+    @pytest.mark.parametrize("bad,match", [
+        ([np.nan, 0.0], "finite"), ([1.0], "shape"), ([[0.0, 0.0]], "shape"),
+    ])
+    def test_malformed_signal_rejected(self, bad, match):
+        # nan used to give index 0, and a length-1 signal broadcast to index 1
+        with pytest.raises(DomainError, match=match):
+            ExplicitCodec([[0.0, 0.0], [1.0, 0.0]]).encode(bad)
+
     def test_codebook_is_a_read_only_copy(self):
         cw = np.array([[0.0, 0.0], [1.0, 0.0]])
         c = ExplicitCodec(cw)

@@ -74,6 +74,18 @@ def test_invalid_breakpoints_rejected():
         PiecewisePolynomial(np.array([0.5]), np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("breaks,coeffs", [
+    ([np.nan], [[0.0], [0.0]]),
+    ([], [[np.nan]]),
+    ([0.5], [[1.0], [-np.inf]]),
+])
+def test_non_finite_rejected(breaks, coeffs):
+    # a nan breakpoint passed the range checks, and a nan coefficient
+    # quantized to index -2**63 in PiecewisePolyCodec.encode
+    with pytest.raises(ValueError, match="finite"):
+        PiecewisePolynomial(np.array(breaks), np.array(coeffs))
+
+
 def test_sup_norm_on_linear_piece():
     # f(t) = t on [0,1]: coefficients (1/2, 1/sqrt(12)) in the orthonormal basis
     coeffs = np.array([[0.5, 1.0 / np.sqrt(12.0)]])
