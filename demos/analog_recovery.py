@@ -20,7 +20,7 @@ print(f"codec: degree {codec.degree}, {codec.n_breaks} breakpoint, "
       f"{codec.size} codewords ({codec.rate_bits:.1f} bits), "
       f"audited distortion {codec.audit_worst:.4f} <= {codec.delta}")
 
-truth = piecewise_constant([0.3], [0.8, -0.55], amp_bound=1.0)
+truth = piecewise_constant([0.3], [0.8, -0.55])
 print(f"truth: 0.8 on (0, 0.3], -0.55 on (0.3, 1]; ||f||_2 = {truth.l2_norm():.4f}")
 
 for d in (4, 8, 16):

@@ -15,12 +15,17 @@ Every codec declares a target distortion delta, exposes its exact codebook
 size and rate_bits = log2(size), and enumerates codewords lazily by index.
 Encoding maps a class member to a codeword index with reconstruction error
 at most delta; decoding is the inverse enumeration.
+
+Constructors check every parameter first, else ValueError: counts (n, k,
+degree, n_breaks, grid, a cap other than None) are integers or integer-valued
+floats, never bools; rho and amp are finite and > 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +62,24 @@ class DomainError(ValueError):
 class GridResolutionError(ValueError):
     """Target distortion needs finer breakpoint quantization than the
     codec's time grid can align with."""
+
+
+def _count(name: str, value, least: int) -> int:
+    """value as an int >= least.  An integer-valued float passes; a bool, a
+    fraction, nan or inf is a ValueError."""
+    if (isinstance(value, bool)
+            or not (isinstance(value, numbers.Integral)
+                    or isinstance(value, float) and value.is_integer())
+            or value < least):
+        raise ValueError(f"{name}={value!r} must be an integer >= {least}")
+    return int(value)
+
+
+def _positive(name: str, value) -> float:
+    """value as a float, or ValueError unless it is finite and > 0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name}={value!r} must be finite and > 0")
+    return float(value)
 
 
 def ceil_snap(x: float, eps: float = 1e-9) -> int:
@@ -119,6 +142,12 @@ class Codec:
     def decode(self, index: int):
         raise NotImplementedError
 
+    def _index(self, index) -> int:
+        """index as an int, or IndexError unless 0 <= index < size."""
+        if not 0 <= index < self.size:
+            raise IndexError(f"index {index} outside [0, {self.size})")
+        return int(index)
+
     def encode(self, x) -> int:
         raise NotImplementedError
 
@@ -155,21 +184,18 @@ class SparseCodec(Codec):
 
     def __init__(self, n: int, k: int, rho: float, delta: float,
                  cap: int | None = DEFAULT_CAP):
-        if not 1 <= k <= n:
-            raise ValueError(f"k={k} outside [1, n={n}]")
-        if rho <= 0:
-            raise ValueError(f"rho={rho}; need rho > 0")
-        if not 0 < delta <= rho * math.sqrt(k):
-            raise ValueError(
-                f"delta={delta} outside (0, rho*sqrt(k)] = (0, {rho * math.sqrt(k)}]"
-            )
-        self.n = int(n)
-        self.k = int(k)
-        self.rho = float(rho)
+        self.n = _count("n", n, 1)
+        self.k = _count("k", k, 1)
+        self.rho = _positive("rho", rho)
         self.delta = float(delta)
-        self.cap = cap
-        self.steps = ceil_snap(rho * math.sqrt(k) / delta)
-        self.spacing = delta / math.sqrt(k)
+        self.cap = None if cap is None else _count("cap", cap, 1)
+        if self.k > self.n:
+            raise ValueError(f"k={self.k} outside [1, n={self.n}]")
+        radius = self.rho * math.sqrt(self.k)
+        if not 0 < self.delta <= radius:
+            raise ValueError(f"delta={self.delta} outside (0, rho*sqrt(k)] = (0, {radius}]")
+        self.steps = ceil_snap(radius / self.delta)
+        self.spacing = self.delta / math.sqrt(self.k)
         self.levels_per_dim = 2 * self.steps + 1
         self.n_supports = math.comb(self.n, self.k)
         self.grid_size = self.levels_per_dim**self.k
@@ -197,18 +223,15 @@ class SparseCodec(Codec):
         if nnz > self.k:
             raise DomainError(f"||x||_0 = {nnz} exceeds sparsity {self.k}")
         nrm = float(np.linalg.norm(x))
-        kept = np.sort(np.abs(x))[::-1][: self.k]
-        rounded = np.clip(
-            np.floor(kept / self.spacing + 0.5), -self.steps, self.steps
-        ) * self.spacing
-        fixed_point = float(np.linalg.norm(kept - rounded)) <= 1e-9 * max(1.0, nrm)
-        if not fixed_point and nrm > self.rho * (1 + 1e-9):
-            raise DomainError(f"||x||_2 = {nrm} exceeds ball radius {self.rho}")
-        # x has at most k nonzeros, so every coordinate off the top-k support
-        # rounds to level zero.  Coordinates whose rounded value is nonzero
-        # must stay; the smallest others pad the support, so it is
-        # lexicographically minimal among all supports holding this codeword
         digits = self._grid_digits(x)
+        # a zero coordinate rounds to level zero exactly, so only the (at
+        # most k) nonzeros can keep x off the grid
+        off_grid = float(np.linalg.norm(x - (digits - self.steps) * self.spacing))
+        if nrm > self.rho * (1 + 1e-9) and off_grid > 1e-9 * max(1.0, nrm):
+            raise DomainError(f"||x||_2 = {nrm} exceeds ball radius {self.rho}")
+        # coordinates whose rounded value is nonzero must stay; the smallest
+        # others pad the support, so it is lexicographically minimal among
+        # all supports holding this codeword
         stay = np.flatnonzero(digits != self.steps)
         pad = np.flatnonzero(digits == self.steps)[:self.k - stay.size]
         canon = np.sort(np.concatenate((stay, pad))).tolist()
@@ -218,9 +241,7 @@ class SparseCodec(Codec):
         return _comb_rank(canon, self.n, self.k) * self.grid_size + grid_index
 
     def decode(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.size:
-            raise IndexError(f"index {index} outside [0, {self.size})")
-        return self.decode_block(int(index), 1)[0].copy()  # callers may mutate it
+        return self.decode_block(self._index(index), 1)[0].copy()  # callers may mutate it
 
     def _raw_block(self, start: int, count: int) -> np.ndarray:
         block = np.zeros((count, self.n))
@@ -310,8 +331,6 @@ class GridCodec(SparseCodec):
 
     def __init__(self, n: int, rho: float, delta: float,
                  cap: int | None = DEFAULT_CAP):
-        if n < 1:
-            raise ValueError(f"n={n}; need n >= 1")
         super().__init__(n, n, rho, delta, cap=cap)
         self.rate_bits = self.n * math.log2(self.levels_per_dim)
 
@@ -347,9 +366,7 @@ class ExplicitCodec(Codec):
         return int(np.argmin(d2))
 
     def decode(self, index: int) -> np.ndarray:
-        if not 0 <= index < self.size:
-            raise IndexError(f"index {index} outside [0, {self.size})")
-        return self._codewords[index].copy()
+        return self._codewords[self._index(index)].copy()
 
     def decode_block(self, start: int, count: int) -> np.ndarray:
         return self._codewords[start:start + count]
@@ -388,20 +405,16 @@ class PiecewisePolyCodec(Codec):
 
     def __init__(self, degree: int, n_breaks: int, amp: float, delta: float,
                  grid: int = 4096, cap: int | None = DEFAULT_CAP):
-        if degree < 0 or n_breaks < 0:
-            raise ValueError("degree and n_breaks must be >= 0")
-        if amp <= 0:
-            raise ValueError(f"amp={amp}; need amp > 0")
-        if not 0 < delta < amp:
-            raise ValueError(f"delta={delta} outside (0, amp={amp})")
-        if grid < 2 or grid & (grid - 1):
-            raise ValueError(f"grid={grid}; need a power of two >= 2")
-        self.degree = int(degree)
-        self.n_breaks = int(n_breaks)
-        self.amp = float(amp)
+        self.degree = _count("degree", degree, 0)
+        self.n_breaks = _count("n_breaks", n_breaks, 0)
+        self.amp = _positive("amp", amp)
         self.delta = float(delta)
-        self.grid = int(grid)
-        self.cap = cap
+        self.grid = _count("grid", grid, 2)
+        self.cap = None if cap is None else _count("cap", cap, 1)
+        if not 0 < self.delta < self.amp:
+            raise ValueError(f"delta={self.delta} outside (0, amp={self.amp})")
+        if self.grid & (self.grid - 1):
+            raise ValueError(f"grid={self.grid}; need a power of two >= 2")
         self.n_coef = (self.n_breaks + 1) * (self.degree + 1)
 
         bc, bt = self._initial_bits()
@@ -432,15 +445,16 @@ class PiecewisePolyCodec(Codec):
         return bc, bt
 
     def _configure(self, bc: int, bt: int):
-        if self.n_breaks and 2 ** (bt + 1) > self.grid:
+        # bt stays 0 without breakpoints: one break level, and 2 <= grid
+        if 2 ** (bt + 1) > self.grid:
             raise GridResolutionError(
                 f"breakpoint quantizer needs a time grid of at least "
                 f"{2 ** (bt + 1)} points; got grid={self.grid}"
             )
         self.coef_bits = bc
-        self.break_bits = bt if self.n_breaks else 0
+        self.break_bits = bt
         self.coef_levels = 2**bc
-        self.break_levels = 2**self.break_bits if self.n_breaks else 1
+        self.break_levels = 2**bt
         self.coef_step = 2.0 * self.amp / self.coef_levels
         self.n_break_combos = math.comb(
             self.break_levels + self.n_breaks - 1, self.n_breaks
@@ -467,21 +481,15 @@ class PiecewisePolyCodec(Codec):
     # nondecreasing level tuples ranked through the strictly-increasing map
     # (v_1, ..., v_Q) -> (v_1, v_2+1, ..., v_Q+Q-1)
     def _break_rank(self, levels: tuple) -> int:
-        if self.n_breaks == 0:
-            return 0
         strict = tuple(v + i for i, v in enumerate(levels))
         return _comb_rank(strict, self.break_levels + self.n_breaks - 1, self.n_breaks)
 
     def _break_unrank(self, rank: int) -> tuple:
-        if self.n_breaks == 0:
-            return ()
         strict = _comb_unrank(rank, self.break_levels + self.n_breaks - 1, self.n_breaks)
         return tuple(v - i for i, v in enumerate(strict))
 
     def decode(self, index: int) -> PiecewisePolynomial:
-        if not 0 <= index < self.size:
-            raise IndexError(f"index {index} outside [0, {self.size})")
-        break_rank, coef_index = divmod(int(index), self.coef_space)
+        break_rank, coef_index = divmod(self._index(index), self.coef_space)
         levels = self._break_unrank(break_rank)
         digits = np.empty(self.n_coef, dtype=np.int64)
         rem = coef_index
@@ -489,9 +497,7 @@ class PiecewisePolyCodec(Codec):
             rem, d = divmod(rem, self.coef_levels)
             digits[i] = d
         coeffs = self._coef_value(digits).reshape(self.n_breaks + 1, self.degree + 1)
-        return PiecewisePolynomial(
-            self._break_value(np.asarray(levels)), coeffs, amp_bound=self.amp
-        )
+        return PiecewisePolynomial(self._break_value(np.asarray(levels)), coeffs)
 
     def encode(self, f: PiecewisePolynomial) -> int:
         """Snap breakpoints, project per piece, quantize coefficients.
@@ -518,14 +524,10 @@ class PiecewisePolyCodec(Codec):
 
     def _encode_raw(self, f: PiecewisePolynomial) -> int:
         snapped = sorted(self._snap_break(v) for v in f.breakpoints)
-        if snapped:
-            pad = snapped[-1]
-        else:
-            pad = self.break_levels - 1
+        pad = snapped[-1] if snapped else self.break_levels - 1
         snapped = tuple(snapped + [pad] * (self.n_breaks - len(snapped)))
         edges = np.concatenate(
-            ([0.0], self._break_value(np.asarray(snapped, dtype=float)), [1.0])
-        ) if self.n_breaks else np.array([0.0, 1.0])
+            ([0.0], self._break_value(np.asarray(snapped, dtype=float)), [1.0]))
         digits = np.empty(self.n_coef, dtype=np.int64)
         for j in range(self.n_breaks + 1):
             a, b = edges[j], edges[j + 1]
@@ -567,45 +569,24 @@ class PiecewisePolyCodec(Codec):
         return self._coef_value(digits)
 
     def _audit_distortion(self) -> float:
-        """Measured worst encode/decode L2 error over sampled class members
-        plus ties-to-the-quantizer adversarial probes."""
-        worst = 0.0
-        for f in self._audit_members():
-            err = f.l2_distance(self.decode(self.encode(f)))
-            worst = max(worst, err)
-        return worst
-
-    def _audit_members(self):
-        stream = derive_stream(
-            _CALIBRATION_SEED, self.degree * 1000 + self.n_breaks
-        )
-        gen = stream.generator
-        yield from self._adversarial_members()
-        for _ in range(_AUDIT_SAMPLES):
-            yield self.sample_member(gen)
-
-    def _adversarial_members(self):
-        # constants at coefficient-cell edges (worst case for bc)
-        for v in (self.amp, -self.amp, self.coef_step * 0.5):
-            yield self._constant_member(v)
+        """Measured worst encode/decode L2 error over ties-to-the-quantizer
+        probes and sampled class members."""
+        # constants at coefficient-cell edges (worst case for bc); all three
+        # lie within +-amp, since coef_step <= amp
+        probes = [constant_function(v)
+                  for v in (self.amp, -self.amp, self.coef_step * 0.5)]
         if self.n_breaks:
             # amplitude flips exactly at snapping-cell edges (worst case for bt)
             edge = 1.0 / self.break_levels
             breaks = np.sort(
                 np.clip(edge * np.arange(1, self.n_breaks + 1) * 2.0, edge, 1.0 - edge)
             )
-            vals = np.array([(-1.0) ** j * self.amp for j in range(self.n_breaks + 1)])
-            yield self._piecewise_constant_member(breaks, vals)
-
-    def _constant_member(self, value: float) -> PiecewisePolynomial:
-        return constant_function(float(np.clip(value, -self.amp, self.amp)),
-                                 amp_bound=self.amp)
-
-    def _piecewise_constant_member(self, breaks, vals) -> PiecewisePolynomial:
-        f = piecewise_constant(breaks, vals, amp_bound=self.amp)
-        coeffs = np.zeros((f.n_pieces, self.degree + 1))
-        coeffs[:, 0] = f.coeffs[:, 0]
-        return PiecewisePolynomial(f.breakpoints, coeffs, amp_bound=self.amp)
+            probes.append(piecewise_constant(
+                breaks, [(-1.0) ** j * self.amp for j in range(self.n_breaks + 1)]))
+        gen = derive_stream(_CALIBRATION_SEED,
+                            self.degree * 1000 + self.n_breaks).generator
+        probes += [self.sample_member(gen) for _ in range(_AUDIT_SAMPLES)]
+        return max(f.l2_distance(self.decode(self.encode(f))) for f in probes)
 
     def sample_member(self, gen: np.random.Generator) -> PiecewisePolynomial:
         """Random class member: uniform sorted breakpoints, and per piece a
@@ -630,7 +611,7 @@ class PiecewisePolyCodec(Codec):
             if sup == 0.0:
                 continue
             coeffs[j] = raw * (self.amp * gen.uniform(0.0, 1.0) / sup)
-        return PiecewisePolynomial(breaks, coeffs, amp_bound=self.amp)
+        return PiecewisePolynomial(breaks, coeffs)
 
     def config(self) -> dict:
         return {

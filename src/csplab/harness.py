@@ -111,24 +111,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown bound_params keys: {sorted(bad)}")
 
     def noise_model(self) -> NoiseModel:
-        block = dict(self.noise)
-        kind = block.pop("kind", "none")
-        if kind == "none":
-            extra = set(block)
-        elif kind == "bounded":
-            extra = set(block) - {"zeta", "shape"}
-        elif kind == "gaussian":
-            extra = set(block) - {"sigma"}
-        else:
-            raise ValueError(f"unknown noise kind {kind!r}")
-        if extra:
-            raise ValueError(f"unknown noise keys: {sorted(extra)}")
-        if kind == "bounded":
-            return NoiseModel.bounded(block.get("zeta", 0.0),
-                                      block.get("shape", "random_direction"))
-        if kind == "gaussian":
-            return NoiseModel.gaussian(block.get("sigma", 0.0))
-        return NoiseModel.none()
+        return NoiseModel.from_dict(self.noise)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -455,11 +438,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                        master_seed=config.master_seed)
 
 
-CSV_COLUMNS = (
-    "trial", "axis_value", "ensemble_seed", "signal_seed", "n", "d",
-    "rate_bits", "delta", "noise_kind", "noise_level", "error_l2", "residual",
-    "bound_error", "bound_fail_prob", "within_bound", "wall_ms",
-)
+# every TrialRecord field but the free-text signal_desc, in field order
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "signal_desc")
 
 
 def _csv_cell(value) -> str:

@@ -9,6 +9,7 @@ reproducible from their recorded (master_seed, stream_id) provenance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,10 @@ def measure(ensemble: MeasurementEnsemble, x) -> np.ndarray:
     return ensemble.matrix @ x
 
 
+# the keys a config's noise block may hold beside "kind", per kind
+_NOISE_KEYS = {"none": set(), "bounded": {"zeta", "shape"}, "gaussian": {"sigma"}}
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Measurement noise description.
@@ -62,6 +67,7 @@ class NoiseModel:
                      takes u from a caller-supplied direction (the stress
                      surrogate for noise that may depend on the measurements).
     The emitted perturbation of a bounded model always has norm exactly zeta.
+    The levels zeta and sigma must be finite and >= 0.
     """
 
     kind: str = "none"
@@ -70,14 +76,29 @@ class NoiseModel:
     shape: str = "random_direction"
 
     def __post_init__(self):
-        if self.kind not in ("none", "bounded", "gaussian"):
+        if self.kind not in _NOISE_KEYS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.zeta < 0 or self.sigma < 0:
-            raise ValueError("noise levels must be >= 0")
+        for name in ("zeta", "sigma"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name}={getattr(self, name)} must be finite and >= 0")
         if self.kind == "bounded" and self.shape not in (
             "random_direction", "worst_aligned",
         ):
             raise ValueError(f"unknown bounded-noise shape {self.shape!r}")
+
+    @classmethod
+    def from_dict(cls, block: dict) -> "NoiseModel":
+        """The model a config's noise block describes: "kind" (default
+        "none") plus that kind's keys; any other key is a ValueError."""
+        block = dict(block)
+        kind = block.pop("kind", "none")
+        if kind not in _NOISE_KEYS:
+            raise ValueError(f"unknown noise kind {kind!r}")
+        extra = set(block) - _NOISE_KEYS[kind]
+        if extra:
+            raise ValueError(f"unknown noise keys: {sorted(extra)}")
+        shape = block.pop("shape", "random_direction")
+        return cls(kind, shape=shape, **{k: float(v) for k, v in block.items()})
 
     @classmethod
     def none(cls) -> "NoiseModel":

@@ -40,11 +40,6 @@ def orthonormal_basis_matrix(a: float, b: float, degree: int, t: np.ndarray) -> 
     return out
 
 
-def _gauss_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [-1,1], exact for degree 2*order-1."""
-    return npleg.leggauss(max(order, 1))
-
-
 @dataclass
 class PiecewisePolynomial:
     """Piecewise polynomial on [0,1] in per-piece orthonormal coordinates.
@@ -53,13 +48,10 @@ class PiecewisePolynomial:
         makes the piece between the copies empty and inert).
     coeffs: array of shape (len(breakpoints)+1, degree+1); row j holds the
         orthonormal-basis coefficients of piece j.
-    amp_bound: declared sup-norm bound of the signal class the function
-        belongs to (kept for class-membership checks; not enforced here).
     """
 
     breakpoints: np.ndarray
     coeffs: np.ndarray
-    amp_bound: float | None = None
 
     def __post_init__(self):
         self.breakpoints = np.atleast_1d(np.asarray(self.breakpoints, dtype=float))
@@ -93,14 +85,11 @@ class PiecewisePolynomial:
         """Piece boundaries 0 = e_0 <= e_1 <= ... <= e_{Q+1} = 1."""
         return np.concatenate(([0.0], self.breakpoints, [1.0]))
 
-    def _piece_index(self, t: np.ndarray, right_limits: bool) -> np.ndarray:
-        side = "right" if right_limits else "left"
-        return np.searchsorted(self.breakpoints, t, side=side)
-
     def _eval(self, t: np.ndarray, right_limits: bool) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         flat = np.ravel(t)
-        idx = self._piece_index(flat, right_limits)
+        idx = np.searchsorted(self.breakpoints, flat,
+                              side="right" if right_limits else "left")
         out = np.empty_like(flat)
         edges = self.edges
         for j in range(self.n_pieces):
@@ -134,7 +123,8 @@ class PiecewisePolynomial:
         """Exact L2([0,1]) distance to another piecewise polynomial."""
         edges = np.unique(np.concatenate([self.edges, other.edges]))
         deg = max(self.degree, other.degree)
-        nodes, weights = _gauss_nodes(deg + 1)
+        # Gauss-Legendre with deg + 1 nodes is exact up to degree 2*deg + 1
+        nodes, weights = npleg.leggauss(deg + 1)
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             if b <= a:
@@ -172,7 +162,7 @@ class PiecewisePolynomial:
             )
         )
         deg = max(self.degree, degree)
-        nodes, weights = _gauss_nodes(deg + 1)
+        nodes, weights = npleg.leggauss(deg + 1)
         out = np.zeros(degree + 1)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if hi <= lo:
@@ -183,9 +173,7 @@ class PiecewisePolynomial:
         return out
 
 
-def piecewise_constant(
-    breakpoints, values, amp_bound: float | None = None
-) -> PiecewisePolynomial:
+def piecewise_constant(breakpoints, values) -> PiecewisePolynomial:
     """Build the piecewise-constant function taking values[j] on piece j."""
     breakpoints = np.atleast_1d(np.asarray(breakpoints, dtype=float))
     values = np.atleast_1d(np.asarray(values, dtype=float))
@@ -195,9 +183,9 @@ def piecewise_constant(
     lengths = np.diff(edges)
     # phi_0 = 1/sqrt(length), so the coefficient of a constant v is v*sqrt(length)
     coeffs = (values * np.sqrt(np.maximum(lengths, 0.0)))[:, None]
-    return PiecewisePolynomial(breakpoints, coeffs, amp_bound=amp_bound)
+    return PiecewisePolynomial(breakpoints, coeffs)
 
 
-def constant_function(value: float, amp_bound: float | None = None) -> PiecewisePolynomial:
+def constant_function(value: float) -> PiecewisePolynomial:
     """The constant function value * 1_(0,1]."""
-    return piecewise_constant(np.empty(0), [value], amp_bound=amp_bound)
+    return piecewise_constant(np.empty(0), [value])

@@ -62,6 +62,10 @@ def test_override_is_validated(tmp_path, weak_config, capsys):
     ("master_seed", 1.5, "master_seed=1.5 must be an integer"),
     ("eta", float("inf"), "eta=inf must be finite"),
     ("eta", float("nan"), "eta=nan must be finite"),
+    ("noise", {"kind": "gaussian", "sigma": float("nan")},
+     "sigma=nan must be finite and >= 0"),
+    ("noise", {"kind": "bounded", "zeta": float("inf")},
+     "zeta=inf must be finite and >= 0"),
 ])
 def test_bad_config_fields_exit_2_before_running(tmp_path, weak_config, capsys,
                                                   key, value, message):
@@ -162,3 +166,16 @@ def test_trials_offered_only_where_read(tmp_path, capsys, argv):
         main(argv + ["--trials", "7", "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --trials 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--codec-class", "grid"], "n=None must be an integer >= 1"),
+    (["--codec-class", "sparse", "--n", "4"], "k=None must be an integer >= 1"),
+])
+def test_rd_profile_missing_count_exits_2(tmp_path, capsys, argv, message):
+    # a missing count is a usage error, not a traceback
+    rc = main(["rd-profile", *argv, "--rho", "1", "--deltas", "0.1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "rd_profile.csv").exists()

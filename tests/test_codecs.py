@@ -271,6 +271,24 @@ class TestPiecewisePolyCodec:
         with pytest.raises(ValueError):
             PiecewisePolyCodec(0, 1, 1.0, 0.01, grid=64)
 
+    @pytest.mark.parametrize("params", [(0, 1, 1.0, 0.2), (1, 1, 1.0, 0.3),
+                                        (0, 0, 1.0, 0.05), (2, 0, 1.0, 0.5)])
+    def test_audit_bumps_bits_that_start_low(self, monkeypatch, params):
+        # the budget-derived start passes the audit on every config tried, so
+        # start one coefficient bit (and two breakpoint bits) low: the audit
+        # must fail there and the bump must land on the normal build
+        want = PiecewisePolyCodec(*params, grid=4096)
+        initial = PiecewisePolyCodec._initial_bits
+
+        def low(self):
+            bc, bt = initial(self)
+            return bc - 1, bt - 2 if self.n_breaks else bt
+
+        monkeypatch.setattr(PiecewisePolyCodec, "_initial_bits", low)
+        got = PiecewisePolyCodec(*params, grid=4096)
+        assert (got.coef_bits, got.break_bits, repr(got.audit_worst)) == (
+            want.coef_bits, want.break_bits, repr(want.audit_worst))
+
 
 # codecs for the round-trip properties; the "lazy" ones hold more than 2^22
 # floats, so they keep no codebook and decode takes the block-enumeration path
@@ -455,6 +473,20 @@ class TestEntropyBound:
             entropy_lower_bound(2, 0.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SparseCodec(4, 2, 1.0, 0.8), lambda: GridCodec(2, 1.0, 0.5),
+    lambda: PiecewisePolyCodec(0, 1, 1.0, 0.5, grid=64),
+    lambda: ExplicitCodec([[0.0, 0.0], [1.0, 0.0]]),
+])
+def test_decode_checks_the_index(make):
+    c = make()
+    for bad in (-1, c.size, np.int64(c.size)):
+        with pytest.raises(IndexError, match=rf"outside \[0, {c.size}\)"):
+            c.decode(bad)
+    last = c.decode(np.int64(c.size - 1))
+    assert c.encode(last) <= c.size - 1
+
+
 class TestConfig:
     def test_round_trip(self):
         for desc in ({"class": "grid", "n": 3, "rho": 1.0, "delta": 0.5,
@@ -465,6 +497,34 @@ class TestConfig:
                       "delta": 0.1, "cap": 2**24}):
             codec = codec_from_config(desc)
             assert codec.config() == desc
+
+    @pytest.mark.parametrize("desc,message", [
+        ({"class": "sparse", "n": 8.5, "k": 1}, "n=8.5 must be an integer >= 1"),
+        ({"class": "sparse", "n": 8, "k": 1.5}, "k=1.5 must be an integer >= 1"),
+        ({"class": "sparse", "n": True, "k": 1}, "n=True must be an integer >= 1"),
+        ({"class": "grid", "n": 0}, "n=0 must be an integer >= 1"),
+        ({"class": "ppoly", "N": 0.5}, "degree=0.5 must be an integer >= 0"),
+        ({"class": "ppoly", "n": 96}, "grid=96; need a power of two >= 2"),
+        ({"class": "sparse", "n": 8, "k": 1, "rho": math.inf},
+         "rho=inf must be finite and > 0"),
+        ({"class": "ppoly", "rho": math.nan}, "amp=nan must be finite and > 0"),
+        ({"class": "grid", "n": 2, "cap": 2.5}, "cap=2.5 must be an integer >= 1"),
+        ({"class": "ppoly", "cap": math.nan}, "cap=nan must be an integer >= 1"),
+    ])
+    def test_bad_parameters_rejected(self, desc, message):
+        # a fractional count must not be truncated (n=8.5 as n=8) or size
+        # the grid (k=1.5 with sqrt(1.5)), nor a non-finite rho overflow it
+        desc = {"rho": 1.0, "delta": 0.2, **desc}
+        with pytest.raises(ValueError) as err:
+            codec_from_config(desc)
+        assert str(err.value) == message
+
+    def test_integer_valued_counts_accepted(self):
+        c = codec_from_config({"class": "ppoly", "n": 64.0, "rho": 1.0, "delta": 0.2})
+        assert c.grid == 64 and type(c.grid) is int
+        s = SparseCodec(np.int64(8), np.int64(1), 1.0, 0.2, cap=2.0**10)
+        assert (s.n, s.k, s.cap) == (8, 1, 1024)
+        assert s.size == SparseCodec(8, 1, 1.0, 0.2).size
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):

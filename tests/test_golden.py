@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from csplab.bounds import THEOREM_IDS, BoundInputs, evaluate_bound
+from csplab.codecs import PiecewisePolyCodec
 from csplab.harness import ExperimentConfig, records_to_csv, run_sweep, run_trials
 from csplab.svgplot import render_svg
 
@@ -126,6 +127,31 @@ def render_bounds() -> str:
     return "\n".join(rows) + "\n"
 
 
+# ppoly calibration outcomes, uncapped: every (N, Q, delta) at grid 4096
+# (Q = 0, and degree >= 1 with breakpoints, among them), plus coarser grids,
+# one of them too coarse for its breakpoint quantizer
+CALIBRATION = (
+    [(N, Q, delta, 4096) for N in (0, 1, 2) for Q in (0, 1, 2)
+     for delta in (0.5, 0.2, 0.05)]
+    + [(0, 1, 0.5, 64), (0, 1, 0.2, 64), (2, 2, 0.5, 64), (1, 1, 0.2, 256)]
+)
+
+
+def render_calibration() -> str:
+    """One row per config: the audit's worst error, the bits and the size
+    the calibration settled on, or the class of the error it raised."""
+    rows = ["N,Q,delta,grid,audit_worst,coef_bits,break_bits,size"]
+    for N, Q, delta, grid in CALIBRATION:
+        try:
+            c = PiecewisePolyCodec(N, Q, 1.0, delta, grid=grid, cap=None)
+        except ValueError as exc:
+            outcome = f"{type(exc).__name__},,,"
+        else:
+            outcome = f"{c.audit_worst!r},{c.coef_bits},{c.break_bits},{c.size}"
+        rows.append(f"{N},{Q},{delta!r},{grid},{outcome}")
+    return "\n".join(rows) + "\n"
+
+
 def render_all() -> dict:
     """Fixture file name -> freshly generated text."""
     out = {}
@@ -137,6 +163,7 @@ def render_all() -> dict:
     out["sweep.csv"] = records_to_csv(sweep.records, cfg.master_seed)
     out["sweep.svg"] = render_svg(sweep, title="golden sweep")
     out["bounds.csv"] = render_bounds()
+    out["calibration.csv"] = render_calibration()
     return out
 
 
@@ -146,7 +173,8 @@ def rendered():
 
 
 @pytest.mark.parametrize("name", [f"{n}.csv" for n in CONFIGS]
-                         + ["sweep.csv", "sweep.svg", "bounds.csv"])
+                         + ["sweep.csv", "sweep.svg", "bounds.csv",
+                            "calibration.csv"])
 def test_golden_bytes(rendered, name):
     assert rendered[name].encode() == (GOLDEN / name).read_bytes()
 

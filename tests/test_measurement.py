@@ -1,5 +1,7 @@
 """Gaussian ensembles, noise models, and Wiener-integral measurements."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,27 @@ class TestNoise:
             NoiseModel.bounded(-1.0)
         with pytest.raises(ValueError):
             NoiseModel.bounded(1.0, shape="adversarialish")
+
+    @pytest.mark.parametrize("block", [
+        {"kind": "gaussian", "sigma": math.nan}, {"kind": "bounded", "zeta": math.inf},
+        {"kind": "gaussian", "sigma": -0.1},
+    ])
+    def test_noise_levels_must_be_finite(self, block):
+        name = "sigma" if block["kind"] == "gaussian" else "zeta"
+        with pytest.raises(ValueError, match=f"^{name}=.* must be finite and >= 0$"):
+            NoiseModel.from_dict(block)
+
+    def test_from_dict(self):
+        assert NoiseModel.from_dict({}) == NoiseModel.none()
+        assert NoiseModel.from_dict({"kind": "gaussian", "sigma": 1}) == (
+            NoiseModel.gaussian(1.0))
+        assert NoiseModel.from_dict(
+            {"kind": "bounded", "zeta": 0.5, "shape": "worst_aligned"}
+        ) == NoiseModel.bounded(0.5, "worst_aligned")
+        with pytest.raises(ValueError, match="unknown noise kind 'sparkle'"):
+            NoiseModel.from_dict({"kind": "sparkle"})
+        with pytest.raises(ValueError, match=r"unknown noise keys: \['sigma'\]"):
+            NoiseModel.from_dict({"kind": "bounded", "sigma": 0.1})
 
 
 class TestAnalogMeasurement:

@@ -166,7 +166,7 @@ class TestAnalog:
         codec = PiecewisePolyCodec(0, 0, 1.0, 0.05, grid=512)
         ens = sample_wiener_ensemble(8, 512, 51, 0)
         from csplab.piecewise import constant_function
-        f = constant_function(0.5, amp_bound=1.0)
+        f = constant_function(0.5)
         res = csp_recover_analog(measure_analog(ens, f), ens, codec, truth=f)
         # noiseless, d-dominated: the recovered constant is the quantized one
         assert res.error_l2 <= codec.amp / codec.coef_levels + 1e-12
