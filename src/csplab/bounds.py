@@ -29,6 +29,7 @@ Guarantee registry (theorem_id -> formula):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -101,12 +102,15 @@ _RANGES = {
 
 
 def _req(inputs: BoundInputs, theorem: str, **checks) -> dict:
-    """Pull required symbols, enforcing each one's range code (_RANGES)."""
+    """Pull required symbols, enforcing each one's range code (_RANGES); a
+    bool is no number here, so True never counts as 1."""
     out = {}
     for name, kind in checks.items():
         val = getattr(inputs, name)
         if val is None:
             raise ParameterError(f"{theorem}: missing parameter {name}")
+        if isinstance(val, bool):
+            raise ParameterError(f"{theorem}: {name}={val!r} must be a number")
         val = float(val)
         ok, text = _RANGES[kind]
         if not ok(val):
@@ -115,8 +119,13 @@ def _req(inputs: BoundInputs, theorem: str, **checks) -> dict:
     return out
 
 
+def _eps_floor(eta: float, delta: float) -> float:
+    """The least slack eps the corollaries and T7 admit: eta/ln(1/(e*delta))."""
+    return eta / math.log(1.0 / (math.e * delta))
+
+
 def _check_eps_slack(eps: float, eta: float, delta: float, theorem: str, symbol: str):
-    floor = eta / math.log(1.0 / (math.e * delta))
+    floor = _eps_floor(eta, delta)
     if eps < floor:
         raise ParameterError(
             f"{theorem}: {symbol}={eps} must be at least eta/ln(1/(e*delta)) = {floor}"
@@ -174,32 +183,12 @@ def _eval_T3(inputs: BoundInputs) -> BoundEvaluation:
     return _clamped("T3", err, raw)
 
 
-def _eval_C4(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "C4", r="pos", d="count", delta="unit_lt", eta="gt1", eps="pos")
-    _check_eps_slack(v["eps"], v["eta"], v["delta"], "C4", "eps")
-    theta = 2.0 * math.exp(-(1 + v["eps"]) / v["eta"])
-    err = theta * v["delta"] ** (1 - (1 + v["eps"]) / v["eta"])
-    raw = math.exp(-0.8 * v["d"]) + math.exp(-0.3 * v["eps"] * v["r"])
-    return _clamped("C4", err, raw)
-
-
 def _eval_T5(inputs: BoundInputs) -> BoundEvaluation:
     v = _req(inputs, "T5", r="nonneg", d="count", delta="pos", zeta="nonneg",
              tau1="pos", tau2="open01")
     base = _eval_T3(inputs)
     err = base.error_bound + 2.0 * v["zeta"] / math.sqrt((1 - v["tau2"]) * v["d"])
     return _clamped("T5", err, base.failure_raw)
-
-
-def _eval_C6(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "C6", r="pos", d="count", delta="unit_lt", eta="gt1", eps="pos")
-    if inputs.zeta is not None and not math.isclose(inputs.zeta, v["delta"]):
-        raise ParameterError(f"C6: zeta={inputs.zeta} must equal delta={v['delta']}")
-    _check_eps_slack(v["eps"], v["eta"], v["delta"], "C6", "eps")
-    theta = 2.0 * math.exp(-(1 + v["eps"]) / v["eta"]) + 2.0 / math.sqrt(v["d"])
-    err = theta * v["delta"] ** (1 - (1 + v["eps"]) / v["eta"])
-    raw = math.exp(-v["d"] / 2.0) + math.exp(-0.3 * v["eps"] * v["r"])
-    return _clamped("C6", err, raw)
 
 
 def _eval_T6(inputs: BoundInputs) -> BoundEvaluation:
@@ -243,25 +232,13 @@ def _eval_T8(inputs: BoundInputs) -> BoundEvaluation:
     return _clamped("T8", err, raw)
 
 
-def _eval_C9(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "C9", r="pos", n="count", delta="unit_lt", eta="gt1", eps="pos")
-    _check_eps_slack(v["eps"], v["eta"], v["delta"], "C9", "eps")
-    d = 2.0 * v["eta"] * v["r"] / math.log2(1.0 / (math.e * v["delta"]))
-    theta = 2.0 * (math.sqrt(v["n"] / d) + 2.0)
-    err = theta * v["delta"] ** (1 - (1 + v["eps"]) / v["eta"])
-    raw = math.exp(-d / 2.0) + math.exp(-0.6 * v["eps"] * v["r"])
-    return _clamped("C9", err, raw)
-
-
 def _eval_T9(inputs: BoundInputs) -> BoundEvaluation:
     v = _req(inputs, "T9", r="nonneg", d="count", n="count", delta="pos",
              zeta="nonneg", tau="open01", t="nonneg")
     c = math.sqrt(v["n"] / v["d"]) + 1 + v["t"]
     err = (2.0 * c * v["delta"] / math.sqrt(1 - v["tau"])
            + 2.0 * v["zeta"] / math.sqrt(v["d"] * (1 - v["tau"])))
-    raw = (singular_value_tail(v["n"], v["d"], v["t"]).bound
-           + _codebook_union_term(v["r"], v["d"], v["tau"], copies=2))
-    return _clamped("T9", err, raw)
+    return _clamped("T9", err, _eval_T8(inputs).failure_raw)
 
 
 def _eval_T10(inputs: BoundInputs) -> BoundEvaluation:
@@ -277,18 +254,6 @@ def _eval_T10(inputs: BoundInputs) -> BoundEvaluation:
     return _clamped("T10", err, raw)
 
 
-def _eval_C11(inputs: BoundInputs) -> BoundEvaluation:
-    v = _req(inputs, "C11", r="pos", n="count", delta="unit_lt", eta="gt1", eps="pos")
-    if inputs.zeta is not None and not math.isclose(inputs.zeta, v["delta"]):
-        raise ParameterError(f"C11: zeta={inputs.zeta} must equal delta={v['delta']}")
-    _check_eps_slack(v["eps"], v["eta"], v["delta"], "C11", "eps")
-    d = 2.0 * v["eta"] * v["r"] / math.log2(1.0 / (math.e * v["delta"]))
-    theta = 2.0 * (math.sqrt(v["n"] / d) + 2.0) + 2.0 / math.sqrt(d)
-    err = theta * v["delta"] ** (1 - (1 + v["eps"]) / v["eta"])
-    raw = math.exp(-d / 2.0) + math.exp(-0.6 * v["eps"] * v["r"])
-    return _clamped("C11", err, raw)
-
-
 def _eval_T11(inputs: BoundInputs) -> BoundEvaluation:
     v = _req(inputs, "T11", r="nonneg", d="count", n="count", delta="pos",
              sigma="nonneg", tau="open01", t="pos", gamma="pos")
@@ -301,21 +266,57 @@ def _eval_T11(inputs: BoundInputs) -> BoundEvaluation:
     return _clamped("T11", err, raw)
 
 
+def _budget(r_bits: float, delta: float, eta: float, strong: bool) -> float:
+    """The budget rule before its ceiling: eta*r/log2(1/(e*delta)), doubled
+    in the strong regime."""
+    return (2.0 if strong else 1.0) * eta * r_bits / math.log2(1.0 / (math.e * delta))
+
+
+# corollary id -> (uniform over the class: n is given and d the strong
+# budget; bounded noise: zeta must equal delta and theta gains 2/sqrt(d);
+# rate a in exp(-a*d); rate b in exp(-b*eps*r))
+_COROLLARIES = {
+    "C4": (False, False, 0.8, 0.3),
+    "C6": (False, True, 0.5, 0.3),
+    "C9": (True, False, 0.5, 0.6),
+    "C11": (True, True, 0.5, 0.6),
+}
+
+
+def _eval_corollary(tid: str, inputs: BoundInputs) -> BoundEvaluation:
+    """A theorem at the corollary's hand-picked parameters, with error
+    theta * delta^(1 - (1+eps)/eta)."""
+    uniform, bounded, a, b = _COROLLARIES[tid]
+    v = _req(inputs, tid, r="pos", **{"n" if uniform else "d": "count"},
+             delta="unit_lt", eta="gt1", eps="pos")
+    if bounded and inputs.zeta is not None and not math.isclose(inputs.zeta, v["delta"]):
+        raise ParameterError(f"{tid}: zeta={inputs.zeta} must equal delta={v['delta']}")
+    _check_eps_slack(v["eps"], v["eta"], v["delta"], tid, "eps")
+    d = _budget(v["r"], v["delta"], v["eta"], strong=True) if uniform else v["d"]
+    theta = (2.0 * (math.sqrt(v["n"] / d) + 2.0) if uniform
+             else 2.0 * math.exp(-(1 + v["eps"]) / v["eta"]))
+    if bounded:
+        theta += 2.0 / math.sqrt(d)
+    err = theta * v["delta"] ** (1 - (1 + v["eps"]) / v["eta"])
+    raw = math.exp(-a * d) + math.exp(-b * v["eps"] * v["r"])
+    return _clamped(tid, err, raw)
+
+
 # theorem_id -> (evaluator, free parameters optimize_free_params searches,
 # the (regime, noise kind) pairs it covers); the analog noiseless and
 # bounded-noise guarantees share the weak finite-dimensional formulas
 _GUARANTEES = {
     "T3": (_eval_T3, ("tau1", "tau2"), (("weak", "none"), ("analog", "none"))),
-    "C4": (_eval_C4, ("eps",), (("weak", "none"),)),
+    "C4": (functools.partial(_eval_corollary, "C4"), ("eps",), (("weak", "none"),)),
     "T5": (_eval_T5, ("tau1", "tau2"), (("weak", "bounded"), ("analog", "bounded"))),
-    "C6": (_eval_C6, ("eps",), (("weak", "bounded"),)),
+    "C6": (functools.partial(_eval_corollary, "C6"), ("eps",), (("weak", "bounded"),)),
     "T6": (_eval_T6, ("tau1", "tau2", "tau3"), (("weak", "gaussian"),)),
     "T7": (_eval_T7, ("eps_prime",), (("weak", "gaussian"),)),
     "T8": (_eval_T8, ("tau", "t"), (("strong", "none"),)),
-    "C9": (_eval_C9, ("eps",), (("strong", "none"),)),
+    "C9": (functools.partial(_eval_corollary, "C9"), ("eps",), (("strong", "none"),)),
     "T9": (_eval_T9, ("tau", "t"), (("strong", "bounded"),)),
     "T10": (_eval_T10, ("tau", "t", "tau_prime"), (("strong", "gaussian"),)),
-    "C11": (_eval_C11, ("eps",), (("strong", "bounded"),)),
+    "C11": (functools.partial(_eval_corollary, "C11"), ("eps",), (("strong", "bounded"),)),
     "T11": (_eval_T11, ("tau", "t", "gamma"), (("strong", "gaussian"),)),
 }
 THEOREM_IDS = tuple(_GUARANTEES)
@@ -327,51 +328,49 @@ def compatible_theorems(regime: str, noise_kind: str) -> list[str]:
                   if (regime, noise_kind) in covers)
 
 
+def _guarantee(theorem_id: str) -> tuple:
+    """The registry row of theorem_id; an unknown id names the known ones."""
+    if theorem_id not in _GUARANTEES:
+        raise ParameterError(f"unknown theorem_id {theorem_id!r}; "
+                             f"known: {', '.join(THEOREM_IDS)}")
+    return _GUARANTEES[theorem_id]
+
+
 def evaluate_bound(theorem_id: str, inputs: BoundInputs) -> BoundEvaluation:
     """Evaluate one guarantee; pure, same inputs -> identical outputs."""
-    if theorem_id not in _GUARANTEES:
-        raise ParameterError(
-            f"unknown theorem_id {theorem_id!r}; known: {', '.join(THEOREM_IDS)}"
-        )
-    return _GUARANTEES[theorem_id][0](inputs)
+    return _guarantee(theorem_id)[0](inputs)
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The chosen inputs, their evaluation, and whether it meets the target."""
+
     theorem_id: str
     inputs: BoundInputs
     evaluation: BoundEvaluation
     feasible: bool
-    target_failure: float
-    best_failure: float
 
 
-def _grid_open01() -> list[float]:
-    # logarithmic approach to both endpoints of (0,1)
-    vals = [2.0**-j for j in range(1, 11)]
-    vals += [1.0 - 2.0**-j for j in range(1, 19)]
-    return sorted(set(vals))
-
-
-def _grid_positive() -> list[float]:
-    return [2.0 ** (j / 2.0) for j in range(-8, 13)]
+# logarithmic approach to both endpoints of (0,1)
+_GRID_OPEN01 = sorted({2.0**-j for j in range(1, 11)} | {1.0 - 2.0**-j for j in range(1, 19)})
+_GRID_POSITIVE = [2.0 ** (j / 2.0) for j in range(-8, 13)]
 
 
 def _candidate_grids(theorem_id: str, inputs: BoundInputs) -> dict[str, list[float]]:
     grids: dict[str, list[float]] = {}
-    for name in _GUARANTEES[theorem_id][1]:
+    for name in _guarantee(theorem_id)[1]:
         if name in ("tau2", "tau"):
-            g = _grid_open01() + [0.75]
+            g = _GRID_OPEN01 + [0.75]
             if inputs.eta is not None and inputs.eps is not None and inputs.delta and \
                     0 < inputs.delta < 1 / math.e:
                 # hand-picked corollary value 1 - (e*delta)^(2(1+eps)/eta)
                 g.append(1.0 - (math.e * inputs.delta) ** (2 * (1 + inputs.eps) / inputs.eta))
             grids[name] = sorted({v for v in g if 0 < v < 1})
         elif name in ("tau1", "tau3", "tau_prime", "t"):
-            grids[name] = sorted(set(_grid_positive() + [1.0, 3.0]))
+            grids[name] = sorted({*_GRID_POSITIVE, 1.0, 3.0})
         elif name == "gamma":
             scale = math.sqrt(max(inputs.r or 1.0, 1.0))
-            grids[name] = sorted({v * scale for v in _grid_positive()}
+            grids[name] = sorted({v * scale for v in _GRID_POSITIVE}
                                  | {math.sqrt(2.0 * max(inputs.r or 1.0, 1.0))})
         elif name in ("eps", "eps_prime"):
             if inputs.delta is None or not 0 < inputs.delta < 1 / math.e or \
@@ -379,7 +378,7 @@ def _candidate_grids(theorem_id: str, inputs: BoundInputs) -> dict[str, list[flo
                 raise ParameterError(
                     f"{theorem_id}: optimizing {name} needs delta in (0,1/e) and eta"
                 )
-            floor = inputs.eta / math.log(1.0 / (math.e * inputs.delta))
+            floor = _eps_floor(inputs.eta, inputs.delta)
             grids[name] = sorted({floor * (1.0 + 2.0 ** (j / 2.0)) for j in range(-6, 9)})
         else:
             raise ParameterError(f"no search grid for parameter {name}")
@@ -401,32 +400,24 @@ def optimize_free_params(theorem_id: str, inputs: BoundInputs,
         raise ParameterError(
             f"{theorem_id}: target_failure={target_failure} must be in [0, 1)"
         )
-    # target 0 is unattainable by construction (every failure formula is a
-    # sum of strictly positive exponentials), so it always reports infeasible
-    if theorem_id not in _GUARANTEES:
-        raise ParameterError(f"unknown theorem_id {theorem_id!r}")
-
     grids = _candidate_grids(theorem_id, inputs)
-    best_feasible: tuple | None = None      # (error, values, inputs, evaluation)
-    best_any: tuple | None = None           # (failure, error, values, inputs, evaluation)
+    points = []  # (failure, error, values) per admissible grid point
     for values in itertools.product(*grids.values()):
-        trial = replace(inputs, **dict(zip(grids, values)))
         try:
-            ev = evaluate_bound(theorem_id, trial)
+            ev = evaluate_bound(theorem_id, replace(inputs, **dict(zip(grids, values))))
         except ParameterError:
             continue
-        key_any = (ev.failure_probability, ev.error_bound, values)
-        if best_any is None or key_any < best_any[:3]:
-            best_any = key_any + (trial, ev)
-        if target_failure > 0 and ev.failure_probability <= target_failure:
-            key = (ev.error_bound, values)
-            if best_feasible is None or key < best_feasible[:2]:
-                best_feasible = key + (trial, ev)
-    if best_any is None:
+        points.append((ev.failure_probability, ev.error_bound, values))
+    if not points:
         raise ParameterError(f"{theorem_id}: no admissible grid point")
-    trial, ev = (best_feasible or best_any)[-2:]
-    return OptimizationResult(theorem_id, trial, ev, best_feasible is not None,
-                              float(target_failure), ev.failure_probability)
+    # target 0 is unattainable by construction (every failure formula is a
+    # sum of strictly positive exponentials), so it always reports infeasible
+    feasible = [p[1:] for p in points if target_failure > 0 and p[0] <= target_failure]
+    # min keeps the first of equal keys: ties go to the earliest grid point
+    values = (min(feasible) if feasible else min(points))[-1]
+    chosen = replace(inputs, **dict(zip(grids, values)))
+    return OptimizationResult(theorem_id, chosen, evaluate_bound(theorem_id, chosen),
+                              bool(feasible))
 
 
 @dataclass(frozen=True)
@@ -487,9 +478,7 @@ def budget_for_rate(r_bits: float, delta: float, eta: float,
         raise ParameterError(
             f"delta={delta} must be in (0, 1/e) for the budget denominator"
         )
-    mult = 2.0 if regime == "strong" else 1.0
-    d = ceil_snap(mult * eta * r_bits / math.log2(1.0 / (math.e * delta)))
-    return max(int(d), 1)
+    return max(ceil_snap(_budget(r_bits, delta, eta, regime == "strong")), 1)
 
 
 def measurement_budget(rate_model, delta: float, eta: float,
@@ -532,8 +521,7 @@ def construct_indistinguishable_pair(A, k: int, stream=None) -> Indistinguishabl
     fro = float(np.linalg.norm(A))
     tol = 1e-9 * max(fro, 1.0)
 
-    selections = [tuple(range(d + 1))]
-    selections += [tuple(range(i, i + d + 1)) for i in range(1, n - d)]
+    selections = [tuple(range(i, i + d + 1)) for i in range(n - d)]
     gen = stream.generator if stream is not None else None
 
     attempts = 0

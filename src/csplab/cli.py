@@ -26,7 +26,7 @@ import numpy as np
 from .bounds import (BoundInputs, construct_indistinguishable_pair,
                      evaluate_bound)
 from .codecs import rd_profile
-from .harness import ExperimentConfig, run_sweep, run_trials, write_csv
+from .harness import ExperimentConfig, SweepPoint, run_sweep, run_trials, write_csv
 from .measurement import sample_ensemble
 from .rng import derive_stream
 from .svgplot import emit_svg
@@ -76,14 +76,13 @@ def _cmd_recover(args) -> int:
     records = run_trials(config)
     out = Path(args.out) / "recover.csv"
     write_csv(records, config.master_seed, out)
-    errs = np.array([r.error_l2 for r in records])
-    print(f"wrote {out} ({len(records)} trials; mean error {errs.mean():.6g}, "
-          f"max {errs.max():.6g})")
-    if records[0].bound_error is not None:
-        exceed = float(np.mean(errs > records[0].bound_error))
-        print(f"bound {records[0].bound_error:.6g} exceeded in "
-              f"{exceed:.4f} of trials (bound failure prob "
-              f"{records[0].bound_fail_prob:.6g})")
+    point = SweepPoint.of(records)
+    print(f"wrote {out} ({len(records)} trials; mean error {point.mean_error:.6g}, "
+          f"max {point.max_error:.6g})")
+    if point.bound_error is not None:
+        print(f"bound {point.bound_error:.6g} exceeded in "
+              f"{point.exceed_rate:.4f} of trials (bound failure prob "
+              f"{point.bound_fail_prob:.6g})")
     return 0
 
 

@@ -75,6 +75,13 @@ def _count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """value as a float, or ValueError unless it is a number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}={value!r} must be a number")
+    return float(value)
+
+
 def _positive(name: str, value) -> float:
     """value as a float, or ValueError unless it is finite and > 0."""
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
@@ -187,7 +194,7 @@ class SparseCodec(Codec):
         self.n = _count("n", n, 1)
         self.k = _count("k", k, 1)
         self.rho = _positive("rho", rho)
-        self.delta = float(delta)
+        self.delta = _real("delta", delta)
         self.cap = None if cap is None else _count("cap", cap, 1)
         if self.k > self.n:
             raise ValueError(f"k={self.k} outside [1, n={self.n}]")
@@ -408,7 +415,7 @@ class PiecewisePolyCodec(Codec):
         self.degree = _count("degree", degree, 0)
         self.n_breaks = _count("n_breaks", n_breaks, 0)
         self.amp = _positive("amp", amp)
-        self.delta = float(delta)
+        self.delta = _real("delta", delta)
         self.grid = _count("grid", grid, 2)
         self.cap = None if cap is None else _count("cap", cap, 1)
         if not 0 < self.delta < self.amp:
@@ -621,15 +628,17 @@ class PiecewisePolyCodec(Codec):
         }
 
 
+# class -> (required keys, optional keys) of its descriptor
 _CODEC_KEYS = {
-    "grid": {"class", "n", "rho", "delta", "cap"},
-    "sparse": {"class", "n", "k", "rho", "delta", "cap"},
-    "ppoly": {"class", "n", "N", "Q", "rho", "delta", "cap"},
+    "grid": ({"n", "rho", "delta"}, {"cap"}),
+    "sparse": ({"n", "k", "rho", "delta"}, {"cap"}),
+    "ppoly": ({"rho", "delta"}, {"n", "N", "Q", "cap"}),
 }
 
 
 def codec_from_config(cfg: dict) -> Codec:
-    """Build a codec from its JSON descriptor; unknown keys are rejected.
+    """Build a codec from its JSON descriptor; unknown or missing keys are
+    rejected.
 
     ppoly descriptors reuse "rho" for the amplitude bound and "n" for the
     time-grid resolution.
@@ -637,9 +646,13 @@ def codec_from_config(cfg: dict) -> Codec:
     kind = cfg.get("class")
     if kind not in _CODEC_KEYS:
         raise ValueError(f"unknown codec class {kind!r}")
-    extra = set(cfg) - _CODEC_KEYS[kind]
+    required, optional = _CODEC_KEYS[kind]
+    extra = set(cfg) - required - optional - {"class"}
     if extra:
         raise ValueError(f"unknown codec config keys: {sorted(extra)}")
+    missing = required - set(cfg)
+    if missing:
+        raise ValueError(f"{kind} codec config lacks keys: {sorted(missing)}")
     cap = cfg.get("cap", DEFAULT_CAP)
     if kind == "grid":
         return GridCodec(cfg["n"], cfg["rho"], cfg["delta"], cap=cap)

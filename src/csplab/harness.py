@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -98,6 +99,11 @@ class ExperimentConfig:
                 raise ValueError(f"axis name must be one of {_AXES}")
             if not self.axis.get("values"):
                 raise ValueError("axis values must be nonempty")
+            for value in self.axis["values"]:
+                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                        or not math.isfinite(value)):
+                    raise ValueError(f"axis value {value!r} must be a finite number")
+                _point_config(self, value)  # validates the point's noise block
         if self.theorem_id is not None:
             allowed = compatible_theorems(self.regime, self.noise["kind"])
             if self.theorem_id not in allowed:
@@ -158,6 +164,17 @@ class SweepPoint:
     bound_fail_prob: float | None
     reason: str | None = None  # why an unavailable (nan) point could not run
 
+    @classmethod
+    def of(cls, records: list) -> "SweepPoint":
+        """The summary of one point's trials: mean and max error and, with a
+        bound, the share of trials above it."""
+        errs = np.asarray([r.error_l2 for r in records])
+        first = records[0]
+        bound = first.bound_error
+        exceed = None if bound is None else float(np.mean(errs > bound))
+        return cls(first.axis_value, exceed, float(errs.mean()), float(errs.max()),
+                   bound, first.bound_fail_prob)
+
 
 @dataclass
 class SweepResult:
@@ -170,7 +187,7 @@ class SweepResult:
 def _resolve_d(config: ExperimentConfig, codec: Codec) -> int:
     if config.d is not None:
         # a d axis arrives as floats: 4.0 is d=4, 2.7 is no measurement count
-        if not (config.d >= 1 and float(config.d).is_integer()):
+        if isinstance(config.d, bool) or not (config.d >= 1 and float(config.d).is_integer()):
             raise ParameterError(f"d={config.d} must be an integer >= 1")
         d = int(config.d)
     else:  # analog measurements take the weak (fixed-signal) multiplier
@@ -383,15 +400,11 @@ def _point_config(config: ExperimentConfig, value: float) -> ExperimentConfig:
         codec = dict(config.codec)
         codec["delta"] = float(value)
         return replace(config, codec=codec, axis=None)
-    noise = dict(config.noise)
     if name == "sigma":
-        noise.update(kind="gaussian", sigma=float(value))
-        noise.pop("zeta", None)
-        noise.pop("shape", None)
+        noise = {"kind": "gaussian", "sigma": float(value)}
     else:
-        noise.setdefault("shape", "random_direction")
-        noise.update(kind="bounded", zeta=float(value))
-        noise.pop("sigma", None)
+        noise = {"kind": "bounded", "zeta": float(value),
+                 "shape": config.noise.get("shape", "random_direction")}
     return replace(config, noise=noise, axis=None)
 
 
@@ -422,17 +435,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             points.append(SweepPoint(value, None, math.nan, math.nan, None, None,
                                      reason=f"{type(exc).__name__}: {exc}"))
             continue
-        errs = np.asarray([r.error_l2 for r in recs])
-        bound_error = recs[0].bound_error
-        bound_fail = recs[0].bound_fail_prob
-        exceed = None
-        if bound_error is not None:
-            exceed = float(np.mean(errs > bound_error))
-        points.append(SweepPoint(
-            axis_value=value, exceed_rate=exceed,
-            mean_error=float(errs.mean()), max_error=float(errs.max()),
-            bound_error=bound_error, bound_fail_prob=bound_fail,
-        ))
+        points.append(SweepPoint.of(recs))
         records.extend(recs)
     return SweepResult(axis_name=axis_name, points=points, records=records,
                        master_seed=config.master_seed)

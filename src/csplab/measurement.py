@@ -131,17 +131,13 @@ def apply_noise(y: np.ndarray, model: NoiseModel, stream: RandomStream | None = 
     `stream`.  Zero noise levels return the input unchanged.
     """
     y = np.asarray(y, dtype=float)
-    if model.kind == "none":
+    if model.level == 0.0:
         return y.copy()
     if model.kind == "gaussian":
-        if model.sigma == 0.0:
-            return y.copy()
         if stream is None:
             raise ValueError("gaussian noise needs a RandomStream")
         return y + model.sigma * gaussian_vector(stream, y.size)
     # bounded
-    if model.zeta == 0.0:
-        return y.copy()
     if model.shape == "worst_aligned":
         if context is None:
             raise ValueError("worst_aligned bounded noise needs a context direction")

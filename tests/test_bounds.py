@@ -178,6 +178,46 @@ class TestEvaluateBound:
         with pytest.raises(ParameterError):
             evaluate_bound("T99", BoundInputs())
 
+    _FLOOR = "must be at least eta/ln(1/(e*delta)) = 0.465298355017976"
+
+    @pytest.mark.parametrize("tid,change,message", [
+        # zeta must equal delta in the bounded-noise corollaries only
+        ("C6", dict(zeta=0.1), "C6: zeta=0.1 must equal delta=0.005"),
+        ("C11", dict(zeta=0.1), "C11: zeta=0.1 must equal delta=0.005"),
+        ("C4", dict(zeta=0.1), None),
+        ("C9", dict(zeta=0.1), None),
+        # the zeta check comes before the eps slack
+        ("C6", dict(zeta=0.1, eps=0.01), "C6: zeta=0.1 must equal delta=0.005"),
+        ("C11", dict(zeta=0.1, eps=0.01), "C11: zeta=0.1 must equal delta=0.005"),
+        ("C4", dict(eps=0.01), f"C4: eps=0.01 {_FLOOR}"),
+        ("C6", dict(eps=0.01), f"C6: eps=0.01 {_FLOOR}"),
+        ("C9", dict(eps=0.01), f"C9: eps=0.01 {_FLOOR}"),
+        ("C11", dict(eps=0.01), f"C11: eps=0.01 {_FLOOR}"),
+        ("C4", dict(delta=0.5), "C4: delta=0.5 must be in (0, 1/e)"),
+        ("C6", dict(delta=0.5), "C6: delta=0.5 must be in (0, 1/e)"),
+        ("C9", dict(delta=0.5), "C9: delta=0.5 must be in (0, 1/e)"),
+        ("C11", dict(delta=0.5), "C11: delta=0.5 must be in (0, 1/e)"),
+        # the weak corollaries need d, the uniform ones n (d is derived)
+        ("C4", dict(d=None), "C4: missing parameter d"),
+        ("C6", dict(d=None), "C6: missing parameter d"),
+        ("C9", dict(n=None), "C9: missing parameter n"),
+        ("C11", dict(n=None), "C11: missing parameter n"),
+        ("C4", dict(n=None), None),
+        ("C9", dict(d=None), None),
+        # symbols are checked in the order r, d or n, delta, eta, eps
+        ("C6", dict(d=None, delta=0.5), "C6: missing parameter d"),
+        ("C11", dict(n=None, delta=0.5, eps=0.01), "C11: missing parameter n"),
+    ])
+    def test_corollary_error_paths(self, tid, change, message):
+        base = dict(r=20.0, d=30, n=64, delta=0.005, eta=2.0, eps=0.5)
+        inputs = BoundInputs(**dict(base, **change))
+        if message is None:  # the change is ignored
+            assert evaluate_bound(tid, inputs) == evaluate_bound(tid, BoundInputs(**base))
+            return
+        with pytest.raises(ParameterError) as err:
+            evaluate_bound(tid, inputs)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("tid,name,value", [
         ("T3", "d", 2.5), ("T3", "d", 0), ("T3", "d", math.inf),
         ("T8", "n", 7.5), ("T8", "d", math.nan),
@@ -192,8 +232,24 @@ class TestEvaluateBound:
         assert (evaluate_bound(tid, BoundInputs(**dict(base, **{name: 3.0})))
                 == evaluate_bound(tid, BoundInputs(**dict(base, **{name: 3}))))
 
+    @pytest.mark.parametrize("tid,name", [("T3", "d"), ("T8", "n"), ("T3", "tau2"),
+                                          ("C9", "eps")])
+    def test_bools_are_not_numbers(self, tid, name):
+        base = dict(r=10.0, d=40, n=64, delta=0.05, tau=0.75, t=1.0, tau1=3.0,
+                    tau2=0.75, eta=2.0, eps=1.5)
+        with pytest.raises(ParameterError) as err:
+            evaluate_bound(tid, BoundInputs(**dict(base, **{name: True})))
+        assert str(err.value) == f"{tid}: {name}=True must be a number"
+
 
 class TestOptimizer:
+    def test_unknown_id_names_the_registry(self):
+        with pytest.raises(ParameterError) as opt_err:
+            optimize_free_params("X1", BoundInputs(), 0.01)
+        with pytest.raises(ParameterError) as eval_err:
+            evaluate_bound("X1", BoundInputs())
+        assert str(opt_err.value) == str(eval_err.value)
+
     def test_optimum_dominates_hand_picked_seed(self):
         inputs = BoundInputs(r=10, d=40, delta=0.05)
         seed = evaluate_bound("T3", BoundInputs(r=10, d=40, delta=0.05,
@@ -207,7 +263,7 @@ class TestOptimizer:
     def test_zero_target_infeasible(self):
         opt = optimize_free_params("T3", BoundInputs(r=10, d=40, delta=0.05), 0.0)
         assert not opt.feasible
-        assert opt.best_failure > 0.0
+        assert opt.evaluation.failure_probability > 0.0
 
     def test_deterministic(self):
         a = optimize_free_params("T8", BoundInputs(r=9.0, d=48, n=64,
@@ -220,7 +276,7 @@ class TestOptimizer:
         opt = optimize_free_params("T3", BoundInputs(r=30, d=5, delta=0.05),
                                    1e-12)
         assert not opt.feasible
-        assert opt.best_failure > 1e-12
+        assert opt.evaluation.failure_probability > 1e-12
 
 
 class TestMeasurementBudget:

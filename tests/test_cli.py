@@ -79,6 +79,51 @@ def test_bad_config_fields_exit_2_before_running(tmp_path, weak_config, capsys,
     assert not (tmp_path / "recover.csv").exists()
 
 
+@pytest.mark.parametrize("codec,message", [
+    ({"class": "sparse", "n": 8, "rho": 1.0, "delta": 0.2},
+     "sparse codec config lacks keys: ['k']"),
+    ({"class": "sparse", "n": 8, "k": 1, "rho": 1.0, "delta": None},
+     "delta=None must be a number"),
+])
+def test_recover_names_a_bad_codec_descriptor(tmp_path, weak_config, capsys,
+                                              codec, message):
+    cfg = json.loads(weak_config.read_text())
+    weak_config.write_text(json.dumps(dict(cfg, codec=codec)))
+    rc = main(["recover", "--config", str(weak_config), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "recover.csv").exists()
+
+
+@pytest.mark.parametrize("change,expected", [
+    (dict(theorem_id=None, bound_params={}),
+     "wrote {out} (3 trials; mean error 0.0572192, max 0.0996893)\n"),
+    (dict(d=3, trials=8, noise={"kind": "bounded", "zeta": 0.3}, theorem_id="T5",
+          bound_params={"tau1": 0.01, "tau2": 0.01}),
+     "wrote {out} (8 trials; mean error 0.245012, max 1.27295)\n"
+     "bound 0.550165 exceeded in 0.1250 of trials (bound failure prob 1)\n"),
+])
+def test_recover_summary_lines(tmp_path, weak_config, capsys, change, expected):
+    cfg = json.loads(weak_config.read_text())
+    weak_config.write_text(json.dumps(dict(cfg, **change)))
+    assert main(["recover", "--config", str(weak_config), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == expected.format(out=tmp_path / "recover.csv")
+
+
+def test_sweep_refuses_a_nan_axis_value_before_running(tmp_path, capsys):
+    cfg = {
+        "codec": {"class": "sparse", "n": 8, "k": 1, "rho": 1.0, "delta": 0.2},
+        "d": 5, "noise": {"kind": "gaussian", "sigma": 0.0},
+        "axis": {"name": "sigma", "values": [0.1, float("nan")]},
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: axis value nan must be a finite number\n"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_sweep_outputs(tmp_path):
     cfg = {
         "codec": {"class": "sparse", "n": 8, "k": 1, "rho": 1.0, "delta": 0.2},

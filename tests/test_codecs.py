@@ -532,3 +532,28 @@ class TestConfig:
                                "delta": 0.5, "bogus": 1})
         with pytest.raises(ValueError):
             codec_from_config({"class": "mystery"})
+
+    @pytest.mark.parametrize("desc,message", [
+        ({"class": "sparse", "n": 8, "rho": 1.0, "delta": 0.2},
+         "sparse codec config lacks keys: ['k']"),
+        ({"class": "sparse"}, "sparse codec config lacks keys: ['delta', 'k', 'n', 'rho']"),
+        ({"class": "grid", "rho": 1.0}, "grid codec config lacks keys: ['delta', 'n']"),
+        ({"class": "ppoly", "n": 64, "N": 1, "Q": 1},
+         "ppoly codec config lacks keys: ['delta', 'rho']"),
+    ])
+    def test_missing_keys_named(self, desc, message):
+        # a missing key was a KeyError, which the command line does not catch
+        with pytest.raises(ValueError) as err:
+            codec_from_config(desc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("delta", [None, "0.2", True])
+    @pytest.mark.parametrize("build", [
+        lambda delta: GridCodec(2, 1.0, delta),
+        lambda delta: SparseCodec(8, 1, 1.0, delta),
+        lambda delta: PiecewisePolyCodec(0, 0, 1.0, delta, grid=64),
+    ])
+    def test_delta_must_be_a_number(self, build, delta):
+        with pytest.raises(ValueError) as err:
+            build(delta)
+        assert str(err.value) == f"delta={delta!r} must be a number"

@@ -10,12 +10,13 @@ a deliberate decision; regenerate them with
 and record the reason for the change.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from csplab.bounds import THEOREM_IDS, BoundInputs, evaluate_bound
+from csplab.bounds import (THEOREM_IDS, BoundInputs, evaluate_bound,
+                           optimize_free_params)
 from csplab.codecs import PiecewisePolyCodec
 from csplab.harness import ExperimentConfig, records_to_csv, run_sweep, run_trials
 from csplab.svgplot import render_svg
@@ -127,6 +128,42 @@ def render_bounds() -> str:
     return "\n".join(rows) + "\n"
 
 
+# optimizer outcomes: every guarantee at the four targets, on inputs that
+# feed the corollary tau seed (eps set), put the small targets out of reach
+# (d=5), or leave no admissible grid point (no d, delta above 1/e)
+_OPT_BASE = BoundInputs(r=10.0, d=40, n=64, delta=0.05, sigma=0.01, zeta=0.05,
+                        eta=2.0)
+OPT_INPUTS = (dict(r=10.0), dict(r=20.0, d=24, delta=0.01, zeta=0.01, sigma=0.1, eps=1.5),
+              dict(r=30.0, d=5, n=16, eta=3.0), dict(d=None, delta=0.5, zeta=0.5))
+OPT_TARGETS = (0.0, 1e-12, 0.01, 0.5)
+
+
+def render_optimize() -> str:
+    """One row per (inputs, guarantee, target): feasible, the chosen values
+    that differ from the inputs, repr of error_bound and failure_raw; or the
+    class and message of the error raised."""
+    rows = ["inputs,theorem_id,target,outcome"]
+    for change in OPT_INPUTS:
+        inputs = replace(_OPT_BASE, **change)
+        label = ";".join(f"{k}={v!r}" for k, v in sorted(change.items()))
+        for tid in THEOREM_IDS:
+            for target in OPT_TARGETS:
+                try:
+                    opt = optimize_free_params(tid, inputs, target)
+                except ValueError as exc:
+                    outcome = f"{type(exc).__name__}: {exc}"
+                else:
+                    chosen = ";".join(
+                        f"{f.name}={getattr(opt.inputs, f.name)!r}"
+                        for f in fields(BoundInputs)
+                        if getattr(opt.inputs, f.name) != getattr(inputs, f.name))
+                    ev = opt.evaluation
+                    outcome = (f"{opt.feasible},{chosen},{ev.error_bound!r},"
+                               f"{ev.failure_raw!r}")
+                rows.append(f"{label},{tid},{target!r},{outcome}")
+    return "\n".join(rows) + "\n"
+
+
 # ppoly calibration outcomes, uncapped: every (N, Q, delta) at grid 4096
 # (Q = 0, and degree >= 1 with breakpoints, among them), plus coarser grids,
 # one of them too coarse for its breakpoint quantizer
@@ -164,6 +201,7 @@ def render_all() -> dict:
     out["sweep.svg"] = render_svg(sweep, title="golden sweep")
     out["bounds.csv"] = render_bounds()
     out["calibration.csv"] = render_calibration()
+    out["optimize.csv"] = render_optimize()
     return out
 
 
@@ -174,7 +212,7 @@ def rendered():
 
 @pytest.mark.parametrize("name", [f"{n}.csv" for n in CONFIGS]
                          + ["sweep.csv", "sweep.svg", "bounds.csv",
-                            "calibration.csv"])
+                            "calibration.csv", "optimize.csv"])
 def test_golden_bytes(rendered, name):
     assert rendered[name].encode() == (GOLDEN / name).read_bytes()
 

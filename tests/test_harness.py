@@ -155,6 +155,36 @@ class TestConfig:
         })
         assert cfg.threads == 1
 
+    @pytest.mark.parametrize("axis,message", [
+        ({"name": "sigma", "values": [0.1, math.nan]},
+         "axis value nan must be a finite number"),
+        ({"name": "d", "values": [4, math.inf]}, "axis value inf must be a finite number"),
+        ({"name": "d", "values": [True]}, "axis value True must be a finite number"),
+        ({"name": "delta", "values": ["0.1"]}, "axis value '0.1' must be a finite number"),
+        ({"name": "sigma", "values": [0.1, -0.1]}, "sigma=-0.1 must be finite and >= 0"),
+        ({"name": "zeta", "values": [-1]}, "zeta=-1.0 must be finite and >= 0"),
+    ])
+    def test_axis_values_checked_at_construction(self, axis, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            small_config(axis=axis, theorem_id=None, bound_params={})
+
+    @pytest.mark.parametrize("noise,name,expected", [
+        ({"kind": "bounded", "zeta": 0.1, "shape": "worst_aligned"}, "sigma",
+         {"kind": "gaussian", "sigma": 0.2}),
+        ({"kind": "bounded", "zeta": 0.1, "shape": "worst_aligned"}, "zeta",
+         {"kind": "bounded", "zeta": 0.2, "shape": "worst_aligned"}),
+        ({"kind": "gaussian", "sigma": 0.1}, "zeta",
+         {"kind": "bounded", "zeta": 0.2, "shape": "random_direction"}),
+    ])
+    def test_noise_point_blocks(self, noise, name, expected):
+        cfg = small_config(noise=noise, theorem_id=None, bound_params={},
+                           axis={"name": name, "values": [0.2]})
+        assert harness._point_config(cfg, 0.2).noise == expected
+
+    def test_bool_d_is_not_a_count(self):
+        with pytest.raises(ParameterError, match=r"^d=True must be an integer >= 1$"):
+            run_trial(small_config(d=True), 0)
+
     def test_block_size_is_not_a_config_key(self):
         with pytest.raises(ValueError, match=r"unknown config keys: \['block_size'\]"):
             ExperimentConfig.from_dict({**small_config().to_dict(), "block_size": 64})
