@@ -36,7 +36,7 @@ signals = derive_stream(MASTER_SEED, 0)
 errors = []
 for trial in range(20):
     ensemble = sample_ensemble(d, codec.n, derive_stream(MASTER_SEED, 100 + trial))
-    x = codec.sample_member(signals.generator)
+    x = codec.sample_member(signals)
     result = csp_recover(measure(ensemble, x), ensemble, codec, truth=x)
     errors.append(result.error_l2)
     print(f"{trial:5d}  {np.linalg.norm(x):.3f}  {result.error_l2:.6f}  "

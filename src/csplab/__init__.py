@@ -24,7 +24,7 @@ from .measurement import (MeasurementEnsemble, NoiseModel, WienerEnsemble,
                           sample_ensemble, sample_wiener_ensemble)
 from .piecewise import (PiecewisePolynomial, constant_function,
                         piecewise_constant)
-from .rng import RandomStream, derive_stream, gaussian_matrix, gaussian_vector
+from .rng import derive_stream, gaussian_matrix, gaussian_vector
 from .solver import (RecoveryResult, csp_recover, csp_recover_analog,
                      csp_recover_panel)
 from .svgplot import emit_svg, render_svg
@@ -36,9 +36,9 @@ __all__ = [
     "ExperimentConfig", "ExplicitCodec", "FiniteDimRate", "GridCodec",
     "IndistinguishablePair", "MeasurementEnsemble", "NoiseModel",
     "OptimizationResult", "ParameterError", "PiecewisePolyCodec",
-    "PiecewisePolynomial", "PolylogRate", "PowerlawRate", "RandomStream",
-    "RateDistortionPoint", "RecoveryResult", "SparseCodec", "SweepPoint",
-    "SweepResult", "TrialRecord", "WienerEnsemble",
+    "PiecewisePolynomial", "PolylogRate", "PowerlawRate", "RateDistortionPoint",
+    "RecoveryResult", "SparseCodec", "SweepPoint", "SweepResult", "TrialRecord",
+    "WienerEnsemble",
     "apply_noise", "build_panel", "chi2_tail", "codec_from_config",
     "constant_function", "construct_indistinguishable_pair", "csp_recover",
     "csp_recover_analog", "csp_recover_panel", "derive_stream", "emit_svg",

@@ -503,8 +503,10 @@ class IndistinguishablePair:
 def construct_indistinguishable_pair(A, k: int, stream=None) -> IndistinguishablePair:
     """Build two k-sparse vectors the measurement matrix cannot tell apart.
 
-    Requires d <= 2k-1 and d+1 <= n.  Takes d+1 columns of A (the first d+1,
-    then, on numerical degeneracy, other selections, 32 in all at most),
+    Requires d <= 2k-1 and d+1 <= n.  Takes d+1 columns of A (consecutive
+    runs first, then, on numerical degeneracy, selections drawn from `stream`
+    if given; 32 distinct selections in all at most, and never more than the
+    C(n, d+1) there are),
     finds a null-space combination of them, and splits its support into two
     disjoint halves of sizes ceil((d+1)/2) and floor((d+1)/2).  By
     construction A(x1 - x2) = 0 up to solver roundoff.
@@ -522,15 +524,14 @@ def construct_indistinguishable_pair(A, k: int, stream=None) -> Indistinguishabl
     tol = 1e-9 * max(fro, 1.0)
 
     selections = [tuple(range(i, i + d + 1)) for i in range(n - d)]
-    gen = stream.generator if stream is not None else None
 
     attempts = 0
     seen = set()
     while attempts < 32:
         if selections:
             cols = selections.pop(0)
-        elif gen is not None:
-            cols = tuple(sorted(gen.choice(n, size=d + 1, replace=False).tolist()))
+        elif stream is not None and len(seen) < math.comb(n, d + 1):
+            cols = tuple(sorted(stream.choice(n, size=d + 1, replace=False).tolist()))
         else:
             break
         if cols in seen:

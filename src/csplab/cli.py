@@ -34,11 +34,12 @@ from .svgplot import emit_svg
 _BOUND_FLAGS = [f.name for f in fields(BoundInputs)]
 
 
-def _add_common(p: argparse.ArgumentParser, config: bool = False):
+def _add_common(p: argparse.ArgumentParser, config: bool = False, seed: bool = True):
     if config:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--trials", type=int, default=None, help="trial count override")
-    p.add_argument("--seed", type=int, default=None, help="master seed override")
+    if seed:
+        p.add_argument("--seed", type=int, default=None, help="master seed override")
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -62,7 +63,8 @@ def _cmd_rd_profile(args) -> int:
         descriptor.update({"n": args.n or 4096, "N": args.N, "Q": args.Q})
     deltas = [float(v) for v in args.deltas.split(",")]
     points = rd_profile(descriptor, deltas, cap=args.cap)
-    lines = [f"# master_seed={args.seed or 0}", "delta,rate_bits,alpha_hat"]
+    # the profile draws nothing from a seed: its audits use a fixed stream
+    lines = ["# master_seed=0", "delta,rate_bits,alpha_hat"]
     for p in points:
         lines.append(f"{p.delta!r},{p.rate_bits!r},{p.alpha_hat!r}")
     out = Path(args.out) / "rd_profile.csv"
@@ -180,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ball radius, or amplitude bound for ppoly")
     p.add_argument("--deltas", required=True, help="comma-separated distortions")
     p.add_argument("--cap", type=int, default=None, help="codebook cap")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=_cmd_rd_profile)
 
     p = sub.add_parser("recover", help="Monte Carlo recovery trials")

@@ -84,7 +84,8 @@ def _real(name: str, value) -> float:
 
 def _positive(name: str, value) -> float:
     """value as a float, or ValueError unless it is finite and > 0."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
         raise ValueError(f"{name}={value!r} must be finite and > 0")
     return float(value)
 
@@ -590,8 +591,7 @@ class PiecewisePolyCodec(Codec):
             )
             probes.append(piecewise_constant(
                 breaks, [(-1.0) ** j * self.amp for j in range(self.n_breaks + 1)]))
-        gen = derive_stream(_CALIBRATION_SEED,
-                            self.degree * 1000 + self.n_breaks).generator
+        gen = derive_stream(_CALIBRATION_SEED, self.degree * 1000 + self.n_breaks)
         probes += [self.sample_member(gen) for _ in range(_AUDIT_SAMPLES)]
         return max(f.l2_distance(self.decode(self.encode(f))) for f in probes)
 

@@ -90,7 +90,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown signal_source {self.signal_source!r}")
         if self.d is None and self.eta is None:
             raise ValueError("set either d or the budget factor eta")
-        self.noise_model()  # validates the noise block
+        kind = self.noise_model().kind  # validates the noise block
         if self.axis is not None:
             extra = set(self.axis) - {"name", "values"}
             if extra:
@@ -105,11 +105,11 @@ class ExperimentConfig:
                     raise ValueError(f"axis value {value!r} must be a finite number")
                 _point_config(self, value)  # validates the point's noise block
         if self.theorem_id is not None:
-            allowed = compatible_theorems(self.regime, self.noise["kind"])
+            allowed = compatible_theorems(self.regime, kind)
             if self.theorem_id not in allowed:
                 raise ValueError(
                     f"theorem {self.theorem_id} incompatible with regime="
-                    f"{self.regime}, noise={self.noise['kind']}; "
+                    f"{self.regime}, noise={kind}; "
                     f"allowed: {allowed}"
                 )
         bad = set(self.bound_params) - {f.name for f in fields(BoundInputs)}
@@ -214,27 +214,13 @@ def _bound_for(config: ExperimentConfig, codec: Codec, d: int, n: int):
 
 def _draw_signal(config: ExperimentConfig, codec: Codec, stream):
     if config.signal_source == "codebook":
-        idx = int(stream.generator.integers(0, codec.size))
+        idx = int(stream.integers(0, codec.size))
         return codec.decode(idx), f"codeword[{idx}]"
-    return codec.sample_member(stream.generator), "class-sample"
+    return codec.sample_member(stream), "class-sample"
 
 
 def _quantization_residual(codec: Codec, x) -> np.ndarray:
     return np.asarray(x) - codec.decode(codec.encode(x))
-
-
-def _noisy(y, model: NoiseModel, stream, direction) -> np.ndarray:
-    """y plus the model's noise.  For worst_aligned noise, direction() gives
-    the measured quantization residual, the stress stand-in for noise
-    aligned against recovery; it is called for no other model."""
-    if model.kind == "bounded" and model.shape == "worst_aligned":
-        u = direction()
-        if float(np.linalg.norm(u)) > 1e-15:
-            return apply_noise(y, model, stream, context=u)
-        # the signal sits on a codeword: any direction is an admissible
-        # adversary, fall back to a random one
-        model = NoiseModel.bounded(model.zeta)
-    return apply_noise(y, model, stream)
 
 
 def build_panel(codec: Codec, size: int, stream) -> list:
@@ -270,7 +256,7 @@ def build_panel(codec: Codec, size: int, stream) -> list:
             members.append(stress)
             descs.append(f"cell-corner[{i}]")
     while len(members) < size:
-        members.append(codec.sample_member(stream.generator))
+        members.append(codec.sample_member(stream))
         descs.append("class-sample")
     return list(zip(members[:size], descs[:size]))
 
@@ -347,7 +333,9 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
         x, desc = _draw_signal(config, codec, _rng.derive_stream(seed, signal_seed))
         signals, descs = (x,), (desc,)
 
-    def aligned(i: int, y) -> np.ndarray:  # measured quantization residual
+    # worst_aligned noise points along the measured quantization residual,
+    # the stress stand-in for noise aligned against recovery
+    def aligned(i: int, y) -> np.ndarray:
         if analog:
             return y - measure_analog(ensemble, codec.decode(codec.encode(signals[i])))
         r = panel.residuals[i] if strong else _quantization_residual(codec, signals[i])
@@ -356,7 +344,8 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
     ys = []
     for i, x in enumerate(signals):
         y = measure_analog(ensemble, x) if analog else measure(ensemble, x)
-        ys.append(_noisy(y, model, noise_stream, functools.partial(aligned, i, y)))
+        ys.append(apply_noise(y, model, noise_stream,
+                              context=aligned(i, y) if model.worst_aligned else None))
     if strong:
         results = csp_recover_panel(np.asarray(ys), ensemble, codec,
                                     truths=panel.truths)

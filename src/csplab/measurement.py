@@ -3,8 +3,9 @@
 Finite-dimensional signals are measured with a d-by-n matrix of i.i.d.
 standard normals; functions on [0,1] are measured by stochastic integrals
 against d independent Wiener paths, realized as left-point sums on a uniform
-grid of m steps.  Both operators are sampled from RandomStreams and are fully
-reproducible from their recorded (master_seed, stream_id) provenance.
+grid of m steps.  Both operators are drawn from streams, numpy Generators
+keyed by (master_seed, stream_id), so each regenerates exactly from its key;
+a trial records the keys it used in its CSV row.
 """
 
 from __future__ import annotations
@@ -15,33 +16,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .piecewise import PiecewisePolynomial
-from .rng import RandomStream, derive_stream, gaussian_matrix, gaussian_vector
+from .rng import derive_stream, gaussian_matrix, gaussian_vector
 
 
 @dataclass
 class MeasurementEnsemble:
-    """A d-by-n Gaussian measurement matrix plus its seed provenance."""
+    """A d-by-n Gaussian measurement matrix."""
 
     d: int
     n: int
     matrix: np.ndarray
-    master_seed: int
-    stream_id: int
 
 
-def sample_ensemble(d: int, n: int, stream: RandomStream) -> MeasurementEnsemble:
+def sample_ensemble(d: int, n: int, stream: np.random.Generator) -> MeasurementEnsemble:
     """Draw a fresh d-by-n matrix of i.i.d. N(0,1) entries from the stream.
 
     Entries are generated in row-major order: A[i, j] is the (i*n + j)-th
-    normal variate drawn, so the matrix regenerates exactly from the seeds.
+    normal variate drawn, so the matrix regenerates exactly from the stream's key.
     """
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1; got d={d}, n={n}")
-    return MeasurementEnsemble(
-        d=int(d), n=int(n),
-        matrix=gaussian_matrix(stream, d, n),
-        master_seed=stream.master_seed, stream_id=stream.stream_id,
-    )
+    return MeasurementEnsemble(d=int(d), n=int(n), matrix=gaussian_matrix(stream, d, n))
 
 
 def measure(ensemble: MeasurementEnsemble, x) -> np.ndarray:
@@ -100,17 +95,10 @@ class NoiseModel:
         shape = block.pop("shape", "random_direction")
         return cls(kind, shape=shape, **{k: float(v) for k, v in block.items()})
 
-    @classmethod
-    def none(cls) -> "NoiseModel":
-        return cls(kind="none")
-
-    @classmethod
-    def bounded(cls, zeta: float, shape: str = "random_direction") -> "NoiseModel":
-        return cls(kind="bounded", zeta=float(zeta), shape=shape)
-
-    @classmethod
-    def gaussian(cls, sigma: float) -> "NoiseModel":
-        return cls(kind="gaussian", sigma=float(sigma))
+    @property
+    def worst_aligned(self) -> bool:
+        """Whether the noise direction comes from the caller's context."""
+        return self.kind == "bounded" and self.shape == "worst_aligned"
 
     @property
     def level(self) -> float:
@@ -122,37 +110,36 @@ class NoiseModel:
         return 0.0
 
 
-def apply_noise(y: np.ndarray, model: NoiseModel, stream: RandomStream | None = None,
+def apply_noise(y: np.ndarray, model: NoiseModel,
+                stream: np.random.Generator | None = None,
                 context: np.ndarray | None = None) -> np.ndarray:
     """Return the noisy measurement vector for the given model.
 
-    worst_aligned noise requires `context`, a nonzero direction in measurement
-    space (normalized here); random directions and gaussian noise draw from
-    `stream`.  Zero noise levels return the input unchanged.
+    worst_aligned noise requires `context`, a direction in measurement space
+    of y's shape (normalized here).  A context of norm <= 1e-15 (the signal
+    sits on a codeword, so any direction is an admissible adversary) falls
+    back to a random direction, as random_direction noise draws it: uniform
+    on the sphere, from `stream`.  Gaussian noise draws from `stream` too.
+    Zero noise levels return the input unchanged.
     """
     y = np.asarray(y, dtype=float)
     if model.level == 0.0:
         return y.copy()
-    if model.kind == "gaussian":
-        if stream is None:
-            raise ValueError("gaussian noise needs a RandomStream")
-        return y + model.sigma * gaussian_vector(stream, y.size)
-    # bounded
-    if model.shape == "worst_aligned":
-        if context is None:
-            raise ValueError("worst_aligned bounded noise needs a context direction")
+    if model.worst_aligned:
+        if context is None or np.shape(context) != y.shape:
+            raise ValueError("worst_aligned bounded noise needs a context of y's shape")
         u = np.asarray(context, dtype=float)
         nrm = float(np.linalg.norm(u))
-        if u.shape != y.shape or nrm == 0.0:
-            raise ValueError("worst_aligned context must be a nonzero vector of shape y")
-    else:
-        if stream is None:
-            raise ValueError("random_direction bounded noise needs a RandomStream")
+        if nrm > 1e-15:
+            return y + (model.zeta / nrm) * u
+    if stream is None:
+        raise ValueError(f"{model.kind} noise needs a random stream")
+    if model.kind == "gaussian":
+        return y + model.sigma * gaussian_vector(stream, y.size)
+    nrm = 0.0
+    while nrm == 0.0:  # a zero draw is essentially impossible; keeps the contract hard
         u = gaussian_vector(stream, y.size)
         nrm = float(np.linalg.norm(u))
-        while nrm == 0.0:  # essentially impossible; keeps the contract hard
-            u = gaussian_vector(stream, y.size)
-            nrm = float(np.linalg.norm(u))
     return y + (model.zeta / nrm) * u
 
 
@@ -160,16 +147,14 @@ def apply_noise(y: np.ndarray, model: NoiseModel, stream: RandomStream | None = 
 class WienerEnsemble:
     """d independent Wiener paths on a shared m-step grid.
 
-    increments[i, k] = W_i((k+1)/m) - W_i(k/m).  Path i is drawn from stream
-    id base_stream_id + i, so the ensemble regenerates from its seeds and the
-    paths are independent by construction.
+    increments[i, k] = W_i((k+1)/m) - W_i(k/m).  sample_wiener_ensemble
+    draws each path from its own stream, so the paths are independent by
+    construction.
     """
 
     d: int
     m: int
     increments: np.ndarray
-    master_seed: int
-    base_stream_id: int
 
     @property
     def times(self) -> np.ndarray:
@@ -192,9 +177,7 @@ def sample_wiener_ensemble(d: int, m: int, master_seed: int,
     for i in range(d):
         stream = derive_stream(master_seed, base_stream_id + i)
         inc[i] = gaussian_vector(stream, m) * scale
-    return WienerEnsemble(d=int(d), m=int(m), increments=inc,
-                          master_seed=int(master_seed),
-                          base_stream_id=int(base_stream_id))
+    return WienerEnsemble(d=int(d), m=int(m), increments=inc)
 
 
 def measure_analog(ensemble: WienerEnsemble, f) -> np.ndarray:

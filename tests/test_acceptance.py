@@ -197,7 +197,7 @@ def test_10_nearest_codeword_oracle():
             SparseCodec(6, 2, 1.0, 0.5),
             SparseCodec(12, 1, 4.0, 0.05),   # the criterion-2 instance
         ]
-        gen = derive_stream(110, 0).generator
+        gen = derive_stream(110, 0)
         for codec in codecs:
             assert codec.size <= 4096
             codebook = codec.materialize()

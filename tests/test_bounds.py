@@ -339,6 +339,26 @@ class TestIndistinguishablePair:
                 assert np.linalg.norm(pair.beta * pair.x1) == pytest.approx(1.0)
                 assert np.linalg.norm(pair.x1) >= np.linalg.norm(pair.x2)
 
+    @pytest.mark.parametrize("d,n", [(2, 3), (1, 3), (1, 4), (2, 5)])
+    def test_exhausted_selections_raise(self, d, n, monkeypatch):
+        # with every SVD failing, the search stops once all C(n, d+1) column
+        # selections have been tried instead of redrawing seen ones forever
+        stream = derive_stream(65, 0)
+
+        class Draws:
+            calls = 0
+
+            def choice(self, *args, **kwargs):
+                self.calls += 1
+                assert self.calls < 10_000, "redrawing seen selections"
+                return stream.choice(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a: (None, None, np.eye(a.shape[1])))
+        A = gaussian_matrix(derive_stream(65, 1), d, n)
+        with pytest.raises(ParameterError, match=f"found in {math.comb(n, d + 1)} "):
+            construct_indistinguishable_pair(A, d, stream=Draws())
+
     def test_precondition_errors(self):
         A = gaussian_matrix(derive_stream(63, 0), 4, 10)
         with pytest.raises(ParameterError):
@@ -353,7 +373,7 @@ class TestIndistinguishablePair:
         u = pair.beta * pair.x1
         v = pair.beta * pair.x2
         codec = ExplicitCodec(np.vstack([u, v, np.zeros(10)]))
-        ens = MeasurementEnsemble(3, 10, A, 64, 0)
+        ens = MeasurementEnsemble(3, 10, A)
         y = measure(ens, u)
         r_u = np.linalg.norm(y - A @ u)
         r_v = np.linalg.norm(y - A @ v)

@@ -25,6 +25,7 @@ def test_rd_profile(tmp_path, capsys):
     assert rc == 0
     text = (tmp_path / "rd_profile.csv").read_text()
     lines = text.strip().split("\n")
+    assert lines[0] == "# master_seed=0"
     assert lines[1] == "delta,rate_bits,alpha_hat"
     last = lines[-1].split(",")
     assert abs(float(last[2]) - 2.2257934452284527) < 1e-12
@@ -84,6 +85,8 @@ def test_bad_config_fields_exit_2_before_running(tmp_path, weak_config, capsys,
      "sparse codec config lacks keys: ['k']"),
     ({"class": "sparse", "n": 8, "k": 1, "rho": 1.0, "delta": None},
      "delta=None must be a number"),
+    ({"class": "sparse", "n": 8, "k": 1, "rho": True, "delta": 0.2},
+     "rho=True must be finite and > 0"),
 ])
 def test_recover_names_a_bad_codec_descriptor(tmp_path, weak_config, capsys,
                                               codec, message):
@@ -199,6 +202,15 @@ def test_analog_demo_defaults_to_50_trials(tmp_path):
                  "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "analog.csv").read_text().strip().split("\n")
     assert len(lines) == 2 + 50  # provenance + header + 50 trials
+
+
+def test_rd_profile_takes_no_seed(tmp_path, capsys):
+    # the profile draws nothing from a master seed, so none is offered
+    with pytest.raises(SystemExit) as exc:
+        main(["rd-profile", "--codec-class", "grid", "--n", "2", "--rho", "1",
+              "--deltas", "0.1", "--seed", "1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

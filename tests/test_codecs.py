@@ -58,7 +58,7 @@ class TestGridCodec:
 
     def test_encode_equals_brute_force(self):
         c = GridCodec(2, 1.0, 0.5)
-        gen = derive_stream(10, 0).generator
+        gen = derive_stream(10, 0)
         for _ in range(100):
             x = c.sample_member(gen)
             idx = c.encode(x)
@@ -67,7 +67,7 @@ class TestGridCodec:
 
     def test_covering_invariant(self):
         c = GridCodec(3, 1.0, 0.4)
-        gen = derive_stream(11, 0).generator
+        gen = derive_stream(11, 0)
         for _ in range(1000):
             x = c.sample_member(gen)
             err = np.linalg.norm(x - c.decode(c.encode(x)))
@@ -159,7 +159,7 @@ class TestSparseCodec:
 
     def test_covering_on_sampled_members(self):
         c = SparseCodec(6, 2, 1.0, 0.5)
-        gen = derive_stream(12, 0).generator
+        gen = derive_stream(12, 0)
         for _ in range(1000):
             x = c.sample_member(gen)
             err = np.linalg.norm(x - c.decode(c.encode(x)))
@@ -167,7 +167,7 @@ class TestSparseCodec:
 
     def test_exactly_sparse_encode_is_brute_force_nearest(self):
         c = SparseCodec(6, 2, 1.0, 0.5)  # |C| = 735 <= 4096
-        gen = derive_stream(13, 0).generator
+        gen = derive_stream(13, 0)
         for _ in range(100):
             x = c.sample_member(gen)
             assert np.count_nonzero(x) == c.k
@@ -230,7 +230,7 @@ class TestPiecewisePolyCodec:
 
     def test_q1_distortion_audit(self):
         c = PiecewisePolyCodec(0, 1, 1.0, 0.1)
-        gen = derive_stream(14, 0).generator
+        gen = derive_stream(14, 0)
         worst = 0.0
         for _ in range(200):
             f = c.sample_member(gen)
@@ -254,7 +254,7 @@ class TestPiecewisePolyCodec:
 
     def test_degree_one_round_trip(self):
         c = PiecewisePolyCodec(1, 0, 1.0, 0.2)
-        gen = derive_stream(15, 0).generator
+        gen = derive_stream(15, 0)
         for _ in range(50):
             f = c.sample_member(gen)
             err = f.l2_distance(c.decode(c.encode(f)))
@@ -331,7 +331,7 @@ class TestRoundTripProperties:
            seed=st.integers(0, 2**32 - 1))
     def test_class_samples_land_within_delta(self, name, seed):
         c = round_trip_codec(name)
-        member = c.sample_member(derive_stream(seed, 0).generator)
+        member = c.sample_member(derive_stream(seed, 0))
         got = c.decode(c.encode(member))
         if name in FINITE:
             err = float(np.linalg.norm(member - got))
@@ -510,6 +510,9 @@ class TestConfig:
         ({"class": "ppoly", "rho": math.nan}, "amp=nan must be finite and > 0"),
         ({"class": "grid", "n": 2, "cap": 2.5}, "cap=2.5 must be an integer >= 1"),
         ({"class": "ppoly", "cap": math.nan}, "cap=nan must be an integer >= 1"),
+        ({"class": "sparse", "n": 8, "k": 1, "rho": True},
+         "rho=True must be finite and > 0"),
+        ({"class": "ppoly", "rho": True}, "amp=True must be finite and > 0"),
     ])
     def test_bad_parameters_rejected(self, desc, message):
         # a fractional count must not be truncated (n=8.5 as n=8) or size

@@ -39,6 +39,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown noise keys"):
             small_config(noise={"kind": "gaussian", "zeta": 0.2})
 
+    def test_noise_block_may_leave_kind_out(self):
+        # the theorem check reads the parsed kind, which defaults to none
+        record = run_trial(small_config(noise={}, trials=1), 0)
+        assert record.noise_kind == "none" and record.within_bound is not None
+
     def test_unknown_bound_params_rejected(self):
         with pytest.raises(ValueError, match="bound_params"):
             small_config(bound_params={"tau9": 1.0})

@@ -20,8 +20,7 @@ def big_wiener_ensemble(seed, n_paths, m):
     streams, but cheap enough for 1e5-path law checks.
     """
     inc = gaussian_matrix(derive_stream(seed, 0), n_paths, m) * np.sqrt(1.0 / m)
-    return WienerEnsemble(d=n_paths, m=m, increments=inc,
-                          master_seed=seed, base_stream_id=0)
+    return WienerEnsemble(d=n_paths, m=m, increments=inc)
 
 
 class TestEnsemble:
@@ -33,7 +32,7 @@ class TestEnsemble:
 
     def test_seed_reproducibility(self):
         a = sample_ensemble(7, 11, derive_stream(21, 4))
-        b = sample_ensemble(7, 11, derive_stream(a.master_seed, a.stream_id))
+        b = sample_ensemble(7, 11, derive_stream(21, 4))
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_singular_value_tail_monte_carlo(self):
@@ -59,7 +58,7 @@ class TestMeasure:
 
     def test_linearity(self):
         ens = sample_ensemble(5, 8, derive_stream(23, 1))
-        gen = derive_stream(23, 2).generator
+        gen = derive_stream(23, 2)
         x1, x2 = gen.standard_normal(8), gen.standard_normal(8)
         lhs = measure(ens, x1 + x2)
         rhs = measure(ens, x1) + measure(ens, x2)
@@ -74,7 +73,7 @@ class TestMeasure:
         # ||Ax||^2 for unit x is chi-square with d dof; the deviation
         # frequencies must respect the Chernoff tail bounds
         d, trials, tau = 10, 2000, 0.8
-        gen = derive_stream(24, 0).generator
+        gen = derive_stream(24, 0)
         stream = derive_stream(24, 1)
         lows = highs = 0
         for _ in range(trials):
@@ -90,44 +89,58 @@ class TestMeasure:
             assert count / trials <= bound + 3 * sigma
 
 
+WORST_ALIGNED = NoiseModel("bounded", zeta=0.5, shape="worst_aligned")
+
+
 class TestNoise:
     def test_zero_levels_identity(self):
         y = np.arange(5.0)
         s = derive_stream(25, 0)
-        assert np.array_equal(apply_noise(y, NoiseModel.bounded(0.0), s), y)
-        assert np.array_equal(apply_noise(y, NoiseModel.gaussian(0.0), s), y)
-        assert np.array_equal(apply_noise(y, NoiseModel.none(), s), y)
+        assert np.array_equal(apply_noise(y, NoiseModel("bounded"), s), y)
+        assert np.array_equal(apply_noise(y, NoiseModel("gaussian"), s), y)
+        assert np.array_equal(apply_noise(y, NoiseModel(), s), y)
 
     def test_bounded_norm_exact(self):
         y = np.arange(6.0)
-        out = apply_noise(y, NoiseModel.bounded(0.3), derive_stream(25, 1))
+        out = apply_noise(y, NoiseModel("bounded", zeta=0.3), derive_stream(25, 1))
         assert np.linalg.norm(out - y) == pytest.approx(0.3)
 
     def test_bounded_norm_never_exceeds_zeta(self):
         s = derive_stream(25, 2)
-        gen = derive_stream(25, 3).generator
+        gen = derive_stream(25, 3)
         for _ in range(200):
             zeta = float(gen.uniform(0, 2))
             y = gen.standard_normal(int(gen.integers(1, 12)))
-            out = apply_noise(y, NoiseModel.bounded(zeta), s)
+            out = apply_noise(y, NoiseModel("bounded", zeta=zeta), s)
             assert np.linalg.norm(out - y) <= zeta * (1 + 1e-12)
 
     def test_worst_aligned_uses_context(self):
         y = np.zeros(4)
         ctx = np.array([0.0, 2.0, 0.0, 0.0])
-        out = apply_noise(y, NoiseModel.bounded(0.5, "worst_aligned"),
-                          context=ctx)
+        out = apply_noise(y, WORST_ALIGNED, context=ctx)
         assert np.allclose(out, [0.0, 0.5, 0.0, 0.0])
 
     def test_worst_aligned_requires_context(self):
         with pytest.raises(ValueError):
-            apply_noise(np.zeros(3), NoiseModel.bounded(0.5, "worst_aligned"),
-                        derive_stream(25, 4))
+            apply_noise(np.zeros(3), WORST_ALIGNED, derive_stream(25, 4))
+        with pytest.raises(ValueError, match="context of y's shape"):
+            apply_noise(np.zeros(3), WORST_ALIGNED, derive_stream(25, 4),
+                        context=np.ones(4))
+
+    @pytest.mark.parametrize("ctx", [[0.0, 0.0, 0.0], [3e-16, 0.0, -4e-16],
+                                     [1e-15, 0.0, 0.0]])
+    def test_degenerate_context_draws_random_direction(self, ctx):
+        # a context of norm <= 1e-15 (the signal on a codeword) carries no
+        # direction: the noise takes the random direction the stream gives
+        y = np.array([1.0, -2.0, 0.5])
+        out = apply_noise(y, WORST_ALIGNED, derive_stream(5, 7), context=np.array(ctx))
+        want = apply_noise(y, NoiseModel("bounded", zeta=0.5), derive_stream(5, 7))
+        assert np.array_equal(out, want)
 
     def test_gaussian_norm_concentrates(self):
         d, sigma = 10_000, 2.0
         y = np.zeros(d)
-        out = apply_noise(y, NoiseModel.gaussian(sigma), derive_stream(25, 5))
+        out = apply_noise(y, NoiseModel("gaussian", sigma=sigma), derive_stream(25, 5))
         ratio = np.linalg.norm(out) ** 2 / (d * sigma**2)
         assert 0.95 <= ratio <= 1.05
 
@@ -135,9 +148,9 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseModel(kind="sparkle")
         with pytest.raises(ValueError):
-            NoiseModel.bounded(-1.0)
+            NoiseModel("bounded", zeta=-1.0)
         with pytest.raises(ValueError):
-            NoiseModel.bounded(1.0, shape="adversarialish")
+            NoiseModel("bounded", zeta=1.0, shape="adversarialish")
 
     @pytest.mark.parametrize("block", [
         {"kind": "gaussian", "sigma": math.nan}, {"kind": "bounded", "zeta": math.inf},
@@ -149,16 +162,45 @@ class TestNoise:
             NoiseModel.from_dict(block)
 
     def test_from_dict(self):
-        assert NoiseModel.from_dict({}) == NoiseModel.none()
+        assert NoiseModel.from_dict({}) == NoiseModel("none")
         assert NoiseModel.from_dict({"kind": "gaussian", "sigma": 1}) == (
-            NoiseModel.gaussian(1.0))
+            NoiseModel("gaussian", sigma=1.0))
         assert NoiseModel.from_dict(
             {"kind": "bounded", "zeta": 0.5, "shape": "worst_aligned"}
-        ) == NoiseModel.bounded(0.5, "worst_aligned")
+        ) == WORST_ALIGNED
         with pytest.raises(ValueError, match="unknown noise kind 'sparkle'"):
             NoiseModel.from_dict({"kind": "sparkle"})
         with pytest.raises(ValueError, match=r"unknown noise keys: \['sigma'\]"):
             NoiseModel.from_dict({"kind": "bounded", "sigma": 0.1})
+
+
+def test_stream_consumers_pinned():
+    # regression pin: the draws each consumer takes from a derived stream
+    matrix = sample_ensemble(3, 4, derive_stream(5, 6)).matrix
+    assert np.array_equal(matrix, [
+        [-0.4400689845577337, -1.4565624158097992, 0.8660584809386636, -1.2014083445635693],
+        [-0.6040783227565546, 0.8549952721195815, -0.0818125119930104, 0.056496955469931026],
+        [-1.6566714241033773, -0.10839937031646193, 1.065034976863104, 0.10446696450442014],
+    ])
+    increments = sample_wiener_ensemble(2, 8, 5, 16).increments
+    assert np.array_equal(increments, [
+        [0.10654633487734821, 0.6443951531466067, -0.23525818322041575,
+         -0.3066755531107093, -0.40630373657100216, -0.7200930437416766,
+         0.0042760341609238495, 0.06391139985555314],
+        [0.08157079304995273, 0.4380294909026943, 0.23093892290339668,
+         -0.28210214596786803, 0.09087986790503123, -0.58643618113504,
+         0.31428816771163964, 0.449991768679031],
+    ])
+    y = np.array([1.0, -2.0, 0.5])
+    gaussian = apply_noise(y, NoiseModel("gaussian", sigma=0.25), derive_stream(5, 7))
+    assert np.array_equal(gaussian, [0.7711415491386575, -1.6758909543207074,
+                                     0.5255149995353678])
+    random_dir = apply_noise(y, NoiseModel("bounded", zeta=0.5), derive_stream(5, 7))
+    assert np.array_equal(random_dir, [0.7121893219820143, -1.592402885549392,
+                                       0.5320874727949285])
+    aligned = apply_noise(y, NoiseModel("bounded", zeta=0.5, shape="worst_aligned"),
+                          derive_stream(5, 7), context=np.array([0.6, 0.0, -0.8]))
+    assert np.array_equal(aligned, [1.3, -2.0, 0.09999999999999998])
 
 
 class TestAnalogMeasurement:

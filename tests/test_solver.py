@@ -44,7 +44,7 @@ class TestExactCases:
     def test_codeword_measurement_recovers_exactly(self):
         codec = SparseCodec(8, 2, 1.0, 0.4)
         ens = sample_ensemble(5, 8, derive_stream(40, 0))
-        gen = derive_stream(40, 1).generator
+        gen = derive_stream(40, 1)
         for _ in range(10):
             idx = int(gen.integers(0, codec.size))
             x = codec.decode(idx)
@@ -76,13 +76,13 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("make_codec", [
         lambda: GridCodec(2, 1.0, 0.5),
         lambda: SparseCodec(6, 2, 1.0, 0.5),
-        lambda: ExplicitCodec(derive_stream(43, 9).generator.standard_normal((301, 5))),
+        lambda: ExplicitCodec(derive_stream(43, 9).standard_normal((301, 5))),
     ])
     def test_matches_naive_full_scan(self, make_codec):
         codec = make_codec()
         assert codec.size <= 4096
         n = codec.n
-        gen = derive_stream(43, 1).generator
+        gen = derive_stream(43, 1)
         for i in range(5):
             ens = sample_ensemble(4, n, derive_stream(43, 100 + i))
             y = gen.standard_normal(4)
@@ -94,7 +94,7 @@ class TestOracleEquivalence:
     def test_block_size_does_not_change_result(self):
         codec = SparseCodec(6, 2, 1.0, 0.5)
         ens = sample_ensemble(4, 6, derive_stream(44, 0))
-        y = derive_stream(44, 1).generator.standard_normal(4)
+        y = derive_stream(44, 1).standard_normal(4)
         base = csp_recover(y, ens, codec)
         for bs in (1, 7, 64, 733):
             with scan_block(bs):
@@ -108,7 +108,7 @@ class TestEncoderDominance:
         # the pivotal inequality: the scan minimum is at most the residual of
         # the truth's own encoding
         codec = GridCodec(4, 1.0, 0.6)
-        gen = derive_stream(47, 0).generator
+        gen = derive_stream(47, 0)
         for i in range(25):
             ens = sample_ensemble(3, 4, derive_stream(47, 10 + i))
             x = codec.sample_member(gen)
@@ -127,7 +127,7 @@ class TestWeakRegimeStatistics:
         assert d == 8
         bound = 4 * codec.delta
         trials, hits = 500, 0
-        gen_signals = derive_stream(48, 0).generator
+        gen_signals = derive_stream(48, 0)
         for i in range(trials):
             ens = sample_ensemble(d, 12, derive_stream(48, 100 + i))
             x = codec.sample_member(gen_signals)
@@ -140,7 +140,7 @@ class TestPanel:
     def test_panel_matches_individual_recovery(self):
         codec = SparseCodec(8, 1, 1.0, 0.3)
         ens = sample_ensemble(5, 8, derive_stream(49, 0))
-        gen = derive_stream(49, 1).generator
+        gen = derive_stream(49, 1)
         xs = np.array([codec.sample_member(gen) for _ in range(7)])
         ys = np.array([measure(ens, x) for x in xs])
         panel = csp_recover_panel(ys, ens, codec, truths=xs)
@@ -176,7 +176,7 @@ class TestAnalog:
         # 16 breakpoint groups: the chosen index must be global, not group-local;
         # codewords equal as functions tie, so compare residuals, not indices
         codec = ppoly_codec(0, 1, 0.5, 64)
-        gen = derive_stream(56, 1).generator
+        gen = derive_stream(56, 1)
         for seed in range(4):
             ens = sample_wiener_ensemble(3, codec.grid, seed, 0)
             y = measure_analog(ens, codec.decode(int(gen.integers(0, codec.size))))
@@ -354,7 +354,7 @@ class TestAnalogGroupOperator:
         monkeypatch.setattr(codec, "coef_block", counting)
         ens = sample_wiener_ensemble(6, 256, 61, 0)
         f = codec.decode(codec.size // 3 + 17)
-        y = measure_analog(ens, f) + 0.05 * derive_stream(61, 1).generator.standard_normal(6)
+        y = measure_analog(ens, f) + 0.05 * derive_stream(61, 1).standard_normal(6)
         base = csp_recover_analog(y, ens, codec)
         assert base.residual > 0
         assert counts == [256]  # one coefficient grid for all 128 groups
@@ -412,7 +412,7 @@ def scan_codec(name):
     if name == "sparse":
         return SparseCodec(6, 2, 1.0, 0.5)
     if name == "explicit":
-        return ExplicitCodec(np.tile(derive_stream(62, 0).generator.standard_normal((25, 3)),
+        return ExplicitCodec(np.tile(derive_stream(62, 0).standard_normal((25, 3)),
                                      (2, 1)))
     if name == "ppoly16":
         return ppoly_codec(0, 1, 0.5, 64)   # 16 groups of 16 coefficient rows
@@ -421,7 +421,7 @@ def scan_codec(name):
 
 def recover_all(front, codec, seed, noise):
     """Recover three codewords (plus noise) with one solver front end."""
-    gen = derive_stream(seed, 1).generator
+    gen = derive_stream(seed, 1)
     picks = [int(i) for i in gen.integers(0, codec.size, size=3)]
     if front == "analog":
         ens = sample_wiener_ensemble(3, codec.grid, seed, 0)
