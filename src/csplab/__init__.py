@@ -17,8 +17,8 @@ from .codecs import (CapacityError, Codec, DomainError, ExplicitCodec,
                      SparseCodec, codec_from_config, entropy_lower_bound,
                      rd_profile)
 from .harness import (ExperimentConfig, SweepPoint, SweepResult, TrialRecord,
-                      build_panel, records_to_csv, run_sweep, run_trial,
-                      run_trials, write_csv)
+                      build_panel, provenance_text, records_to_csv, run_sweep,
+                      run_trial, run_trials)
 from .measurement import (MeasurementEnsemble, NoiseModel, WienerEnsemble,
                           apply_noise, measure, measure_analog,
                           sample_ensemble, sample_wiener_ensemble)
@@ -27,7 +27,7 @@ from .piecewise import (PiecewisePolynomial, constant_function,
 from .rng import derive_stream, gaussian_matrix, gaussian_vector
 from .solver import (RecoveryResult, csp_recover, csp_recover_analog,
                      csp_recover_panel)
-from .svgplot import emit_svg, render_svg
+from .svgplot import render_svg
 
 __version__ = "0.1.0"
 
@@ -41,11 +41,11 @@ __all__ = [
     "WienerEnsemble",
     "apply_noise", "build_panel", "chi2_tail", "codec_from_config",
     "constant_function", "construct_indistinguishable_pair", "csp_recover",
-    "csp_recover_analog", "csp_recover_panel", "derive_stream", "emit_svg",
+    "csp_recover_analog", "csp_recover_panel", "derive_stream",
     "entropy_lower_bound", "evaluate_bound", "gaussian_matrix",
     "gaussian_vector", "measure", "measure_analog", "measurement_budget",
-    "optimize_free_params", "piecewise_constant", "rd_profile",
-    "records_to_csv", "render_svg", "run_sweep", "run_trial", "run_trials",
-    "sample_ensemble", "sample_wiener_ensemble", "singular_value_tail",
-    "write_csv",
+    "optimize_free_params", "piecewise_constant", "provenance_text",
+    "rd_profile", "records_to_csv", "render_svg", "run_sweep", "run_trial",
+    "run_trials", "sample_ensemble", "sample_wiener_ensemble",
+    "singular_value_tail",
 ]

@@ -8,8 +8,9 @@ Subcommands:
   pair         build a sparse pair the measurement matrix cannot separate
   analog-demo  end-to-end function recovery from Wiener-integral measurements
 
-Every output file starts with a '# master_seed=...' provenance line; runs
-with the same config and seed reproduce outputs byte for byte.
+Every CSV file starts with a '# master_seed=...' provenance line, and every
+output file has LF line endings; runs with the same config and seed
+reproduce outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ import numpy as np
 from .bounds import (BoundInputs, construct_indistinguishable_pair,
                      evaluate_bound)
 from .codecs import rd_profile
-from .harness import ExperimentConfig, SweepPoint, run_sweep, run_trials, write_csv
+from .harness import (ExperimentConfig, SweepPoint, provenance_text,
+                      records_to_csv, run_sweep, run_trials)
 from .measurement import sample_ensemble
 from .rng import derive_stream
-from .svgplot import emit_svg
+from .svgplot import render_svg
 
 _BOUND_FLAGS = [f.name for f in fields(BoundInputs)]
 
@@ -53,6 +55,14 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+def _write(args, name: str, text: str) -> Path:
+    """Write one output file into --out with LF line endings on every platform."""
+    path = Path(args.out) / name
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+    return path
+
+
 def _cmd_rd_profile(args) -> int:
     descriptor = {"class": args.codec_class, "rho": args.rho}
     if args.codec_class in ("grid", "sparse"):
@@ -63,21 +73,19 @@ def _cmd_rd_profile(args) -> int:
         descriptor.update({"n": args.n or 4096, "N": args.N, "Q": args.Q})
     deltas = [float(v) for v in args.deltas.split(",")]
     points = rd_profile(descriptor, deltas, cap=args.cap)
+    rows = [f"{p.delta!r},{p.rate_bits!r},{p.alpha_hat!r}" for p in points]
     # the profile draws nothing from a seed: its audits use a fixed stream
-    lines = ["# master_seed=0", "delta,rate_bits,alpha_hat"]
-    for p in points:
-        lines.append(f"{p.delta!r},{p.rate_bits!r},{p.alpha_hat!r}")
-    out = Path(args.out) / "rd_profile.csv"
-    out.write_text("\n".join(lines) + "\n")
+    out = _write(args, "rd_profile.csv",
+                 provenance_text(0, ["delta,rate_bits,alpha_hat", *rows]))
     print(f"wrote {out} ({len(points)} points)")
     return 0
 
 
-def _cmd_recover(args) -> int:
-    config = _load_config(args)
+def _recover(args, config: ExperimentConfig, name: str) -> int:
+    """Run the config's trials, write them to the CSV file `name` and print
+    their summary: mean and max error and, with a bound, how often it failed."""
     records = run_trials(config)
-    out = Path(args.out) / "recover.csv"
-    write_csv(records, config.master_seed, out)
+    out = _write(args, name, records_to_csv(records, config.master_seed))
     point = SweepPoint.of(records)
     print(f"wrote {out} ({len(records)} trials; mean error {point.mean_error:.6g}, "
           f"max {point.max_error:.6g})")
@@ -88,15 +96,16 @@ def _cmd_recover(args) -> int:
     return 0
 
 
+def _cmd_recover(args) -> int:
+    return _recover(args, _load_config(args), "recover.csv")
+
+
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
     sweep = run_sweep(config)
-    out_csv = Path(args.out) / "sweep.csv"
-    write_csv(sweep.records, config.master_seed, out_csv)
-    out_svg = Path(args.out) / "sweep.svg"
-    emit_svg(sweep, out_svg, log_y=args.log_scale,
-             title=f"{config.regime} sweep over {sweep.axis_name}")
-    print(f"wrote {out_csv} ({len(sweep.records)} rows) and {out_svg}")
+    out = _write(args, "sweep.csv", records_to_csv(sweep.records, config.master_seed))
+    # the points come first, so a sweep with nothing to chart still names why
+    print(f"wrote {out} ({len(sweep.records)} rows)")
     for p in sweep.points:
         if math.isnan(p.mean_error):
             print(f"  {sweep.axis_name}={p.axis_value:g}: unavailable ({p.reason})")
@@ -104,6 +113,9 @@ def _cmd_sweep(args) -> int:
             extra = "" if p.exceed_rate is None else f", exceed {p.exceed_rate:.4f}"
             print(f"  {sweep.axis_name}={p.axis_value:g}: mean "
                   f"{p.mean_error:.6g}, max {p.max_error:.6g}{extra}")
+    svg = render_svg(sweep, log_y=args.log_scale,
+                     title=f"{config.regime} sweep over {sweep.axis_name}")
+    print(f"wrote {_write(args, 'sweep.svg', svg)}")
     return 0
 
 
@@ -129,15 +141,13 @@ def _cmd_pair(args) -> int:
                                             stream=derive_stream(seed, 1))
     gap = float(np.linalg.norm(ensemble.matrix @ (pair.x1 - pair.x2)))
     lines = [
-        f"# master_seed={seed}",
         f"beta,{pair.beta!r}",
         f"columns,{';'.join(map(str, pair.columns))}",
         f"measurement_gap,{gap!r}",
         "x1," + ";".join(repr(float(v)) for v in pair.x1),
         "x2," + ";".join(repr(float(v)) for v in pair.x2),
     ]
-    out = Path(args.out) / "pair.csv"
-    out.write_text("\n".join(lines) + "\n")
+    out = _write(args, "pair.csv", provenance_text(seed, lines))
     print(f"wrote {out}; ||A(x1-x2)||_2 = {gap:.3e}, beta = {pair.beta:.6g}")
     return 0
 
@@ -151,16 +161,7 @@ def _cmd_analog_demo(args) -> int:
         master_seed=args.seed or 0,
         theorem_id="T3", bound_params={"tau1": 3.0, "tau2": 0.75},
     )
-    records = run_trials(config)
-    out = Path(args.out) / "analog.csv"
-    write_csv(records, config.master_seed, out)
-    errs = np.array([r.error_l2 for r in records])
-    within = float(np.mean([r.within_bound for r in records]))
-    print(f"wrote {out}: constants codec delta={args.delta}, d={args.d}, "
-          f"{len(records)} trials")
-    print(f"mean L2 error {errs.mean():.6g}, max {errs.max():.6g}, "
-          f"within bound {within:.4f}")
-    return 0
+    return _recover(args, config, "analog.csv")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Monte Carlo experiment runner: trials, sweeps, CSV emission.
+"""Monte Carlo experiment runner: trials, sweeps, CSV text.
 
 A run is fully determined by its JSON config plus the master seed.  Per-trial
 randomness comes from streams derived as (master_seed, packed id) where the
@@ -18,7 +18,6 @@ Regimes:
 from __future__ import annotations
 
 import functools
-import io
 import math
 import numbers
 from dataclasses import dataclass, field, fields, replace
@@ -181,7 +180,6 @@ class SweepResult:
     axis_name: str
     points: list
     records: list
-    master_seed: int
 
 
 def _resolve_d(config: ExperimentConfig, codec: Codec) -> int:
@@ -426,8 +424,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             continue
         points.append(SweepPoint.of(recs))
         records.extend(recs)
-    return SweepResult(axis_name=axis_name, points=points, records=records,
-                       master_seed=config.master_seed)
+    return SweepResult(axis_name=axis_name, points=points, records=records)
 
 
 # every TrialRecord field but the free-text signal_desc, in field order
@@ -445,20 +442,16 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def provenance_text(master_seed: int, lines) -> str:
+    """The '# master_seed=...' provenance line, then the given lines, each
+    ended by LF: the text of every CSV file the lab writes."""
+    return "".join(f"{line}\n" for line in (f"# master_seed={master_seed}", *lines))
+
+
 def records_to_csv(records, master_seed: int) -> str:
-    """Render trial records as CSV text: a '# master_seed=...' provenance
-    line, the mandatory header row, then one row per record.  '.' decimals,
-    LF line endings, shortest round-trip float format, hence byte-identical
-    for identical records."""
-    buf = io.StringIO()
-    buf.write(f"# master_seed={master_seed}\n")
-    buf.write(",".join(CSV_COLUMNS) + "\n")
-    for r in records:
-        row = [_csv_cell(getattr(r, c)) for c in CSV_COLUMNS]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
-
-
-def write_csv(records, master_seed: int, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(records_to_csv(records, master_seed))
+    """Render trial records as CSV text: the provenance line, the mandatory
+    header row, then one row per record.  '.' decimals, LF line endings,
+    shortest round-trip float format, hence byte-identical for identical
+    records."""
+    rows = (",".join(_csv_cell(getattr(r, c)) for c in CSV_COLUMNS) for r in records)
+    return provenance_text(master_seed, (",".join(CSV_COLUMNS), *rows))

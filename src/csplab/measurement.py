@@ -97,8 +97,9 @@ class NoiseModel:
 
     @property
     def worst_aligned(self) -> bool:
-        """Whether the noise direction comes from the caller's context."""
-        return self.kind == "bounded" and self.shape == "worst_aligned"
+        """Whether the noise direction comes from the caller's context: a
+        worst_aligned shape with zeta > 0 (zero noise needs no direction)."""
+        return self.kind == "bounded" and self.shape == "worst_aligned" and self.zeta > 0
 
     @property
     def level(self) -> float:

@@ -63,7 +63,6 @@ def _check(ys: np.ndarray, ensemble, codec, analog: bool = False) -> None:
     elif getattr(codec, "n", None) != ensemble.n:
         raise ValueError(
             f"codec dimension {getattr(codec, 'n', None)} != ensemble n={ensemble.n}")
-    codec._check_cap("csp scan")
 
 
 def _scan(groups, coefs, kernel, p: int):

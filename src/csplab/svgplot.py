@@ -7,6 +7,7 @@ library-version drift).
 
 from __future__ import annotations
 
+import html
 import math
 
 _WIDTH, _HEIGHT = 640, 420
@@ -22,10 +23,10 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
-    return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+    return [lo + i * (hi - lo) / 4 for i in range(5)]
 
 
 def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
@@ -37,13 +38,14 @@ def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
         raise ValueError("sweep has no plottable points")
     xs = [p.axis_value for p in points]
 
+    def ty(v: float) -> float:
+        return math.log10(v) if log_y else v
+
     series = []
     for attr, color, label in _SERIES:
         vals = [getattr(p, attr) for p in points]
-        if all(v is None for v in vals):
-            continue
         pairs = [
-            (x, float(v)) for x, v in zip(xs, vals)
+            (x, ty(float(v))) for x, v in zip(xs, vals)
             if v is not None and not math.isnan(float(v))
             and (not log_y or float(v) > 0)
         ]
@@ -52,10 +54,7 @@ def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
     if not series:
         raise ValueError("nothing to plot (log scale dropped every value)")
 
-    def ty(v: float) -> float:
-        return math.log10(v) if log_y else v
-
-    all_y = [ty(v) for _, _, pairs in series for _, v in pairs]
+    all_y = [v for _, _, pairs in series for _, v in pairs]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
@@ -69,7 +68,7 @@ def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
         return _ML + (x - x_lo) / (x_hi - x_lo) * pw
 
     def py(v: float) -> float:
-        return _MT + (y_hi - ty(v)) / (y_hi - y_lo) * ph
+        return _MT + (y_hi - v) / (y_hi - y_lo) * ph
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -81,7 +80,7 @@ def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
     if title:
         out.append(
             f'<text x="{_WIDTH // 2}" y="{_MT - 12}" text-anchor="middle" '
-            f'font-family="monospace" font-size="13">{title}</text>'
+            f'font-family="monospace" font-size="13">{html.escape(title, quote=False)}</text>'
         )
     for x in _ticks(x_lo, x_hi):
         X = _fmt(px(x))
@@ -94,7 +93,7 @@ def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
             f'font-family="monospace" font-size="11">{_fmt(x)}</text>'
         )
     for yv in _ticks(y_lo, y_hi):
-        Y = _fmt(_MT + (y_hi - yv) / (y_hi - y_lo) * ph)
+        Y = _fmt(py(yv))
         label = _fmt(10.0**yv) if log_y else _fmt(yv)
         out.append(
             f'<line x1="{_ML - 5}" y1="{Y}" x2="{_ML}" y2="{Y}" stroke="#333333"/>'
@@ -132,9 +131,3 @@ def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
-
-def emit_svg(sweep, path, log_y: bool = False, title: str | None = None) -> None:
-    """Write the sweep chart; byte-deterministic for identical input."""
-    text = render_svg(sweep, log_y=log_y, title=title)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)

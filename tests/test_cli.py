@@ -1,5 +1,6 @@
 """Command-line interface: outputs, overrides, determinism, error paths."""
 
+import hashlib
 import json
 
 import pytest
@@ -145,6 +146,33 @@ def test_sweep_outputs(tmp_path):
     assert (tmp_path / "sweep.svg").read_bytes() == svg_a
 
 
+@pytest.mark.parametrize("change,argv,message,lines", [
+    # every point's codebook is over the cap
+    (dict(axis={"name": "delta", "values": [1e-9, 2e-9]}), [],
+     "sweep has no plottable points",
+     ["wrote {csv} (0 rows)", "  delta=1e-09: unavailable (CapacityError: ",
+      "  delta=2e-09: unavailable (CapacityError: "]),
+    # noiseless codeword signals recover exactly: a log scale drops every 0
+    (dict(signal_source="codebook", theorem_id=None, bound_params={},
+          axis={"name": "d", "values": [3, 5]}), ["--log-scale"],
+     "nothing to plot (log scale dropped every value)",
+     ["wrote {csv} (4 rows)", "  d=3: mean 0, max 0", "  d=5: mean 0, max 0"]),
+], ids=["all-unavailable", "log-scale-all-zero"])
+def test_sweep_prints_its_points_before_the_chart(tmp_path, weak_config, capsys,
+                                                  change, argv, message, lines):
+    cfg = json.loads(weak_config.read_text())
+    weak_config.write_text(json.dumps(dict(cfg, trials=2, **change)))
+    rc = main(["sweep", "--config", str(weak_config), "--out", str(tmp_path), *argv])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    out = captured.out.splitlines()
+    assert len(out) == len(lines)
+    for got, want in zip(out, lines):
+        assert got.startswith(want.format(csv=tmp_path / "sweep.csv"))
+    assert not (tmp_path / "sweep.svg").exists()
+
+
 def test_bounds_table(capsys):
     rc = main(["bounds", "--theorem", "T3", "--theorem", "T5",
                "--r", "10", "--d", "40", "--delta", "0.05", "--zeta", "0.05",
@@ -178,7 +206,11 @@ def test_analog_demo(tmp_path, capsys):
                "--trials", "5", "--seed", "2", "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "analog.csv").exists()
-    assert "within bound" in capsys.readouterr().out
+    # the same summary lines as recover
+    assert capsys.readouterr().out == (
+        f"wrote {tmp_path / 'analog.csv'} (5 trials; mean error 0.0281441, "
+        "max 0.0415139)\n"
+        "bound 0.4 exceeded in 0.0000 of trials (bound failure prob 1)\n")
 
 
 def test_bad_config_reports_error(tmp_path, capsys):
@@ -236,3 +268,63 @@ def test_rd_profile_missing_count_exits_2(tmp_path, capsys, argv, message):
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "rd_profile.csv").exists()
+
+
+# Every file the CLI writes, pinned byte for byte: a literal where it is short,
+# its sha256 otherwise.  The rd-profile ppoly cap admits the delta=0.5 codebook
+# (2^16 codewords) and refuses the delta=0.2 one, which becomes a nan row.
+_RD_GRID = ("# master_seed=0\n"
+            "delta,rate_bits,alpha_hat\n"
+            "0.1,9.90839262077375,2.9827233876685453\n"
+            "0.0001,29.575703116482128,2.2257934452284527\n")
+_RD_PPOLY = ("# master_seed=0\n"
+             "delta,rate_bits,alpha_hat\n"
+             "0.5,16.0,16.0\n"
+             "0.2,nan,nan\n")
+_PAIR = ("# master_seed=4\n"
+         "beta,1.1126990024819428\n"
+         "columns,0;1;2;3\n"
+         "measurement_gap,3.477763656540197e-16\n"
+         "x1,-0.4530917855409484;-0.7761427972264976;0.0;0.0;0.0;0.0;0.0;0.0;0.0;0.0\n"
+         "x2,0.0;0.0;0.3811254256315165;-0.2169184227444462;0.0;0.0;0.0;0.0;0.0;0.0\n")
+_SWEEP_CSV = "63a82eda022abaf0258107c43218a3d11fe8de6e5f6d66c5f87a99739670840e"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["rd-profile", "--codec-class", "grid", "--n", "2", "--rho", "1",
+      "--deltas", "0.1,0.0001"], {"rd_profile.csv": _RD_GRID}),
+    (["rd-profile", "--codec-class", "ppoly", "--N", "1", "--Q", "1", "--rho", "1",
+      "--deltas", "0.5,0.2", "--cap", "100000"], {"rd_profile.csv": _RD_PPOLY}),
+    (["pair", "--n", "10", "--k", "2", "--d", "3", "--seed", "4"],
+     {"pair.csv": _PAIR}),
+    (["recover", "--config", "{weak}"], {
+        "recover.csv":
+            "04882d93325930c66a895342b646bdb2321d6164a0ec9b660a0ff39ce4402132"}),
+    (["analog-demo", "--d", "6", "--grid", "256", "--trials", "5", "--seed", "2"], {
+        "analog.csv":
+            "7aa9d33e7c580185715dfd2044f45a324464e47fd4412630aa096eea250a104a"}),
+    (["sweep", "--config", "{sweep}"], {
+        "sweep.csv": _SWEEP_CSV,
+        "sweep.svg":
+            "29d32f0a218e88ba89b82f6e72031bfda8afdabd1e9a094cf2e510c73ccdef9a"}),
+    (["sweep", "--config", "{sweep}", "--log-scale"], {
+        "sweep.csv": _SWEEP_CSV,
+        "sweep.svg":
+            "b60be9135872a77c6d99b0ed0dd7fec4ef4efa5cca7a8395110cd87d8cdb45b7"}),
+], ids=["rd-grid", "rd-ppoly-cap", "pair", "recover", "analog-demo", "sweep",
+        "sweep-log"])
+def test_cli_files_are_pinned(tmp_path, weak_config, argv, expected):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps(dict(json.loads(weak_config.read_text()), trials=2,
+                                     axis={"name": "d", "values": [3, 5]})))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [a.format(weak=weak_config, sweep=sweep) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    for name, want in expected.items():
+        data = (out / name).read_bytes()
+        if want.startswith("#"):
+            assert data == want.encode()
+        else:
+            assert hashlib.sha256(data).hexdigest() == want, name

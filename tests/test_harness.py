@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import replace
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -228,6 +229,26 @@ class TestTrials:
                             theorem_id="T5", signal_source="codebook")
         recs2 = run_trials(cfg2)
         assert all(r.error_l2 is not None for r in recs2)
+
+    @pytest.mark.parametrize("regime,extra", [
+        ("weak", dict(trials=3)), ("strong", dict(trials=2, panel_size=30)),
+    ])
+    def test_worst_aligned_at_zeta_zero_needs_no_context(self, monkeypatch,
+                                                         regime, extra):
+        # zeta = 0 leaves y unchanged, so no quantization residual is computed
+        calls = []
+        real = SparseCodec.encode
+        monkeypatch.setattr(SparseCodec, "encode",
+                            lambda self, x: calls.append(x) or real(self, x))
+        csv = {}
+        for shape in ("worst_aligned", "random_direction"):
+            harness._cached_panel.cache_clear()
+            cfg = small_config(regime=regime, theorem_id=None, bound_params={},
+                               noise={"kind": "bounded", "zeta": 0.0, "shape": shape},
+                               **extra)
+            csv[shape] = records_to_csv(run_trials(cfg), cfg.master_seed)
+        assert calls == []
+        assert csv["worst_aligned"] == csv["random_direction"]
 
     def test_timings_zero_unless_enabled(self):
         assert all(r.wall_ms == 0.0 for r in run_trials(small_config()))
@@ -538,6 +559,11 @@ class TestSvg:
         assert ">bound</text>" in with_bound
         without = render_svg(self.make_sweep(theorem_id=None))
         assert ">bound</text>" not in without
+
+    def test_title_is_escaped(self):
+        dom = minidom.parseString(render_svg(self.make_sweep(), title="T<3 & d"))
+        texts = [t.firstChild.data for t in dom.getElementsByTagName("text")]
+        assert "T<3 & d" in texts
 
     def test_log_scale(self):
         text = render_svg(self.make_sweep(), log_y=True)
