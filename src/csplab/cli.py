@@ -78,6 +78,9 @@ def _cmd_rd_profile(args) -> int:
     out = _write(args, "rd_profile.csv",
                  provenance_text(0, ["delta,rate_bits,alpha_hat", *rows]))
     print(f"wrote {out} ({len(points)} points)")
+    for p in points:
+        if p.reason is not None:
+            print(f"  delta={p.delta:g}: unavailable ({p.reason})")
     return 0
 
 
@@ -113,6 +116,9 @@ def _cmd_sweep(args) -> int:
             extra = "" if p.exceed_rate is None else f", exceed {p.exceed_rate:.4f}"
             print(f"  {sweep.axis_name}={p.axis_value:g}: mean "
                   f"{p.mean_error:.6g}, max {p.max_error:.6g}{extra}")
+    # remove an earlier run's chart first: with nothing to chart it would
+    # stay beside a sweep.csv it does not describe
+    (Path(args.out) / "sweep.svg").unlink(missing_ok=True)
     svg = render_svg(sweep, log_y=args.log_scale,
                      title=f"{config.regime} sweep over {sweep.axis_name}")
     print(f"wrote {_write(args, 'sweep.svg', svg)}")

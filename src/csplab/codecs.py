@@ -137,6 +137,7 @@ class RateDistortionPoint:
     delta: float
     rate_bits: float
     alpha_hat: float
+    reason: str | None = None  # why a nan point could not be built
 
 
 class Codec:
@@ -669,8 +670,9 @@ def rd_profile(descriptor: dict, delta_list, cap: int | None = None) -> list:
 
     For each delta the codec is built (by default with no enumeration cap,
     since only its rate is read) and (delta, rate_bits, rate/log2(1/delta))
-    recorded.  A CapacityError for one point marks that point with nan fields
-    instead of failing the profile.
+    recorded.  A CapacityError (or GridResolutionError) for one point marks
+    that point with nan fields and the error as its reason instead of failing
+    the profile.
     """
     deltas = [float(d) for d in delta_list]
     if not deltas or any(d <= 0 for d in deltas):
@@ -682,8 +684,9 @@ def rd_profile(descriptor: dict, delta_list, cap: int | None = None) -> list:
         cfg["cap"] = cap
         try:
             codec = codec_from_config(cfg)
-        except (CapacityError, GridResolutionError):
-            points.append(RateDistortionPoint(d, math.nan, math.nan))
+        except (CapacityError, GridResolutionError) as exc:
+            points.append(RateDistortionPoint(d, math.nan, math.nan,
+                                              f"{type(exc).__name__}: {exc}"))
             continue
         alpha = codec.rate_bits / math.log2(1.0 / d) if d < 1.0 else math.nan
         points.append(RateDistortionPoint(d, codec.rate_bits, alpha))

@@ -1,11 +1,13 @@
 """Compressible signal pursuit: exhaustive residual minimization.
 
 The recovery rule is argmin over all codewords c of ||y - A c||_2^2, with
-ties broken by the smallest codeword index.  One grouped scan implements it:
-the codebook is a run of groups of codewords sharing one linear operator (the
-whole codebook for finite-dimensional codecs, one breakpoint layout for
-piecewise polynomials), cut into a canonical grid of fixed-size blocks whose
-minima are folded serially, in block order, into a running incumbent.  The
+ties broken by the smallest codeword index.  One tiled scan implements it:
+the codebook is a run of equal-size groups of codewords, each sharing one
+linear operator (the whole codebook for finite-dimensional codecs, one
+breakpoint layout for piecewise polynomials).  Groups that fit in one block
+of _BLOCK rows are scanned many to a tile of at most _BLOCK rows; a larger
+group is cut into a fixed grid of _BLOCK-row blocks, one tile each.  Tile
+minima are folded serially, in index order, into a running incumbent.  The
 three solvers are front ends that choose the groups and the residual kernel.
 Codewords are decoded blockwise and never materialized beyond one block (plus
 the codec's own small-codebook cache), keeping memory at O(block * n + d).
@@ -13,7 +15,6 @@ the codec's own small-codebook cache), keeping memory at O(block * n + d).
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -23,7 +24,8 @@ from .codecs import Codec, PiecewisePolyCodec
 from .measurement import MeasurementEnsemble, WienerEnsemble
 from .piecewise import PiecewisePolynomial, orthonormal_basis_matrix
 
-# rows per block of the scan grid; part of the output, see _scan
+# rows per block of the scan grid and most rows per tile; part of the output,
+# see _scan
 _BLOCK = 4096
 
 
@@ -65,32 +67,50 @@ def _check(ys: np.ndarray, ensemble, codec, analog: bool = False) -> None:
             f"codec dimension {getattr(codec, 'n', None)} != ensemble n={ensemble.n}")
 
 
-def _scan(groups, coefs, kernel, p: int):
-    """The one grouped scan behind every solver.
+def _scan(ops, size: int, coefs, kernel, p: int):
+    """The one tiled scan behind every solver.
 
-    groups yields (start, size, B): codewords [start, start + size) whose
-    measurements are coefs(offset, count) @ B for offsets inside the group.
-    Each group is cut into the canonical block grid of _BLOCK rows, fixed by
-    the groups alone, and kernel maps a block's measurements R (count, d) to
-    squared residuals (count, p) against the p signals.  Blocks are folded in
-    index order into a running minimum; the comparison is strict, so the
-    earlier block keeps a tie.  Returns the minimum squared residual and its
-    codeword index per signal, smallest index on ties.  The fixed grid is
-    part of the output: BLAS can round a row of coefs @ B differently with
-    its block's row count, so another grid could move residuals in the last
+    ops (n_groups, n, d) holds one operator per group: group g is the
+    codewords [g * size, (g + 1) * size), whose measurements are
+    coefs(offset, count) @ ops[g] for offsets inside the group, and kernel
+    maps measurements R (count, d) to squared residuals (count, p) against
+    the p signals.  A group of at most _BLOCK rows is one block, and
+    consecutive such groups are scanned _BLOCK // size to a tile: one
+    stacked product of their shared coefficient grid, built once, with the
+    tile's operators, one kernel call on its rows and one first-occurrence
+    argmin.  A larger group is cut into the canonical grid of _BLOCK-row
+    blocks, each a tile of its own.  Tiles are folded in index order into a
+    running minimum; the comparison is strict, so the earlier tile keeps a
+    tie.  Returns the minimum squared residual and its codeword index per
+    signal, smallest index on ties.
+
+    Tiling moves no bits: numpy's matmul runs one gemm per stacked slice,
+    the same (size x n) @ (n x d) call as the group's own product, and the
+    kernel works row by row.  The fixed grid of a large group is part of
+    the output: BLAS can round a row of coefs @ B differently with its
+    block's row count, so another grid could move residuals in the last
     bits, and the argmin at ties.
     """
     best = np.full(p, np.inf)
     at = np.zeros(p, dtype=np.int64)
     cols = np.arange(p)
-    for start, size, B in groups:
+    step, d = max(1, _BLOCK // size), ops.shape[-1]
+    grid = coefs(0, size) if size <= _BLOCK else None
+    # measurements are not kept past their kernel call, so no two tiles of
+    # them are alive at once
+    for g in range(0, len(ops), step):
         for offset in range(0, size, _BLOCK):
-            sq = kernel(coefs(offset, min(_BLOCK, size - offset)) @ B)
+            if grid is None:
+                # a block of a large group: the plain product, since a stack
+                # of one gives the same bits but cost weak-scan about 8%
+                sq = kernel(coefs(offset, min(_BLOCK, size - offset)) @ ops[g])
+            else:
+                sq = kernel(np.matmul(grid, ops[g:g + step]).reshape(-1, d))
             j = sq.argmin(axis=0)    # first occurrence per signal
             m = sq[j, cols]
             better = m < best
             best[better] = m[better]
-            at[better] = start + offset + j[better]
+            at[better] = g * size + offset + j[better]
     return best, at
 
 
@@ -132,7 +152,7 @@ def csp_recover(y, ensemble: MeasurementEnsemble, codec: Codec,
     t0 = time.perf_counter()
     ys = np.asarray(y, dtype=float)[None]
     _check(ys, ensemble, codec)
-    sq, idx = _scan([(0, codec.size, ensemble.matrix.T)], codec.decode_block,
+    sq, idx = _scan(ensemble.matrix.T[None], codec.size, codec.decode_block,
                     _direct(ys[0]), 1)
     truths = None if truth is None else [np.asarray(truth, dtype=float)]
     return _results(codec, sq, idx, t0, truths, _l2)[0]
@@ -166,17 +186,17 @@ def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
         rn = np.einsum("ij,ij->i", R, R)
         return np.maximum(rn[:, None] + yn[None, :] - 2.0 * (R @ ys.T), 0.0)
 
-    sq, idx = _scan([(0, codec.size, ensemble.matrix.T)], codec.decode_block,
+    sq, idx = _scan(ensemble.matrix.T[None], codec.size, codec.decode_block,
                     expanded, len(ys))
     return _results(codec, sq, idx, t0, truths, _l2)
 
 
 def _analog_operators(codec: PiecewisePolyCodec, layouts: np.ndarray,
-                      times: np.ndarray, inc_t: np.ndarray) -> list[np.ndarray]:
-    """One matrix B (n_coef, d) per row of layouts (n_layouts, n_breaks),
-    with y_c = coeffs @ B for every codeword whose pieces are split at that
-    row's breakpoints: B rows are the stochastic integrals of the basis
-    functions of each (piece, degree) slot.
+                      times: np.ndarray, inc_t: np.ndarray) -> np.ndarray:
+    """Operators (n_layouts, n_coef, d), one matrix B per row of layouts
+    (n_layouts, n_breaks), with y_c = coeffs @ B for every codeword whose
+    pieces are split at that row's breakpoints: B rows are the stochastic
+    integrals of the basis functions of each (piece, degree) slot.
 
     times is the sorted grid of left endpoints and inc_t the (m, d)
     C-contiguous transpose of the ensemble's increments, so piece j of a
@@ -190,16 +210,14 @@ def _analog_operators(codec: PiecewisePolyCodec, layouts: np.ndarray,
                       np.searchsorted(times, layouts, side="left"),
                       np.full((n, 1), m)))
     deg = codec.degree
-    ops = []
-    for e, c in zip(edges.tolist(), cuts.tolist()):
-        B = np.zeros((codec.n_coef, d))
+    ops = np.zeros((n, codec.n_coef, d))
+    for B, e, c in zip(ops, edges.tolist(), cuts.tolist()):
         for j in range(codec.n_breaks + 1):
             lo, hi = c[j], c[j + 1]
             if hi <= lo:
                 continue
             phi = orthonormal_basis_matrix(e[j], e[j + 1], deg, times[lo:hi])
             B[j * (deg + 1):(j + 1) * (deg + 1)] = phi @ inc_t[lo:hi]
-        ops.append(B)
     return ops
 
 
@@ -223,8 +241,9 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     masked copy of increments[:, cells]; column slices of the increments
     (views or copies) take another BLAS path and can differ in the last bits,
     which would change reported residuals.  When a group fits in one block
-    the coefficient grid, the same for every group, is built once per scan,
-    so memory stays at O(block * n_coef).
+    the coefficient grid, the same for every group, is built once per scan
+    and the groups are scanned a tile of at most _BLOCK rows at a time, so
+    memory stays at O(block * (n_coef + d)) beside the operators.
     """
     t0 = time.perf_counter()
     ys = np.asarray(y, dtype=float)[None]
@@ -233,11 +252,7 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     # operators are built before the scan starts: built between its blocks
     # they cost the analog-groups benchmark about 4% more time per trial
     ops = _analog_operators(codec, codec.break_layouts, ensemble.times, inc_t)
-    groups = [(r * codec.coef_space, codec.coef_space, B) for r, B in enumerate(ops)]
-    # every group scans the same coefficient grid: when a group is one block
-    # the one-entry memo builds it once per scan, otherwise block by block
-    coefs = functools.lru_cache(maxsize=1)(codec.coef_block)
-    sq, idx = _scan(groups, coefs, _direct(ys[0]), 1)
+    sq, idx = _scan(ops, codec.coef_space, codec.coef_block, _direct(ys[0]), 1)
     truths = None if truth is None else [truth]
     return _results(codec, sq, idx, t0, truths,
                     lambda recon, f: f.l2_distance(recon))[0]

@@ -162,6 +162,8 @@ def test_sweep_prints_its_points_before_the_chart(tmp_path, weak_config, capsys,
                                                   change, argv, message, lines):
     cfg = json.loads(weak_config.read_text())
     weak_config.write_text(json.dumps(dict(cfg, trials=2, **change)))
+    # a chart from an earlier run would not describe the new sweep.csv
+    (tmp_path / "sweep.svg").write_text("<svg/>")
     rc = main(["sweep", "--config", str(weak_config), "--out", str(tmp_path), *argv])
     assert rc == 2
     captured = capsys.readouterr()
@@ -171,6 +173,21 @@ def test_sweep_prints_its_points_before_the_chart(tmp_path, weak_config, capsys,
     for got, want in zip(out, lines):
         assert got.startswith(want.format(csv=tmp_path / "sweep.csv"))
     assert not (tmp_path / "sweep.svg").exists()
+
+
+def test_rd_profile_names_why_a_point_is_nan(tmp_path, capsys):
+    rc = main(["rd-profile", "--codec-class", "ppoly", "--N", "1", "--Q", "1",
+               "--rho", "1", "--deltas", "0.5,0.2", "--cap", "1000",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"wrote {tmp_path / 'rd_profile.csv'} (2 points)"
+    assert out[1] == ("  delta=0.5: unavailable (CapacityError: piecewise-poly codec: "
+                      "codebook has 65536 codewords (needs cap >= 2^16); "
+                      "configured cap is 1000)")
+    assert out[2].startswith("  delta=0.2: unavailable (CapacityError: ")
+    assert len(out) == 3
+    assert (tmp_path / "rd_profile.csv").read_text().endswith("0.5,nan,nan\n0.2,nan,nan\n")
 
 
 def test_bounds_table(capsys):

@@ -444,11 +444,15 @@ class TestProfiles:
                          cap=2**24)
         assert not math.isnan(pts[0].rate_bits)
         assert math.isnan(pts[1].rate_bits)
+        # a nan point carries its reason, as an unavailable sweep point does
+        assert pts[0].reason is None
+        assert pts[1].reason.startswith("CapacityError: grid codec: codebook has ")
         # ppoly: a delta finer than the time grid supports is also per-point
         pts = rd_profile({"class": "ppoly", "n": 4096, "N": 0, "Q": 1,
                           "rho": 1.0}, [0.1, 0.01])
         assert not math.isnan(pts[0].rate_bits)
         assert math.isnan(pts[1].rate_bits)
+        assert pts[1].reason.startswith("GridResolutionError: breakpoint quantizer ")
 
     def test_rejects_bad_delta_list(self):
         with pytest.raises(ValueError):

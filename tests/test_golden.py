@@ -88,6 +88,14 @@ CONFIGS = {
         signal_source="codebook", theorem_id="T5",
         bound_params={"tau1": 3.0, "tau2": 0.75},
     ),
+    # 136 breakpoint layouts of 64 codewords: the analog scan's last tile of
+    # 64 layouts holds only 8
+    "analog_partial_tile": dict(
+        codec={"class": "ppoly", "n": 64, "N": 0, "Q": 2, "rho": 1.0,
+               "delta": 0.9},
+        regime="analog", d=6, trials=3, master_seed=23, theorem_id="T3",
+        bound_params={"tau1": 3.0, "tau2": 0.75},
+    ),
     # gaussian noise drawn member by member from one stream
     "strong_gaussian": dict(
         codec=dict(_SPARSE, delta=0.4), regime="strong",

@@ -367,6 +367,51 @@ class TestAnalogGroupOperator:
             assert max(counts) == bs  # memory stays O(block * n_coef)
 
 
+def reference_analog_scan(y, ens, codec):
+    """Reference scan, one group at a time: each block of a layout's
+    coefficient grid times its operator, the direct kernel, and a strict
+    fold that keeps the earlier index on ties."""
+    inc_t = np.ascontiguousarray(ens.increments.T)
+    ops = _analog_operators(codec, codec.break_layouts, ens.times, inc_t)
+    kernel = solver._direct(np.asarray(y, dtype=float))
+    size = codec.coef_space
+    best, at = np.inf, 0
+    for r, B in enumerate(ops):
+        for offset in range(0, size, solver._BLOCK):
+            count = min(solver._BLOCK, size - offset)
+            sq = kernel(codec.coef_block(offset, count) @ B)[:, 0]
+            j = int(sq.argmin())
+            if sq[j] < best:
+                best, at = sq[j], r * size + offset + j
+    return at, float(np.sqrt(best))
+
+
+class TestAnalogScanReference:
+    """The analog scan against the group-by-group reference, bit for bit:
+    the groups that fit a block are scanned many to a block-sized tile."""
+
+    @pytest.mark.parametrize("params,block_size", [
+        ((0, 1, 0.2, 256), None),  # 128 groups of 256: eight full tiles of 16
+        ((0, 2, 0.9, 64), None),   # 136 groups of 64: tiles of 64, the last of 8
+        ((1, 1, 0.6, 64), None),   # 16 groups of exactly one block
+        ((2, 0, 0.1, 64), None),   # one group of 32,768: eight blocks
+        ((0, 1, 0.2, 256), 1000),  # tiles of 3 groups, the last of 2
+        ((0, 2, 0.9, 64), 200),    # tiles of 3 groups, the last of 1
+        ((0, 1, 0.2, 256), 100),   # every group split across blocks
+    ])
+    def test_matches_reference_bitwise(self, params, block_size):
+        codec = ppoly_codec(*params)
+        gen = derive_stream(64, 1)
+        for seed, noise in ((0, 0.0), (1, 0.05), (2, 0.3)):
+            ens = sample_wiener_ensemble(5, codec.grid, seed, 64)
+            f = codec.decode(int(gen.integers(0, codec.size)))
+            y = measure_analog(ens, f) + noise * gen.standard_normal(5)
+            with scan_block(block_size or solver._BLOCK):
+                res = csp_recover_analog(y, ens, codec)
+                want = reference_analog_scan(y, ens, codec)
+            assert (res.chosen_index, res.residual) == want
+
+
 class TestValidation:
     def test_dimension_mismatches(self):
         codec = GridCodec(3, 1.0, 0.5)
