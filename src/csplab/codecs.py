@@ -157,6 +157,13 @@ class Codec:
             raise IndexError(f"index {index} outside [0, {self.size})")
         return int(index)
 
+    def _span(self, start, count) -> tuple[int, int]:
+        """(start, count) as ints, or IndexError unless the codewords
+        [start, start + count) lie inside [0, size)."""
+        if not (0 <= start and 0 <= count <= self.size - start):
+            raise IndexError(f"block [{start}, {start} + {count}) outside [0, {self.size})")
+        return int(start), int(count)
+
     def encode(self, x) -> int:
         raise NotImplementedError
 
@@ -187,6 +194,13 @@ class SparseCodec(Codec):
     (level 0 at the most negative value).  The all-zero and other
     lower-sparsity codewords repeat across supports; encode always returns
     the lowest-index (lexicographically first support) occurrence.
+
+    The level values depend only on the grid index, so a block decode
+    copies each support run's values from one read-only (grid_size, k)
+    level table, built on first use.  The table and the whole codebook are
+    each kept only while they hold at most _CODEBOOK_FLOATS (2^22) floats;
+    over the limit a run computes its values from its grid digits, with the
+    same bits.  With k = n the table is the codebook, one array.
     """
 
     kind = "sparse"
@@ -250,38 +264,60 @@ class SparseCodec(Codec):
         return _comb_rank(canon, self.n, self.k) * self.grid_size + grid_index
 
     def decode(self, index: int) -> np.ndarray:
-        return self.decode_block(self._index(index), 1)[0].copy()  # callers may mutate it
+        return self._rows(self._index(index), 1)[0].copy()  # callers may mutate it
+
+    def _level_rows(self, grid_index: int, count: int) -> np.ndarray:
+        """Level values of the grid indices [grid_index, grid_index + count),
+        shape (count, k)."""
+        gidx = np.arange(grid_index, grid_index + count, dtype=np.int64)
+        digits = np.stack(np.unravel_index(gidx, (self.levels_per_dim,) * self.k), axis=1)
+        return (digits - self.steps) * self.spacing
+
+    @functools.cached_property
+    def _levels(self) -> np.ndarray | None:
+        """The level values of every grid index, (grid_size, k) read-only,
+        when it holds at most _CODEBOOK_FLOATS floats; None for a larger one."""
+        if self.grid_size * self.k > _CODEBOOK_FLOATS:
+            return None
+        table = self._level_rows(0, self.grid_size)
+        table.flags.writeable = False
+        return table
 
     def _raw_block(self, start: int, count: int) -> np.ndarray:
         block = np.zeros((count, self.n))
+        table = self._levels
         pos = 0
         while pos < count:
-            index = start + pos
-            support_rank, grid_index = divmod(index, self.grid_size)
-            in_support = min(count - pos, self.grid_size - grid_index)
+            support_rank, grid_index = divmod(start + pos, self.grid_size)
+            run = min(count - pos, self.grid_size - grid_index)
             support = _comb_unrank(support_rank, self.n, self.k)
-            gidx = np.arange(grid_index, grid_index + in_support, dtype=np.int64)
-            digits = np.stack(
-                np.unravel_index(gidx, (self.levels_per_dim,) * self.k), axis=1
-            )
-            block[pos:pos + in_support, support] = (digits - self.steps) * self.spacing
-            pos += in_support
+            block[pos:pos + run, support] = (
+                self._level_rows(grid_index, run) if table is None
+                else table[grid_index:grid_index + run])
+            pos += run
         return block
 
     @functools.cached_property
     def _codebook(self) -> np.ndarray | None:
         """The whole codebook, read-only, when it holds at most
-        _CODEBOOK_FLOATS floats; None for a larger one."""
+        _CODEBOOK_FLOATS floats; None for a larger one.  With one support
+        (k = n) the codebook is the level table itself, not a copy."""
         if self.size * self.n > _CODEBOOK_FLOATS:
             return None
+        if self.n_supports == 1:
+            return self._levels
         book = self._raw_block(0, self.size)
         book.flags.writeable = False
         return book
 
-    def decode_block(self, start: int, count: int) -> np.ndarray:
+    def _rows(self, start: int, count: int) -> np.ndarray:
+        """Codewords [start, start + count), a range already checked."""
         if self._codebook is None:
             return self._raw_block(start, count)
         return self._codebook[start:start + count]
+
+    def decode_block(self, start: int, count: int) -> np.ndarray:
+        return self._rows(*self._span(start, count))
 
     def materialize(self) -> np.ndarray:
         return self.decode_block(0, self.size)
@@ -378,6 +414,7 @@ class ExplicitCodec(Codec):
         return self._codewords[self._index(index)].copy()
 
     def decode_block(self, start: int, count: int) -> np.ndarray:
+        start, count = self._span(start, count)
         return self._codewords[start:start + count]
 
     def materialize(self) -> np.ndarray:

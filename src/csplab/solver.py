@@ -74,15 +74,16 @@ def _scan(ops, size: int, coefs, kernel, p: int):
     codewords [g * size, (g + 1) * size), whose measurements are
     coefs(offset, count) @ ops[g] for offsets inside the group, and kernel
     maps measurements R (count, d) to squared residuals (count, p) against
-    the p signals.  A group of at most _BLOCK rows is one block, and
-    consecutive such groups are scanned _BLOCK // size to a tile: one
-    stacked product of their shared coefficient grid, built once, with the
-    tile's operators, one kernel call on its rows and one first-occurrence
-    argmin.  A larger group is cut into the canonical grid of _BLOCK-row
-    blocks, each a tile of its own.  Tiles are folded in index order into a
-    running minimum; the comparison is strict, so the earlier tile keeps a
-    tie.  Returns the minimum squared residual and its codeword index per
-    signal, smallest index on ties.
+    the p signals.  Every R is a fresh product that the scan reads no more,
+    so the kernel may overwrite it.  A group of at most _BLOCK rows is one
+    block, and consecutive such groups are scanned _BLOCK // size to a
+    tile: one stacked product of their shared coefficient grid, built once,
+    with the tile's operators, one kernel call on its rows and one
+    first-occurrence argmin.  A larger group is cut into the canonical grid
+    of _BLOCK-row blocks, each a tile of its own.  Tiles are folded in index
+    order into a running minimum; the comparison is strict, so the earlier
+    tile keeps a tie.  Returns the minimum squared residual and its codeword
+    index per signal, smallest index on ties.
 
     Tiling moves no bits: numpy's matmul runs one gemm per stacked slice,
     the same (size x n) @ (n x d) call as the group's own product, and the
@@ -132,10 +133,11 @@ def _l2(recon, truth) -> float:
 
 
 def _direct(y):
-    """Kernel ||R - y||^2 for one signal, as a (count, 1) column."""
+    """Kernel ||R - y||^2 for one signal, as a (count, 1) column.  R is
+    overwritten with the residuals R - y, which _scan allows."""
     def kernel(R):
-        resid = R - y
-        return np.einsum("ij,ij->i", resid, resid)[:, None]
+        np.subtract(R, y, out=R)
+        return np.einsum("ij,ij->i", R, R)[:, None]
     return kernel
 
 

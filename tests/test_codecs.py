@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from csplab import codecs
@@ -369,6 +369,22 @@ class TestCodebookCache:
         assert over._codebook is None
         assert np.array_equal(over.materialize(), c.materialize())
 
+    def test_grid_codebook_is_its_level_table(self):
+        # with one support the level table is the codebook: one array
+        c = GridCodec(3, 1.0, 0.3)
+        assert c._codebook is not None
+        assert np.shares_memory(c._codebook, c._levels)
+        assert np.shares_memory(c.materialize(), c._levels)
+
+    @pytest.mark.parametrize("args,levels", [
+        ((32, 2, 1.0, 0.1), (961, 2)),      # weak-scan: lazy codebook, tiny table
+        ((4, 4, 1.0, 0.125), None),         # 33^4 x 4 floats, both over the limit
+    ])
+    def test_level_table_follows_the_float_count(self, args, levels):
+        c = SparseCodec(*args)
+        assert c._codebook is None
+        assert (None if c._levels is None else c._levels.shape) == levels
+
     @pytest.mark.parametrize("name", ["sparse", "grid"])
     def test_codebook_handed_out_is_read_only(self, name):
         c = round_trip_codec(name)
@@ -379,6 +395,67 @@ class TestCodebookCache:
         x = c.decode(0)
         x[:] = 7.0  # decode hands out a private copy
         assert np.array_equal(c.decode(0), before)
+
+
+def per_run_block(c, start, count):
+    """Reference block decode: every support run computes its level values
+    from its grid digits, with no cached codebook or level table."""
+    block = np.zeros((count, c.n))
+    pos = 0
+    while pos < count:
+        support_rank, grid_index = divmod(start + pos, c.grid_size)
+        run = min(count - pos, c.grid_size - grid_index)
+        support = list(codecs._comb_unrank(support_rank, c.n, c.k))
+        gidx = np.arange(grid_index, grid_index + run, dtype=np.int64)
+        digits = np.stack(np.unravel_index(gidx, (c.levels_per_dim,) * c.k), axis=1)
+        block[pos:pos + run, support] = (digits - c.steps) * c.spacing
+        pos += run
+    return block
+
+
+class TestDecodeBlock:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), cached=st.booleans(), table=st.booleans())
+    def test_matches_the_per_run_reference(self, data, cached, table):
+        # every decode path (cached codebook or not, level table or not)
+        # holds the reference's floats bit for bit
+        n = data.draw(st.integers(1, 10), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        grid = data.draw(st.booleans(), label="grid") and k == n
+        supports = math.comb(n, k)
+        # the most steps that keep the codebook within 200,000 codewords
+        most = max(1, int(((200_000 / supports) ** (1 / k) - 1) / 2))
+        steps = data.draw(st.integers(1, min(most, 6)), label="steps")
+        rho = data.draw(st.sampled_from([1.0, 0.7]), label="rho")
+        slack = data.draw(st.sampled_from([0.0, 0.25]), label="slack") if steps > 1 else 0.0
+        delta = rho * math.sqrt(k) / (steps - slack)
+        c = GridCodec(n, rho, delta) if grid else SparseCodec(n, k, rho, delta)
+        assume(c.size <= 200_000)
+        if not cached:
+            c.__dict__["_codebook"] = None   # as if over the size limit
+        if not table:
+            c.__dict__["_levels"] = None     # as if over the size limit
+        start = data.draw(st.integers(0, c.size - 1), label="start")
+        # up to two grids and a bit: most blocks cross a support boundary
+        count = data.draw(st.integers(0, min(c.size - start, 2 * c.grid_size + 2)),
+                          label="count")
+        got = c.decode_block(start, count)
+        assert got.shape == (count, n)
+        assert np.array_equal(got, per_run_block(c, start, count))
+
+    @pytest.mark.parametrize("name", ["sparse", "sparse-lazy", "grid", "grid-lazy",
+                                      "explicit"])
+    def test_range_is_checked(self, name):
+        # a cached codebook used to return a short block, or wrap a negative
+        # start around; the lazy decode failed inside math.comb or decoded
+        # wrong codewords
+        c = (ExplicitCodec([[0.0], [1.0]]) if name == "explicit"
+             else round_trip_codec(name))
+        for start, count in ((c.size - 1, 2), (-3, 2), (0, -1), (c.size + 1, 0)):
+            with pytest.raises(IndexError, match="outside"):
+                c.decode_block(start, count)
+        assert c.decode_block(c.size, 0).shape == (0, c.n)
+        assert np.array_equal(c.decode_block(c.size - 1, 1)[0], c.decode(c.size - 1))
 
 
 class TestExplicitCodec:
