@@ -27,6 +27,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .piecewise import (PiecewisePolynomial, constant_function,
 from .rng import derive_stream
 
 DEFAULT_CAP = 2**24
-_CODEBOOK_FLOATS = 2**22  # 32 MiB: larger sparse codebooks are decoded per block
+_CODEBOOK_FLOATS = 2**22  # 32 MiB: a larger level table is not kept, its rows are computed
 _AUDIT_SAMPLES = 64  # class samples per calibration audit, beside the probes
 
 # fixed seed for build-time calibration audits; not related to user seeds
@@ -195,12 +196,16 @@ class SparseCodec(Codec):
     lower-sparsity codewords repeat across supports; encode always returns
     the lowest-index (lexicographically first support) occurrence.
 
-    The level values depend only on the grid index, so a block decode
-    copies each support run's values from one read-only (grid_size, k)
-    level table, built on first use.  The table and the whole codebook are
-    each kept only while they hold at most _CODEBOOK_FLOATS (2^22) floats;
-    over the limit a run computes its values from its grid digits, with the
-    same bits.  With k = n the table is the codebook, one array.
+    Every codeword is a (support, level row) pair: its values on the
+    support are the level values of its grid index, which depend only on
+    the grid index.  The scan takes each support as one group of grid_size
+    codewords, with the columns of the support as its operator and
+    level_block as its coefficient rows, and decodes no codeword.  The
+    level values of every grid index are one read-only (grid_size, k) table,
+    built on first use and kept while it holds at most _CODEBOOK_FLOATS
+    (2^22) floats; over the limit each request computes its rows from their
+    grid digits, with the same bits.  decode, decode_block and materialize
+    return fresh arrays.
     """
 
     kind = "sparse"
@@ -264,7 +269,14 @@ class SparseCodec(Codec):
         return _comb_rank(canon, self.n, self.k) * self.grid_size + grid_index
 
     def decode(self, index: int) -> np.ndarray:
-        return self._rows(self._index(index), 1)[0].copy()  # callers may mutate it
+        support_rank, rem = divmod(self._index(index), self.grid_size)
+        out = np.zeros(self.n)
+        # the last support coordinate holds the least significant grid digit;
+        # (d - steps) * spacing in Python floats has the level table's bits
+        for i in reversed(_comb_unrank(support_rank, self.n, self.k)):
+            rem, d = divmod(rem, self.levels_per_dim)
+            out[i] = (d - self.steps) * self.spacing
+        return out
 
     def _level_rows(self, grid_index: int, count: int) -> np.ndarray:
         """Level values of the grid indices [grid_index, grid_index + count),
@@ -283,41 +295,35 @@ class SparseCodec(Codec):
         table.flags.writeable = False
         return table
 
-    def _raw_block(self, start: int, count: int) -> np.ndarray:
-        block = np.zeros((count, self.n))
+    def level_block(self, grid_index: int, count: int) -> np.ndarray:
+        """Level values of the grid indices [grid_index, grid_index + count),
+        shape (count, k): a view of the level table, or computed over the
+        limit.  Row i holds the values, on its support, of codeword
+        grid_index + i of every support."""
         table = self._levels
+        if table is None:
+            return self._level_rows(grid_index, count)
+        return table[grid_index:grid_index + count]
+
+    @functools.cached_property
+    def supports(self) -> np.ndarray:
+        """Every support, read-only (n_supports, k): row r is the support of
+        rank r (the order of itertools.combinations).  Built on first use."""
+        table = np.fromiter(combinations(range(self.n), self.k), dtype=(np.intp, (self.k,)))
+        table.flags.writeable = False
+        return table
+
+    def decode_block(self, start: int, count: int) -> np.ndarray:
+        start, count = self._span(start, count)
+        block = np.zeros((count, self.n))
         pos = 0
         while pos < count:
             support_rank, grid_index = divmod(start + pos, self.grid_size)
             run = min(count - pos, self.grid_size - grid_index)
             support = _comb_unrank(support_rank, self.n, self.k)
-            block[pos:pos + run, support] = (
-                self._level_rows(grid_index, run) if table is None
-                else table[grid_index:grid_index + run])
+            block[pos:pos + run, support] = self.level_block(grid_index, run)
             pos += run
         return block
-
-    @functools.cached_property
-    def _codebook(self) -> np.ndarray | None:
-        """The whole codebook, read-only, when it holds at most
-        _CODEBOOK_FLOATS floats; None for a larger one.  With one support
-        (k = n) the codebook is the level table itself, not a copy."""
-        if self.size * self.n > _CODEBOOK_FLOATS:
-            return None
-        if self.n_supports == 1:
-            return self._levels
-        book = self._raw_block(0, self.size)
-        book.flags.writeable = False
-        return book
-
-    def _rows(self, start: int, count: int) -> np.ndarray:
-        """Codewords [start, start + count), a range already checked."""
-        if self._codebook is None:
-            return self._raw_block(start, count)
-        return self._codebook[start:start + count]
-
-    def decode_block(self, start: int, count: int) -> np.ndarray:
-        return self._rows(*self._span(start, count))
 
     def materialize(self) -> np.ndarray:
         return self.decode_block(0, self.size)
@@ -399,6 +405,12 @@ class ExplicitCodec(Codec):
 
     def __init__(self, codewords):
         self._codewords = np.array(codewords, dtype=float, ndmin=2)
+        if self._codewords.ndim != 2 or 0 in self._codewords.shape:
+            raise ValueError(f"codewords have shape {self._codewords.shape}; "
+                             "need (size, n) with size, n >= 1")
+        # a nan codeword would win its tile's argmin and hide every other
+        if not np.isfinite(self._codewords).all():
+            raise ValueError("codewords must be finite")
         self._codewords.flags.writeable = False
         self.size = self._codewords.shape[0]
         self.n = self._codewords.shape[1]

@@ -3,14 +3,16 @@
 The recovery rule is argmin over all codewords c of ||y - A c||_2^2, with
 ties broken by the smallest codeword index.  One tiled scan implements it:
 the codebook is a run of equal-size groups of codewords, each sharing one
-linear operator (the whole codebook for finite-dimensional codecs, one
-breakpoint layout for piecewise polynomials).  Groups that fit in one block
-of _BLOCK rows are scanned many to a tile of at most _BLOCK rows; a larger
-group is cut into a fixed grid of _BLOCK-row blocks, one tile each.  Tile
-minima are folded serially, in index order, into a running incumbent.  The
-three solvers are front ends that choose the groups and the residual kernel.
-Codewords are decoded blockwise and never materialized beyond one block (plus
-the codec's own small-codebook cache), keeping memory at O(block * n + d).
+linear operator (one support for sparse and grid codecs, one breakpoint
+layout for piecewise polynomials, the whole codebook for an explicit one).
+Groups that fit in one block of _BLOCK rows are scanned many to a tile of at
+most _BLOCK rows; a larger group is cut into a fixed grid of _BLOCK-row
+blocks, one tile each.  Tile minima are folded serially, in index order, into
+a running incumbent.  The three solvers are front ends that differ only in
+their plan (the groups, their operators and coefficient rows) and their
+residual kernel.  No codeword is decoded to scan it: memory stays at one
+tile of coefficient rows, operators and measurements beside the analog
+operators.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codecs import Codec, PiecewisePolyCodec
+from .codecs import Codec, PiecewisePolyCodec, SparseCodec
 from .measurement import MeasurementEnsemble, WienerEnsemble
 from .piecewise import PiecewisePolynomial, orthonormal_basis_matrix
 
@@ -47,8 +49,10 @@ class RecoveryResult:
     wall_time: float
 
 
-def _check(ys: np.ndarray, ensemble, codec, analog: bool = False) -> None:
-    """Validate a scan of codec against ensemble for (p, d) measurements."""
+def _check(ys: np.ndarray, ensemble, codec, analog: bool = False,
+           truths=None) -> None:
+    """Validate a scan of codec against ensemble for (p, d) measurements
+    and, if given, (p, n) ground truths."""
     if ensemble.d < 1:
         raise ValueError("need at least one measurement")
     if ys.ndim != 2 or ys.shape[1] != ensemble.d:
@@ -65,24 +69,29 @@ def _check(ys: np.ndarray, ensemble, codec, analog: bool = False) -> None:
     elif getattr(codec, "n", None) != ensemble.n:
         raise ValueError(
             f"codec dimension {getattr(codec, 'n', None)} != ensemble n={ensemble.n}")
+    if truths is not None and truths.shape != (len(ys), ensemble.n):
+        raise ValueError(f"ground truths have shape {truths.shape}; "
+                         f"expected ({len(ys)}, {ensemble.n})")
 
 
-def _scan(ops, size: int, coefs, kernel, p: int):
+def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
     """The one tiled scan behind every solver.
 
-    ops (n_groups, n, d) holds one operator per group: group g is the
-    codewords [g * size, (g + 1) * size), whose measurements are
-    coefs(offset, count) @ ops[g] for offsets inside the group, and kernel
-    maps measurements R (count, d) to squared residuals (count, p) against
-    the p signals.  Every R is a fresh product that the scan reads no more,
-    so the kernel may overwrite it.  A group of at most _BLOCK rows is one
-    block, and consecutive such groups are scanned _BLOCK // size to a
-    tile: one stacked product of their shared coefficient grid, built once,
-    with the tile's operators, one kernel call on its rows and one
+    Group g is the codewords [g * size, (g + 1) * size), whose measurements
+    are coefs(offset, count) @ B_g for offsets inside the group.
+    ops(g, count) returns the operators B of the groups from g up to
+    g + count (fewer at the end) as one (count, rows of B, d) stack, and
+    kernel maps measurements R (count, d) to squared residuals (count, p)
+    against the p signals.  Every R is a fresh product that the scan reads
+    no more, so the kernel may overwrite it.  A group of at most _BLOCK rows
+    is one block, and consecutive such groups are scanned _BLOCK // size to
+    a tile: one stacked product of their shared coefficient grid, built
+    once, with the tile's operators, one kernel call on its rows and one
     first-occurrence argmin.  A larger group is cut into the canonical grid
-    of _BLOCK-row blocks, each a tile of its own.  Tiles are folded in index
-    order into a running minimum; the comparison is strict, so the earlier
-    tile keeps a tie.  Returns the minimum squared residual and its codeword
+    of _BLOCK-row blocks, each a tile of its own, the stacked product of its
+    rows with the group's operator alone.  Tiles are folded in index order
+    into a running minimum; the comparison is strict, so the earlier tile
+    keeps a tie.  Returns the minimum squared residual and its codeword
     index per signal, smallest index on ties.
 
     Tiling moves no bits: numpy's matmul runs one gemm per stacked slice,
@@ -95,18 +104,15 @@ def _scan(ops, size: int, coefs, kernel, p: int):
     best = np.full(p, np.inf)
     at = np.zeros(p, dtype=np.int64)
     cols = np.arange(p)
-    step, d = max(1, _BLOCK // size), ops.shape[-1]
+    step = max(1, _BLOCK // size)
     grid = coefs(0, size) if size <= _BLOCK else None
     # measurements are not kept past their kernel call, so no two tiles of
     # them are alive at once
-    for g in range(0, len(ops), step):
+    for g in range(0, n_groups, step):
+        B = ops(g, step)
         for offset in range(0, size, _BLOCK):
-            if grid is None:
-                # a block of a large group: the plain product, since a stack
-                # of one gives the same bits but cost weak-scan about 8%
-                sq = kernel(coefs(offset, min(_BLOCK, size - offset)) @ ops[g])
-            else:
-                sq = kernel(np.matmul(grid, ops[g:g + step]).reshape(-1, d))
+            rows = coefs(offset, min(_BLOCK, size - offset)) if grid is None else grid
+            sq = kernel(np.matmul(rows, B).reshape(-1, B.shape[-1]))
             j = sq.argmin(axis=0)    # first occurrence per signal
             m = sq[j, cols]
             better = m < best
@@ -128,6 +134,23 @@ def _results(codec, sq, idx, t0, truths, error) -> list[RecoveryResult]:
     return out
 
 
+def _finite_plan(ensemble: MeasurementEnsemble, codec: Codec):
+    """(ops, n_groups, size, coefs) of _scan for a finite-dimensional codec.
+
+    A sparse or grid codec has one group per support S, in rank order: its
+    grid_size codewords share the operator A[:, S]^T, gathered per tile from
+    the codec's support table, and their coefficient rows are the codec's
+    level rows, so the scan multiplies only the k support columns.  Any other
+    codec is one group of its decoded blocks times the transposed matrix,
+    a view: a contiguous copy would round one-row (gemv) products
+    differently."""
+    At = ensemble.matrix.T
+    if isinstance(codec, SparseCodec):
+        return (lambda g, count: At[codec.supports[g:g + count]], codec.n_supports,
+                codec.grid_size, codec.level_block)
+    return lambda g, count: At[None], 1, codec.size, codec.decode_block
+
+
 def _l2(recon, truth) -> float:
     return float(np.linalg.norm(recon - truth))
 
@@ -145,18 +168,17 @@ def csp_recover(y, ensemble: MeasurementEnsemble, codec: Codec,
                 truth=None) -> RecoveryResult:
     """Recover a finite-dimensional signal from y = A x (+ noise).
 
-    Scans every codeword, computing ||y - A c||_2^2 fused with the blockwise
-    decode, and returns the global minimizer (smallest index on ties).  The
-    scan never inspects the signal itself: measurements of signals outside
-    the codec's class still get the global residual minimizer, though the
-    error guarantees only cover class members.
+    Scans every codeword, computing ||y - A c||_2^2 group by group, and
+    returns the global minimizer (smallest index on ties).  The scan never
+    inspects the signal itself: measurements of signals outside the codec's
+    class still get the global residual minimizer, though the error
+    guarantees only cover class members.  truth, if given, has shape (n,).
     """
     t0 = time.perf_counter()
     ys = np.asarray(y, dtype=float)[None]
-    _check(ys, ensemble, codec)
-    sq, idx = _scan(ensemble.matrix.T[None], codec.size, codec.decode_block,
-                    _direct(ys[0]), 1)
-    truths = None if truth is None else [np.asarray(truth, dtype=float)]
+    truths = None if truth is None else np.asarray(truth, dtype=float)[None]
+    _check(ys, ensemble, codec, truths=truths)
+    sq, idx = _scan(*_finite_plan(ensemble, codec), _direct(ys[0]), 1)
     return _results(codec, sq, idx, t0, truths, _l2)[0]
 
 
@@ -164,9 +186,9 @@ def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
                       truths=None) -> list[RecoveryResult]:
     """Recover a panel of signals against one shared ensemble in one pass.
 
-    The codebook is decoded and measured once per block for the whole panel,
-    which is what the uniform-guarantee (one matrix, all signals) experiments
-    need.  ys has shape (p, d); truths, if given, (p, n).
+    The codebook is measured once per tile for the whole panel, which is
+    what the uniform-guarantee (one matrix, all signals) experiments need.
+    ys has shape (p, d); truths, if given, (p, n).
 
     Residuals come from the expanded form ||R c||^2 + ||y||^2 - 2<R c, y>
     (clipped at 0), which rounds differently from csp_recover's direct
@@ -181,15 +203,15 @@ def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
     """
     t0 = time.perf_counter()
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    _check(ys, ensemble, codec)
+    truths = None if truths is None else np.asarray(truths, dtype=float)
+    _check(ys, ensemble, codec, truths=truths)
     yn = np.einsum("ij,ij->i", ys, ys)
 
     def expanded(R):
         rn = np.einsum("ij,ij->i", R, R)
         return np.maximum(rn[:, None] + yn[None, :] - 2.0 * (R @ ys.T), 0.0)
 
-    sq, idx = _scan(ensemble.matrix.T[None], codec.size, codec.decode_block,
-                    expanded, len(ys))
+    sq, idx = _scan(*_finite_plan(ensemble, codec), expanded, len(ys))
     return _results(codec, sq, idx, t0, truths, _l2)
 
 
@@ -254,7 +276,8 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     # operators are built before the scan starts: built between its blocks
     # they cost the analog-groups benchmark about 4% more time per trial
     ops = _analog_operators(codec, codec.break_layouts, ensemble.times, inc_t)
-    sq, idx = _scan(ops, codec.coef_space, codec.coef_block, _direct(ys[0]), 1)
+    sq, idx = _scan(lambda g, count: ops[g:g + count], len(ops), codec.coef_space,
+                    codec.coef_block, _direct(ys[0]), 1)
     truths = None if truth is None else [truth]
     return _results(codec, sq, idx, t0, truths,
                     lambda recon, f: f.l2_distance(recon))[0]

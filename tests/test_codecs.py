@@ -290,11 +290,12 @@ class TestPiecewisePolyCodec:
             want.coef_bits, want.break_bits, repr(want.audit_worst))
 
 
-# codecs for the round-trip properties; the "lazy" ones hold more than 2^22
-# floats, so they keep no codebook and decode takes the block-enumeration path
+# codecs for the round-trip properties; the "lazy" ones have level tables of
+# more than 2^22 floats, so they keep none and compute every level row from
+# its grid digits
 ROUND_TRIP_CODECS = {
     "sparse": lambda: SparseCodec(6, 2, 1.0, 0.5),
-    "sparse-lazy": lambda: SparseCodec(64, 2, 1.0, 0.2),   # 582,624 x 64
+    "sparse-lazy": lambda: SparseCodec(4, 2, 1.0, math.sqrt(2) / 724),  # 1,449^2 x 2
     "grid": lambda: GridCodec(3, 1.0, 0.3),
     "grid-lazy": lambda: GridCodec(5, 1.0, 0.3),           # 17^5 x 5
     "ppoly": lambda: PiecewisePolyCodec(0, 1, 1.0, 0.2),
@@ -341,65 +342,58 @@ class TestRoundTripProperties:
 
 
 class TestCodebookCache:
+    """What a sparse or grid codec keeps: its level table under the float
+    limit, and its support table.  No whole codebook is kept."""
+
     @pytest.mark.parametrize("name,cached", [
         ("sparse", True), ("sparse-lazy", False), ("grid", True), ("grid-lazy", False),
     ])
     def test_round_trip_codecs_are_what_they_say(self, name, cached):
         c = round_trip_codec(name)
-        assert (c._codebook is not None) == cached
-        assert (c.size * c.n <= 2**22) == cached
-
-    @pytest.mark.parametrize("args,size,cached", [
-        ((32, 2, 1.0, 0.1), 476_656, False),      # weak-scan: 15.3 M floats
-        ((64, 1, 1.0, 0.25), 576, True),          # strong-panel: 36,864 floats
-        ((16, 2, 1.0, 0.1), 115_320, True),       # acceptance criterion 01
-        ((1000, 1, 1.0, 1 / 32), 65_000, False),  # would be 496 MiB
-    ])
-    def test_decision_follows_the_float_count(self, args, size, cached):
-        c = SparseCodec(*args)
-        assert c.size == size
-        # a lazy codec answers None without building anything
-        assert (c._codebook is not None) == cached
-
-    def test_limit_is_inclusive(self, monkeypatch):
-        c, over = SparseCodec(6, 2, 1.0, 0.5), SparseCodec(6, 2, 1.0, 0.5)
-        monkeypatch.setattr(codecs, "_CODEBOOK_FLOATS", c.size * c.n)
-        assert c._codebook is not None
-        monkeypatch.setattr(codecs, "_CODEBOOK_FLOATS", c.size * c.n - 1)
-        assert over._codebook is None
-        assert np.array_equal(over.materialize(), c.materialize())
-
-    def test_grid_codebook_is_its_level_table(self):
-        # with one support the level table is the codebook: one array
-        c = GridCodec(3, 1.0, 0.3)
-        assert c._codebook is not None
-        assert np.shares_memory(c._codebook, c._levels)
-        assert np.shares_memory(c.materialize(), c._levels)
+        assert (c._levels is not None) == cached
+        assert (c.grid_size * c.k <= 2**22) == cached
 
     @pytest.mark.parametrize("args,levels", [
-        ((32, 2, 1.0, 0.1), (961, 2)),      # weak-scan: lazy codebook, tiny table
-        ((4, 4, 1.0, 0.125), None),         # 33^4 x 4 floats, both over the limit
+        ((32, 2, 1.0, 0.1), (961, 2)),      # weak-scan: a tiny table
+        ((4, 4, 1.0, 0.125), None),         # 33^4 x 4 floats, over the limit
     ])
     def test_level_table_follows_the_float_count(self, args, levels):
         c = SparseCodec(*args)
-        assert c._codebook is None
         assert (None if c._levels is None else c._levels.shape) == levels
 
+    def test_limit_is_inclusive(self, monkeypatch):
+        c, over = SparseCodec(6, 2, 1.0, 0.5), SparseCodec(6, 2, 1.0, 0.5)
+        monkeypatch.setattr(codecs, "_CODEBOOK_FLOATS", c.grid_size * c.k)
+        assert c._levels is not None
+        monkeypatch.setattr(codecs, "_CODEBOOK_FLOATS", c.grid_size * c.k - 1)
+        assert over._levels is None
+        assert np.array_equal(over.level_block(0, over.grid_size), c._levels)
+        assert np.array_equal(over.materialize(), c.materialize())
+
     @pytest.mark.parametrize("name", ["sparse", "grid"])
-    def test_codebook_handed_out_is_read_only(self, name):
+    def test_blocks_handed_out_are_fresh(self, name):
         c = round_trip_codec(name)
-        before = c.decode(0)
-        for book in (c.materialize(), c.decode_block(0, 3)):
-            with pytest.raises(ValueError, match="read-only"):
-                book[0] = 7.0
-        x = c.decode(0)
-        x[:] = 7.0  # decode hands out a private copy
-        assert np.array_equal(c.decode(0), before)
+        before = c.materialize()
+        for book in (c.materialize(), c.decode_block(0, 3), c.decode(0)):
+            book[...] = 7.0
+        assert np.array_equal(c.materialize(), before)
+
+    @pytest.mark.parametrize("args", [(6, 2, 1.0, 0.5), (5, 3, 1.0, 0.8),
+                                      (7, 1, 1.0, 0.5), (3, 3, 1.0, 0.4)])
+    def test_support_table_follows_unrank_order(self, args):
+        c = SparseCodec(*args)
+        table = c.supports
+        assert table.shape == (c.n_supports, c.k)
+        for rank, row in enumerate(table.tolist()):
+            assert tuple(row) == codecs._comb_unrank(rank, c.n, c.k)
+            assert codecs._comb_rank(row, c.n, c.k) == rank
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
 
 
 def per_run_block(c, start, count):
     """Reference block decode: every support run computes its level values
-    from its grid digits, with no cached codebook or level table."""
+    from its grid digits, with no level table."""
     block = np.zeros((count, c.n))
     pos = 0
     while pos < count:
@@ -415,10 +409,10 @@ def per_run_block(c, start, count):
 
 class TestDecodeBlock:
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(data=st.data(), cached=st.booleans(), table=st.booleans())
-    def test_matches_the_per_run_reference(self, data, cached, table):
-        # every decode path (cached codebook or not, level table or not)
-        # holds the reference's floats bit for bit
+    @given(data=st.data(), table=st.booleans())
+    def test_matches_the_per_run_reference(self, data, table):
+        # both decode paths (level table or not) hold the reference's floats
+        # bit for bit, and decode(i) is row 0 of decode_block(i, 1)
         n = data.draw(st.integers(1, 10), label="n")
         k = data.draw(st.integers(1, n), label="k")
         grid = data.draw(st.booleans(), label="grid") and k == n
@@ -431,8 +425,6 @@ class TestDecodeBlock:
         delta = rho * math.sqrt(k) / (steps - slack)
         c = GridCodec(n, rho, delta) if grid else SparseCodec(n, k, rho, delta)
         assume(c.size <= 200_000)
-        if not cached:
-            c.__dict__["_codebook"] = None   # as if over the size limit
         if not table:
             c.__dict__["_levels"] = None     # as if over the size limit
         start = data.draw(st.integers(0, c.size - 1), label="start")
@@ -442,6 +434,8 @@ class TestDecodeBlock:
         got = c.decode_block(start, count)
         assert got.shape == (count, n)
         assert np.array_equal(got, per_run_block(c, start, count))
+        index = data.draw(st.integers(0, c.size - 1), label="index")
+        assert c.decode(index).tobytes() == c.decode_block(index, 1)[0].tobytes()
 
     @pytest.mark.parametrize("name", ["sparse", "sparse-lazy", "grid", "grid-lazy",
                                       "explicit"])
@@ -472,6 +466,18 @@ class TestExplicitCodec:
         # nan used to give index 0, and a length-1 signal broadcast to index 1
         with pytest.raises(DomainError, match=match):
             ExplicitCodec([[0.0, 0.0], [1.0, 0.0]]).encode(bad)
+
+    @pytest.mark.parametrize("codewords,match", [
+        # a nan row won its tile's argmin and dropped the whole tile
+        ([[0.0, 0.0], [np.nan, 1.0], [1.0, 0.0], [5.0, 5.0]], "finite"),
+        ([[0.0, 0.0], [1.0, -np.inf]], "finite"),
+        (np.zeros((0, 2)), "shape"),   # the scan divided by its size
+        ([], "shape"),                 # one codeword with no coordinates
+        (np.zeros((2, 2, 2)), "shape"),
+    ])
+    def test_malformed_codebook_rejected(self, codewords, match):
+        with pytest.raises(ValueError, match=match):
+            ExplicitCodec(codewords)
 
     def test_codebook_is_a_read_only_copy(self):
         cw = np.array([[0.0, 0.0], [1.0, 0.0]])

@@ -116,6 +116,19 @@ CONFIGS = {
         codec={"class": "grid", "n": 4, "rho": 1.0, "delta": 0.125},
         regime="weak", d=6, trials=2, master_seed=25, signal_source="codebook",
     ),
+    # 19^3 = 6,859 codewords per support: every support group is larger than
+    # one block of the scan, so each is cut into a full block and a partial one
+    "sparse_large_groups": dict(
+        codec={"class": "sparse", "n": 6, "k": 3, "rho": 1.0, "delta": 0.2},
+        regime="weak", noise={"kind": "gaussian", "sigma": 0.05}, d=5,
+        trials=2, master_seed=26,
+    ),
+    # one measurement: every tile's product is a BLAS gemv over one support
+    "sparse_d1": dict(
+        codec={"class": "sparse", "n": 8, "k": 2, "rho": 1.0, "delta": 0.5},
+        regime="weak", noise={"kind": "gaussian", "sigma": 0.05}, d=1,
+        trials=4, master_seed=27,
+    ),
 }
 
 # the last delta needs a codebook above the cap: an unavailable point

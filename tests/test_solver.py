@@ -426,6 +426,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             csp_recover_panel(np.zeros((2, 5)), ens, codec)
 
+    def test_truth_shape_checked(self):
+        # a truth of the wrong shape used to broadcast into error_l2, and
+        # too few panel truths raised IndexError after the scan
+        codec = SparseCodec(8, 1, 1.0, 0.4)
+        ens = sample_ensemble(4, 8, derive_stream(57, 0))
+        x = codec.decode(5)
+        y = measure(ens, x)
+        assert csp_recover(y, ens, codec, truth=x).error_l2 == 0.0
+        for bad in ([0.0], x[None], np.zeros(9)):
+            with pytest.raises(ValueError, match="truth"):
+                csp_recover(y, ens, codec, truth=bad)
+        ys = np.stack([y, y])
+        assert [r.error_l2 for r in csp_recover_panel(ys, ens, codec, truths=[x, x])] == [0.0, 0.0]
+        for bad in (np.zeros((2, 1)), x[None], np.stack([x, x, x]), x):
+            with pytest.raises(ValueError, match="truth"):
+                csp_recover_panel(ys, ens, codec, truths=bad)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_measurements_rejected(self, bad):
         # no residual could win the fold; fail loudly instead
@@ -530,15 +547,121 @@ class TestScanInvariance:
     @pytest.mark.parametrize("front", ["single", "panel"])
     @pytest.mark.parametrize("block_size", [4096, 5])
     def test_cached_and_lazy_codebooks_agree_bitwise(self, front, block_size):
-        # a slice of the cached codebook and a freshly decoded block hold the
-        # same values, so the scan's products and residuals are the same bits
-        cached = SparseCodec(6, 2, 1.0, 0.5)
-        lazy = SparseCodec(6, 2, 1.0, 0.5)
-        lazy.__dict__["_codebook"] = None   # as if over the size limit
-        assert cached._codebook is not None
+        # level rows sliced from the cached level table and level rows
+        # computed lazily hold the same values, so the scan's products and
+        # residuals are the same bits; block_size 5 cuts each support of 49
+        # codewords into blocks
+        table = SparseCodec(6, 2, 1.0, 0.5)
+        computed = SparseCodec(6, 2, 1.0, 0.5)
+        computed.__dict__["_levels"] = None   # as if over the size limit
+        assert table._levels is not None
         for seed in range(5):
             with scan_block(block_size):
-                want, _ = recover_all(front, cached, seed, 0.1)
-                got, _ = recover_all(front, lazy, seed, 0.1)
+                want, _ = recover_all(front, table, seed, 0.1)
+                got, _ = recover_all(front, computed, seed, 0.1)
             assert [(r.chosen_index, r.residual) for r in got] == \
                 [(r.chosen_index, r.residual) for r in want]
+
+
+def reference_block_scan(ys, ens, codec, kernel):
+    """Reference finite scan, as it ran before codewords were grouped by
+    support: every block of the fixed _BLOCK-row grid over the whole
+    codebook decoded with decode_block, times the transposed matrix, the
+    kernel, and a strict fold that keeps the earlier index on ties.  Returns
+    the chosen indices, their squared residuals and every squared residual,
+    (size, p)."""
+    p = len(ys)
+    best, at = np.full(p, np.inf), np.zeros(p, dtype=np.int64)
+    every = []
+    for start in range(0, codec.size, solver._BLOCK):
+        count = min(solver._BLOCK, codec.size - start)
+        sq = kernel(codec.decode_block(start, count) @ ens.matrix.T)
+        every.append(sq.copy())
+        j = sq.argmin(axis=0)
+        m = sq[j, np.arange(p)]
+        better = m < best
+        best[better] = m[better]
+        at[better] = start + j[better]
+    return at, best, np.concatenate(every)
+
+
+def expanded_kernel(ys):
+    """The panel's kernel ||R c||^2 + ||y||^2 - 2<R c, y>, clipped at 0."""
+    yn = np.einsum("ij,ij->i", ys, ys)
+
+    def kernel(R):
+        rn = np.einsum("ij,ij->i", R, R)
+        return np.maximum(rn[:, None] + yn[None, :] - 2.0 * (R @ ys.T), 0.0)
+    return kernel
+
+
+# (class, n, k, steps): L = 2 * steps + 1 levels per support coordinate
+GROUPED_CODECS = {
+    "sparse-k1": ("sparse", 10, 1, 20),        # 10 supports of 41
+    "sparse-small": ("sparse", 6, 2, 3),       # 15 supports of 49 in one block
+    "sparse-cross": ("sparse", 8, 2, 12),      # 625 per support: blocks cross supports
+    "sparse-large": ("sparse", 5, 3, 8),       # 10 supports of 4,913 > _BLOCK
+    "sparse-wide": ("sparse", 4, 2, 32),       # 6 supports of 4,225 > _BLOCK
+    "grid-small": ("grid", 2, 2, 5),           # one support of 121
+    "grid-large": ("grid", 3, 3, 8),           # one support of 4,913 > _BLOCK
+    "grid-4": ("grid", 4, 4, 4),               # one support of 6,561 > _BLOCK
+}
+
+
+@functools.lru_cache(maxsize=None)
+def grouped_codec(name, table):
+    """A codec of GROUPED_CODECS; without its level table when table is
+    False, as if it were over the size limit."""
+    kind, n, k, steps = GROUPED_CODECS[name]
+    delta = math.sqrt(k) / steps
+    codec = GridCodec(n, 1.0, delta) if kind == "grid" else SparseCodec(n, k, 1.0, delta)
+    assert codec.levels_per_dim == 2 * steps + 1
+    if not table:
+        codec.__dict__["_levels"] = None
+    return codec
+
+
+@st.composite
+def grouped_cases(draw):
+    return (draw(st.sampled_from(sorted(GROUPED_CODECS))), draw(st.booleans()),
+            draw(st.sampled_from(["single", "panel"])), draw(st.integers(1, 8)),
+            draw(st.sampled_from([0.0, 0.05, 0.3])), draw(st.integers(0, 2**32 - 1)))
+
+
+class TestFiniteScanReference:
+    """The sparse and grid scans against the whole-codebook block reference.
+    For d >= 2 every product is a gemm, whose rows have the same bits over
+    the k support columns as over all n columns with exact zeros, so the
+    index and the residual agree bit for bit.  At d = 1 the products are
+    gemv, which can round a k-term and an n-term sum differently in the
+    last bits, so there the residual agrees to rounding and the chosen
+    codeword's residual is minimal to rounding."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=grouped_cases())
+    @example(case=("sparse-large", False, "single", 5, 0.05, 1))
+    @example(case=("sparse-wide", True, "panel", 3, 0.0, 2))
+    @example(case=("grid-4", False, "panel", 2, 0.3, 3))
+    @example(case=("sparse-cross", True, "single", 1, 0.05, 4))
+    @example(case=("sparse-large", True, "panel", 1, 0.0, 5))
+    def test_matches_block_reference(self, case):
+        name, table, front, d, noise, seed = case
+        codec = grouped_codec(name, table)
+        gen = derive_stream(seed, 1)
+        ens = sample_ensemble(d, codec.n, derive_stream(seed, 0))
+        xs = np.array([codec.decode(int(i)) for i in gen.integers(0, codec.size, size=3)])
+        ys = xs @ ens.matrix.T + noise * gen.standard_normal((3, d))
+        if front == "panel":
+            results = csp_recover_panel(ys, ens, codec)
+            want = [reference_block_scan(ys, ens, codec, expanded_kernel(ys))]
+            pairs = [(r, want[0], s) for s, r in enumerate(results)]
+        else:
+            pairs = [(csp_recover(y, ens, codec),
+                      reference_block_scan(y[None], ens, codec, solver._direct(y)), 0)
+                     for y in ys]
+        for res, (at, best, every), s in pairs:
+            if d >= 2:
+                assert (res.chosen_index, res.residual) == (at[s], math.sqrt(best[s]))
+            else:
+                assert res.residual == pytest.approx(math.sqrt(best[s]), abs=1e-12)
+                assert math.sqrt(every[res.chosen_index, s]) <= res.residual + 1e-12
