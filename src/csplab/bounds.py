@@ -103,13 +103,13 @@ _RANGES = {
 
 def _req(inputs: BoundInputs, theorem: str, **checks) -> dict:
     """Pull required symbols, enforcing each one's range code (_RANGES); a
-    bool is no number here, so True never counts as 1."""
+    bool or a string is no number here, so neither True nor "3" counts."""
     out = {}
     for name, kind in checks.items():
         val = getattr(inputs, name)
         if val is None:
             raise ParameterError(f"{theorem}: missing parameter {name}")
-        if isinstance(val, bool):
+        if isinstance(val, bool) or not isinstance(val, numbers.Real):
             raise ParameterError(f"{theorem}: {name}={val!r} must be a number")
         val = float(val)
         ok, text = _RANGES[kind]

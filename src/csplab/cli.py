@@ -47,6 +47,8 @@ def _add_common(p: argparse.ArgumentParser, config: bool = False, seed: bool = T
 
 def _load_config(args) -> ExperimentConfig:
     raw = json.loads(Path(args.config).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, not {raw!r}")
     # overrides go in before construction, so they are validated like the file
     if args.seed is not None:
         raw["master_seed"] = args.seed

@@ -36,7 +36,6 @@ from .piecewise import (PiecewisePolynomial, constant_function,
 from .rng import derive_stream
 
 DEFAULT_CAP = 2**24
-_CODEBOOK_FLOATS = 2**22  # 32 MiB: a larger level table is not kept, its rows are computed
 _AUDIT_SAMPLES = 64  # class samples per calibration audit, beside the probes
 
 # fixed seed for build-time calibration audits; not related to user seeds
@@ -200,12 +199,10 @@ class SparseCodec(Codec):
     support are the level values of its grid index, which depend only on
     the grid index.  The scan takes each support as one group of grid_size
     codewords, with the columns of the support as its operator and
-    level_block as its coefficient rows, and decodes no codeword.  The
-    level values of every grid index are one read-only (grid_size, k) table,
-    built on first use and kept while it holds at most _CODEBOOK_FLOATS
-    (2^22) floats; over the limit each request computes its rows from their
-    grid digits, with the same bits.  decode, decode_block and materialize
-    return fresh arrays.
+    level_block as its coefficient rows, and decodes no codeword.  Level
+    rows are computed from their grid digits on request; the scan asks for
+    each block of them once.  decode, decode_block and materialize return
+    fresh arrays.
     """
 
     kind = "sparse"
@@ -272,38 +269,19 @@ class SparseCodec(Codec):
         support_rank, rem = divmod(self._index(index), self.grid_size)
         out = np.zeros(self.n)
         # the last support coordinate holds the least significant grid digit;
-        # (d - steps) * spacing in Python floats has the level table's bits
+        # (d - steps) * spacing in Python floats has level_block's bits
         for i in reversed(_comb_unrank(support_rank, self.n, self.k)):
             rem, d = divmod(rem, self.levels_per_dim)
             out[i] = (d - self.steps) * self.spacing
         return out
 
-    def _level_rows(self, grid_index: int, count: int) -> np.ndarray:
+    def level_block(self, grid_index: int, count: int) -> np.ndarray:
         """Level values of the grid indices [grid_index, grid_index + count),
-        shape (count, k)."""
+        shape (count, k), computed from their grid digits.  Row i holds the
+        values, on its support, of codeword grid_index + i of every support."""
         gidx = np.arange(grid_index, grid_index + count, dtype=np.int64)
         digits = np.stack(np.unravel_index(gidx, (self.levels_per_dim,) * self.k), axis=1)
         return (digits - self.steps) * self.spacing
-
-    @functools.cached_property
-    def _levels(self) -> np.ndarray | None:
-        """The level values of every grid index, (grid_size, k) read-only,
-        when it holds at most _CODEBOOK_FLOATS floats; None for a larger one."""
-        if self.grid_size * self.k > _CODEBOOK_FLOATS:
-            return None
-        table = self._level_rows(0, self.grid_size)
-        table.flags.writeable = False
-        return table
-
-    def level_block(self, grid_index: int, count: int) -> np.ndarray:
-        """Level values of the grid indices [grid_index, grid_index + count),
-        shape (count, k): a view of the level table, or computed over the
-        limit.  Row i holds the values, on its support, of codeword
-        grid_index + i of every support."""
-        table = self._levels
-        if table is None:
-            return self._level_rows(grid_index, count)
-        return table[grid_index:grid_index + count]
 
     @functools.cached_property
     def supports(self) -> np.ndarray:

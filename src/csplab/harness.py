@@ -75,6 +75,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.regime not in ("weak", "strong", "analog"):
             raise ValueError(f"unknown regime {self.regime!r}")
+        for name in ("codec", "noise", "bound_params", "axis"):
+            value = getattr(self, name)
+            if not (isinstance(value, dict) or name == "axis" and value is None):
+                raise ValueError(f"{name}={value!r} must be a JSON object")
+        # _resolve_d checks the value, after a d axis has set it
+        if self.d is not None and not isinstance(self.d, numbers.Real):
+            raise ValueError(f"d={self.d!r} must be a number")
         for name, least in (("trials", 1), ("panel_size", 1), ("master_seed", 0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -96,8 +103,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown axis keys: {sorted(extra)}")
             if self.axis.get("name") not in _AXES:
                 raise ValueError(f"axis name must be one of {_AXES}")
-            if not self.axis.get("values"):
-                raise ValueError("axis values must be nonempty")
+            if not (isinstance(self.axis.get("values"), (list, tuple)) and self.axis["values"]):
+                raise ValueError("axis values must be a nonempty list")
             for value in self.axis["values"]:
                 if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                         or not math.isfinite(value)):

@@ -11,6 +11,7 @@ a trial records the keys it used in its CSV row.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,8 @@ class NoiseModel:
                      takes u from a caller-supplied direction (the stress
                      surrogate for noise that may depend on the measurements).
     The emitted perturbation of a bounded model always has norm exactly zeta.
-    The levels zeta and sigma must be finite and >= 0.
+    The levels zeta and sigma must be finite numbers >= 0 (a bool or a
+    string is refused); they are kept as floats.
     """
 
     kind: str = "none"
@@ -74,8 +76,11 @@ class NoiseModel:
         if self.kind not in _NOISE_KEYS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         for name in ("zeta", "sigma"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name}={getattr(self, name)} must be finite and >= 0")
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 <= value < math.inf):
+                raise ValueError(f"{name}={value!r} must be finite and >= 0")
+            object.__setattr__(self, name, float(value))
         if self.kind == "bounded" and self.shape not in (
             "random_direction", "worst_aligned",
         ):
@@ -93,7 +98,7 @@ class NoiseModel:
         if extra:
             raise ValueError(f"unknown noise keys: {sorted(extra)}")
         shape = block.pop("shape", "random_direction")
-        return cls(kind, shape=shape, **{k: float(v) for k, v in block.items()})
+        return cls(kind, shape=shape, **block)
 
     @property
     def worst_aligned(self) -> bool:

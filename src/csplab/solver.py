@@ -5,14 +5,15 @@ ties broken by the smallest codeword index.  One tiled scan implements it:
 the codebook is a run of equal-size groups of codewords, each sharing one
 linear operator (one support for sparse and grid codecs, one breakpoint
 layout for piecewise polynomials, the whole codebook for an explicit one).
-Groups that fit in one block of _BLOCK rows are scanned many to a tile of at
-most _BLOCK rows; a larger group is cut into a fixed grid of _BLOCK-row
-blocks, one tile each.  Tile minima are folded serially, in index order, into
-a running incumbent.  The three solvers are front ends that differ only in
-their plan (the groups, their operators and coefficient rows) and their
-residual kernel.  No codeword is decoded to scan it: memory stays at one
-tile of coefficient rows, operators and measurements beside the analog
-operators.
+Every group is cut into the same fixed grid of _BLOCK-row blocks (one block
+when it fits), whose coefficient rows are built once per scan; groups that
+fit in one block are scanned many to a tile of at most _BLOCK rows.  The
+tile minima are reduced once by (residual, index), so the smallest index
+wins a tie whatever order the tiles are visited in.  The three solvers are
+front ends that differ only in their plan (the groups, their operators and
+coefficient rows) and their residual kernel.  No codeword is decoded to scan
+it: memory stays at one block of coefficient rows and one tile of operators
+and measurements, beside the analog operators and one minimum per tile.
 """
 
 from __future__ import annotations
@@ -83,42 +84,45 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
     g + count (fewer at the end) as one (count, rows of B, d) stack, and
     kernel maps measurements R (count, d) to squared residuals (count, p)
     against the p signals.  Every R is a fresh product that the scan reads
-    no more, so the kernel may overwrite it.  A group of at most _BLOCK rows
-    is one block, and consecutive such groups are scanned _BLOCK // size to
-    a tile: one stacked product of their shared coefficient grid, built
-    once, with the tile's operators, one kernel call on its rows and one
-    first-occurrence argmin.  A larger group is cut into the canonical grid
-    of _BLOCK-row blocks, each a tile of its own, the stacked product of its
-    rows with the group's operator alone.  Tiles are folded in index order
-    into a running minimum; the comparison is strict, so the earlier tile
-    keeps a tie.  Returns the minimum squared residual and its codeword
-    index per signal, smallest index on ties.
+    no more, so the kernel may overwrite it.
+
+    Every group is cut into the same grid of _BLOCK-row blocks, one block
+    when size <= _BLOCK.  The outer loop walks that grid and builds each
+    block's coefficient rows once per scan; the inner loop walks the groups
+    _BLOCK // size to a tile (one when size > _BLOCK): one stacked product of
+    the block's rows with the tile's operators, one kernel call on its rows
+    and one first-occurrence argmin, which is the tile's smallest index at
+    its minimum.  The tile minima are reduced once, by (residual, index):
+    the minimum per signal, and the smallest index among the tiles that
+    reach it, so the order in which tiles are visited cannot pick the
+    index.  Returns the minimum squared residual and its codeword index per
+    signal.
 
     Tiling moves no bits: numpy's matmul runs one gemm per stacked slice,
-    the same (size x n) @ (n x d) call as the group's own product, and the
+    the same (rows x n) @ (n x d) call as the group's own product, and the
     kernel works row by row.  The fixed grid of a large group is part of
     the output: BLAS can round a row of coefs @ B differently with its
     block's row count, so another grid could move residuals in the last
     bits, and the argmin at ties.
     """
-    best = np.full(p, np.inf)
-    at = np.zeros(p, dtype=np.int64)
-    cols = np.arange(p)
     step = max(1, _BLOCK // size)
-    grid = coefs(0, size) if size <= _BLOCK else None
+    cols = np.arange(p)
+    mins, at = [], []
     # measurements are not kept past their kernel call, so no two tiles of
     # them are alive at once
-    for g in range(0, n_groups, step):
-        B = ops(g, step)
-        for offset in range(0, size, _BLOCK):
-            rows = coefs(offset, min(_BLOCK, size - offset)) if grid is None else grid
+    for offset in range(0, size, _BLOCK):
+        rows = coefs(offset, min(_BLOCK, size - offset))
+        for g in range(0, n_groups, step):
+            B = ops(g, step)
             sq = kernel(np.matmul(rows, B).reshape(-1, B.shape[-1]))
             j = sq.argmin(axis=0)    # first occurrence per signal
-            m = sq[j, cols]
-            better = m < best
-            best[better] = m[better]
-            at[better] = g * size + offset + j[better]
-    return best, at
+            mins.append(sq[j, cols])
+            # row j of the tile is codeword g * size + offset + j, whether
+            # the tile holds many groups (offset 0) or one block of one group
+            at.append(j + (g * size + offset))
+    mins, at = np.array(mins), np.array(at)
+    best = mins.min(axis=0)
+    return best, np.where(mins == best, at, np.iinfo(np.int64).max).min(axis=0)
 
 
 def _results(codec, sq, idx, t0, truths, error) -> list[RecoveryResult]:
@@ -264,9 +268,9 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     with a row slice of that transpose.  Row slices reproduce the bits of a
     masked copy of increments[:, cells]; column slices of the increments
     (views or copies) take another BLAS path and can differ in the last bits,
-    which would change reported residuals.  When a group fits in one block
-    the coefficient grid, the same for every group, is built once per scan
-    and the groups are scanned a tile of at most _BLOCK rows at a time, so
+    which would change reported residuals.  The coefficient grid is the
+    same for every group, so each block of it is built once per scan, and
+    the groups are scanned a tile of at most _BLOCK rows at a time, so
     memory stays at O(block * (n_coef + d)) beside the operators.
     """
     t0 = time.perf_counter()

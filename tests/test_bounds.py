@@ -233,13 +233,15 @@ class TestEvaluateBound:
                 == evaluate_bound(tid, BoundInputs(**dict(base, **{name: 3}))))
 
     @pytest.mark.parametrize("tid,name", [("T3", "d"), ("T8", "n"), ("T3", "tau2"),
-                                          ("C9", "eps")])
+                                          ("C9", "eps"), ("T3", "tau1")])
     def test_bools_are_not_numbers(self, tid, name):
+        # nor are strings, though float("3") would take one
         base = dict(r=10.0, d=40, n=64, delta=0.05, tau=0.75, t=1.0, tau1=3.0,
                     tau2=0.75, eta=2.0, eps=1.5)
-        with pytest.raises(ParameterError) as err:
-            evaluate_bound(tid, BoundInputs(**dict(base, **{name: True})))
-        assert str(err.value) == f"{tid}: {name}=True must be a number"
+        for value in (True, "3"):
+            with pytest.raises(ParameterError) as err:
+                evaluate_bound(tid, BoundInputs(**dict(base, **{name: value})))
+            assert str(err.value) == f"{tid}: {name}={value!r} must be a number"
 
 
 class TestOptimizer:

@@ -68,6 +68,13 @@ def test_override_is_validated(tmp_path, weak_config, capsys):
      "sigma=nan must be finite and >= 0"),
     ("noise", {"kind": "bounded", "zeta": float("inf")},
      "zeta=inf must be finite and >= 0"),
+    # these ran at sigma = 1, or ended in a TypeError traceback
+    ("noise", {"kind": "gaussian", "sigma": True}, "sigma=True must be finite and >= 0"),
+    ("noise", None, "noise=None must be a JSON object"),
+    ("bound_params", None, "bound_params=None must be a JSON object"),
+    ("d", "5", "d='5' must be a number"),
+    ("d", [5], "d=[5] must be a number"),
+    ("axis", {"name": "d", "values": 5}, "axis values must be a nonempty list"),
 ])
 def test_bad_config_fields_exit_2_before_running(tmp_path, weak_config, capsys,
                                                   key, value, message):
@@ -81,6 +88,16 @@ def test_bad_config_fields_exit_2_before_running(tmp_path, weak_config, capsys,
     assert not (tmp_path / "recover.csv").exists()
 
 
+@pytest.mark.parametrize("text", ["null", "5", '"abc"', "[]"])
+def test_config_must_be_an_object(tmp_path, weak_config, capsys, text):
+    # these ended in a TypeError traceback, or named the letters of a string
+    # as unknown keys
+    weak_config.write_text(text)
+    rc = main(["recover", "--config", str(weak_config), "--out", str(tmp_path), "--seed", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: config must be a JSON object, not {json.loads(text)!r}\n"
+
+
 @pytest.mark.parametrize("codec,message", [
     ({"class": "sparse", "n": 8, "rho": 1.0, "delta": 0.2},
      "sparse codec config lacks keys: ['k']"),
@@ -88,6 +105,7 @@ def test_bad_config_fields_exit_2_before_running(tmp_path, weak_config, capsys,
      "delta=None must be a number"),
     ({"class": "sparse", "n": 8, "k": 1, "rho": True, "delta": 0.2},
      "rho=True must be finite and > 0"),
+    ("sparse", "codec='sparse' must be a JSON object"),
 ])
 def test_recover_names_a_bad_codec_descriptor(tmp_path, weak_config, capsys,
                                               codec, message):

@@ -290,9 +290,8 @@ class TestPiecewisePolyCodec:
             want.coef_bits, want.break_bits, repr(want.audit_worst))
 
 
-# codecs for the round-trip properties; the "lazy" ones have level tables of
-# more than 2^22 floats, so they keep none and compute every level row from
-# its grid digits
+# codecs for the round-trip properties; the "lazy" ones are the large ones,
+# with over a million codewords each
 ROUND_TRIP_CODECS = {
     "sparse": lambda: SparseCodec(6, 2, 1.0, 0.5),
     "sparse-lazy": lambda: SparseCodec(4, 2, 1.0, math.sqrt(2) / 724),  # 1,449^2 x 2
@@ -342,33 +341,8 @@ class TestRoundTripProperties:
 
 
 class TestCodebookCache:
-    """What a sparse or grid codec keeps: its level table under the float
-    limit, and its support table.  No whole codebook is kept."""
-
-    @pytest.mark.parametrize("name,cached", [
-        ("sparse", True), ("sparse-lazy", False), ("grid", True), ("grid-lazy", False),
-    ])
-    def test_round_trip_codecs_are_what_they_say(self, name, cached):
-        c = round_trip_codec(name)
-        assert (c._levels is not None) == cached
-        assert (c.grid_size * c.k <= 2**22) == cached
-
-    @pytest.mark.parametrize("args,levels", [
-        ((32, 2, 1.0, 0.1), (961, 2)),      # weak-scan: a tiny table
-        ((4, 4, 1.0, 0.125), None),         # 33^4 x 4 floats, over the limit
-    ])
-    def test_level_table_follows_the_float_count(self, args, levels):
-        c = SparseCodec(*args)
-        assert (None if c._levels is None else c._levels.shape) == levels
-
-    def test_limit_is_inclusive(self, monkeypatch):
-        c, over = SparseCodec(6, 2, 1.0, 0.5), SparseCodec(6, 2, 1.0, 0.5)
-        monkeypatch.setattr(codecs, "_CODEBOOK_FLOATS", c.grid_size * c.k)
-        assert c._levels is not None
-        monkeypatch.setattr(codecs, "_CODEBOOK_FLOATS", c.grid_size * c.k - 1)
-        assert over._levels is None
-        assert np.array_equal(over.level_block(0, over.grid_size), c._levels)
-        assert np.array_equal(over.materialize(), c.materialize())
+    """What a sparse or grid codec keeps: its support table.  No codebook
+    and no level rows are kept."""
 
     @pytest.mark.parametrize("name", ["sparse", "grid"])
     def test_blocks_handed_out_are_fresh(self, name):
@@ -393,7 +367,7 @@ class TestCodebookCache:
 
 def per_run_block(c, start, count):
     """Reference block decode: every support run computes its level values
-    from its grid digits, with no level table."""
+    from its grid digits."""
     block = np.zeros((count, c.n))
     pos = 0
     while pos < count:
@@ -409,10 +383,10 @@ def per_run_block(c, start, count):
 
 class TestDecodeBlock:
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(data=st.data(), table=st.booleans())
-    def test_matches_the_per_run_reference(self, data, table):
-        # both decode paths (level table or not) hold the reference's floats
-        # bit for bit, and decode(i) is row 0 of decode_block(i, 1)
+    @given(data=st.data())
+    def test_matches_the_per_run_reference(self, data):
+        # the decoded blocks hold the reference's floats bit for bit, and
+        # decode(i) is row 0 of decode_block(i, 1)
         n = data.draw(st.integers(1, 10), label="n")
         k = data.draw(st.integers(1, n), label="k")
         grid = data.draw(st.booleans(), label="grid") and k == n
@@ -425,8 +399,6 @@ class TestDecodeBlock:
         delta = rho * math.sqrt(k) / (steps - slack)
         c = GridCodec(n, rho, delta) if grid else SparseCodec(n, k, rho, delta)
         assume(c.size <= 200_000)
-        if not table:
-            c.__dict__["_levels"] = None     # as if over the size limit
         start = data.draw(st.integers(0, c.size - 1), label="start")
         # up to two grids and a bit: most blocks cross a support boundary
         count = data.draw(st.integers(0, min(c.size - start, 2 * c.grid_size + 2)),

@@ -103,15 +103,15 @@ CONFIGS = {
         master_seed=22, panel_size=25, theorem_id="T10",
         bound_params={"tau": 0.75, "t": 1.0, "tau_prime": 1.0},
     ),
-    # the weak-scan codec: 476,656 codewords x 32 floats is over the cache
-    # limit, so every scan decodes its blocks lazily
+    # the weak-scan codec: 496 supports of 961 codewords, four supports to a
+    # tile of the scan
     "weak_lazy": dict(
         codec={"class": "sparse", "n": 32, "k": 2, "rho": 1.0, "delta": 0.1},
         regime="weak", noise={"kind": "gaussian", "sigma": 0.05}, d=12,
         trials=2, master_seed=24,
     ),
-    # 33^4 = 1,185,921 codewords x 4 floats: over the cache limit, and so
-    # is the one grid of level values
+    # 33^4 = 1,185,921 codewords in one support: 290 blocks of level rows,
+    # each computed from its grid digits
     "grid_over_limit": dict(
         codec={"class": "grid", "n": 4, "rho": 1.0, "delta": 0.125},
         regime="weak", d=6, trials=2, master_seed=25, signal_source="codebook",

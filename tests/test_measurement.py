@@ -155,6 +155,9 @@ class TestNoise:
     @pytest.mark.parametrize("block", [
         {"kind": "gaussian", "sigma": math.nan}, {"kind": "bounded", "zeta": math.inf},
         {"kind": "gaussian", "sigma": -0.1},
+        # a bool or a string is no noise level, though float() would take it
+        {"kind": "gaussian", "sigma": True}, {"kind": "gaussian", "sigma": "0.05"},
+        {"kind": "bounded", "zeta": "0.1"},
     ])
     def test_noise_levels_must_be_finite(self, block):
         name = "sigma" if block["kind"] == "gaussian" else "zeta"

@@ -71,6 +71,24 @@ class TestExactCases:
         res = csp_recover(y, ens, codec)
         assert res.chosen_index == 1
 
+    def test_visit_order_cannot_pick_the_index(self):
+        # 19^3 = 6,859 codewords per support, so each support is two blocks.
+        # x is level +3 on coordinate 0, codeword 4512 in block 1 of support
+        # (0, 1, 2); with column 5 equal to column 0, codeword 24009 (level +3
+        # on coordinate 5, in block 0 of support (0, 1, 5)) measures to the
+        # same bits, and so do mixes of the two coordinates further on.  A
+        # fold that kept the first minimum it visited would pick a block-0 twin.
+        codec = SparseCodec(6, 3, 1.0, 0.2)
+        ens = sample_ensemble(4, 6, derive_stream(43, 0))
+        ens.matrix[:, 5] = ens.matrix[:, 0]
+        x = codec.decode(4512)
+        assert codec.encode(x) == 4512
+        assert np.array_equal(ens.matrix @ codec.decode(24009), ens.matrix @ x)
+        y = measure(ens, x)
+        assert csp_recover(y, ens, codec).chosen_index == 4512
+        panel = csp_recover_panel(np.stack([y, y]), ens, codec)
+        assert [r.chosen_index for r in panel] == [4512, 4512]
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("make_codec", [
@@ -544,24 +562,6 @@ class TestScanInvariance:
                 results, picks = recover_all(front, codec, seed, 0.0)
             assert [r.chosen_index for r in results] == [i % 25 for i in picks]
 
-    @pytest.mark.parametrize("front", ["single", "panel"])
-    @pytest.mark.parametrize("block_size", [4096, 5])
-    def test_cached_and_lazy_codebooks_agree_bitwise(self, front, block_size):
-        # level rows sliced from the cached level table and level rows
-        # computed lazily hold the same values, so the scan's products and
-        # residuals are the same bits; block_size 5 cuts each support of 49
-        # codewords into blocks
-        table = SparseCodec(6, 2, 1.0, 0.5)
-        computed = SparseCodec(6, 2, 1.0, 0.5)
-        computed.__dict__["_levels"] = None   # as if over the size limit
-        assert table._levels is not None
-        for seed in range(5):
-            with scan_block(block_size):
-                want, _ = recover_all(front, table, seed, 0.1)
-                got, _ = recover_all(front, computed, seed, 0.1)
-            assert [(r.chosen_index, r.residual) for r in got] == \
-                [(r.chosen_index, r.residual) for r in want]
-
 
 def reference_block_scan(ys, ens, codec, kernel):
     """Reference finite scan, as it ran before codewords were grouped by
@@ -609,21 +609,18 @@ GROUPED_CODECS = {
 
 
 @functools.lru_cache(maxsize=None)
-def grouped_codec(name, table):
-    """A codec of GROUPED_CODECS; without its level table when table is
-    False, as if it were over the size limit."""
+def grouped_codec(name):
+    """A codec of GROUPED_CODECS."""
     kind, n, k, steps = GROUPED_CODECS[name]
     delta = math.sqrt(k) / steps
     codec = GridCodec(n, 1.0, delta) if kind == "grid" else SparseCodec(n, k, 1.0, delta)
     assert codec.levels_per_dim == 2 * steps + 1
-    if not table:
-        codec.__dict__["_levels"] = None
     return codec
 
 
 @st.composite
 def grouped_cases(draw):
-    return (draw(st.sampled_from(sorted(GROUPED_CODECS))), draw(st.booleans()),
+    return (draw(st.sampled_from(sorted(GROUPED_CODECS))),
             draw(st.sampled_from(["single", "panel"])), draw(st.integers(1, 8)),
             draw(st.sampled_from([0.0, 0.05, 0.3])), draw(st.integers(0, 2**32 - 1)))
 
@@ -639,14 +636,14 @@ class TestFiniteScanReference:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=grouped_cases())
-    @example(case=("sparse-large", False, "single", 5, 0.05, 1))
-    @example(case=("sparse-wide", True, "panel", 3, 0.0, 2))
-    @example(case=("grid-4", False, "panel", 2, 0.3, 3))
-    @example(case=("sparse-cross", True, "single", 1, 0.05, 4))
-    @example(case=("sparse-large", True, "panel", 1, 0.0, 5))
+    @example(case=("sparse-large", "single", 5, 0.05, 1))
+    @example(case=("sparse-wide", "panel", 3, 0.0, 2))
+    @example(case=("grid-4", "panel", 2, 0.3, 3))
+    @example(case=("sparse-cross", "single", 1, 0.05, 4))
+    @example(case=("sparse-large", "panel", 1, 0.0, 5))
     def test_matches_block_reference(self, case):
-        name, table, front, d, noise, seed = case
-        codec = grouped_codec(name, table)
+        name, front, d, noise, seed = case
+        codec = grouped_codec(name)
         gen = derive_stream(seed, 1)
         ens = sample_ensemble(d, codec.n, derive_stream(seed, 0))
         xs = np.array([codec.decode(int(i)) for i in gen.integers(0, codec.size, size=3)])
