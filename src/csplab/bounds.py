@@ -32,12 +32,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codecs import ceil_snap
+from .codecs import _count, _number, ceil_snap
 
 
 class ParameterError(ValueError):
@@ -109,12 +108,11 @@ def _req(inputs: BoundInputs, theorem: str, **checks) -> dict:
         val = getattr(inputs, name)
         if val is None:
             raise ParameterError(f"{theorem}: missing parameter {name}")
-        if isinstance(val, bool) or not isinstance(val, numbers.Real):
-            raise ParameterError(f"{theorem}: {name}={val!r} must be a number")
-        val = float(val)
+        label = f"{theorem}: {name}"
+        val = _number(label, val, error=ParameterError)
         ok, text = _RANGES[kind]
         if not ok(val):
-            raise ParameterError(f"{theorem}: {name}={val} must be {text}")
+            raise ParameterError(f"{label}={val} must be {text}")
         out[name] = val
     return out
 
@@ -456,8 +454,7 @@ class PowerlawRate:
 
 def check_eta(eta: float) -> None:
     """The budget rule's oversampling factor must be a finite number > 1."""
-    if isinstance(eta, bool) or not isinstance(eta, numbers.Real):
-        raise ParameterError(f"eta={eta!r} must be a number")
+    _number("eta", eta, error=ParameterError)
     if not 1 < eta < math.inf:
         raise ParameterError(f"eta={eta} must be " + ("> 1" if eta <= 1 else "finite"))
 
@@ -503,14 +500,15 @@ class IndistinguishablePair:
 def construct_indistinguishable_pair(A, k: int, stream=None) -> IndistinguishablePair:
     """Build two k-sparse vectors the measurement matrix cannot tell apart.
 
-    Requires d <= 2k-1 and d+1 <= n.  Takes d+1 columns of A (consecutive
-    runs first, then, on numerical degeneracy, selections drawn from `stream`
-    if given; 32 distinct selections in all at most, and never more than the
-    C(n, d+1) there are),
+    Requires an integer k >= 1, d <= 2k-1 and d+1 <= n.  Takes d+1 columns
+    of A (consecutive runs first, then, on numerical degeneracy, selections
+    drawn from `stream` if given; 32 distinct selections in all at most, and
+    never more than the C(n, d+1) there are),
     finds a null-space combination of them, and splits its support into two
     disjoint halves of sizes ceil((d+1)/2) and floor((d+1)/2).  By
     construction A(x1 - x2) = 0 up to solver roundoff.
     """
+    k = _count("k", k, 1, ParameterError)
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ParameterError("A must be a d-by-n matrix")

@@ -18,7 +18,8 @@ at most delta; decoding is the inverse enumeration.
 
 Constructors check every parameter first, else ValueError: counts (n, k,
 degree, n_breaks, grid, a cap other than None) are integers or integer-valued
-floats, never bools; rho and amp are finite and > 0.
+floats, never bools; rho and amp are finite and > 0.  Codeword indices are
+integers (a Python or numpy int, never a bool or a float), else IndexError.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -64,30 +66,47 @@ class GridResolutionError(ValueError):
     codec's time grid can align with."""
 
 
-def _count(name: str, value, least: int) -> int:
+def _count(name: str, value, least: int, error=ValueError) -> int:
     """value as an int >= least.  An integer-valued float passes; a bool, a
-    fraction, nan or inf is a ValueError."""
+    fraction, nan or inf raises error."""
     if (isinstance(value, bool)
             or not (isinstance(value, numbers.Integral)
                     or isinstance(value, float) and value.is_integer())
             or value < least):
-        raise ValueError(f"{name}={value!r} must be an integer >= {least}")
+        raise error(f"{name}={value!r} must be an integer >= {least}")
     return int(value)
 
 
-def _real(name: str, value) -> float:
-    """value as a float, or ValueError unless it is a number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name}={value!r} must be a number")
+def _number(name: str, value, ok=None, text: str = "a number", error=ValueError) -> float:
+    """value as a float, or error "name=value must be text" unless it is a
+    number (a bool or a string is not) whose float satisfies ok, if given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or ok is not None and not ok(float(value))):
+        raise error(f"{name}={value!r} must be {text}")
     return float(value)
+
+
+def _refuse_unknown(keys, allowed, what: str) -> None:
+    """ValueError naming, sorted, every key outside allowed."""
+    extra = set(keys) - set(allowed)
+    if extra:
+        raise ValueError(f"unknown {what} keys: {sorted(extra)}")
 
 
 def _positive(name: str, value) -> float:
     """value as a float, or ValueError unless it is finite and > 0."""
-    if isinstance(value, bool) or not (
-            isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name}={value!r} must be finite and > 0")
-    return float(value)
+    return _number(name, value, lambda v: 0 < v < math.inf, "finite and > 0")
+
+
+def _integer(name: str, value) -> int:
+    """value as an int, or IndexError unless it is an integer: a Python or
+    numpy int, not a bool or a float."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise IndexError(f"{name} {value!r} must be an integer")
 
 
 def ceil_snap(x: float, eps: float = 1e-9) -> int:
@@ -147,22 +166,27 @@ class Codec:
     rate_bits: float
     delta: float
     cap: int | None
+    kind: str  # the descriptor's "class"
+    _descriptor: dict  # the descriptor's other keys -> the attribute each holds
 
     def decode(self, index: int):
         raise NotImplementedError
 
     def _index(self, index) -> int:
-        """index as an int, or IndexError unless 0 <= index < size."""
+        """index as an int, or IndexError unless it is an integer with
+        0 <= index < size."""
+        index = _integer("index", index)
         if not 0 <= index < self.size:
             raise IndexError(f"index {index} outside [0, {self.size})")
-        return int(index)
+        return index
 
     def _span(self, start, count) -> tuple[int, int]:
-        """(start, count) as ints, or IndexError unless the codewords
-        [start, start + count) lie inside [0, size)."""
+        """(start, count) as ints, or IndexError unless both are integers
+        and the codewords [start, start + count) lie inside [0, size)."""
+        start, count = _integer("start", start), _integer("count", count)
         if not (0 <= start and 0 <= count <= self.size - start):
             raise IndexError(f"block [{start}, {start} + {count}) outside [0, {self.size})")
-        return int(start), int(count)
+        return start, count
 
     def encode(self, x) -> int:
         raise NotImplementedError
@@ -181,7 +205,9 @@ class Codec:
             raise CapacityError(self.size, self.cap, what)
 
     def config(self) -> dict:
-        raise NotImplementedError
+        """The JSON descriptor codec_from_config builds this codec from."""
+        return {"class": self.kind,
+                **{key: getattr(self, attr) for key, attr in self._descriptor.items()}}
 
 
 class SparseCodec(Codec):
@@ -206,13 +232,14 @@ class SparseCodec(Codec):
     """
 
     kind = "sparse"
+    _descriptor = {"n": "n", "k": "k", "rho": "rho", "delta": "delta", "cap": "cap"}
 
     def __init__(self, n: int, k: int, rho: float, delta: float,
                  cap: int | None = DEFAULT_CAP):
         self.n = _count("n", n, 1)
         self.k = _count("k", k, 1)
         self.rho = _positive("rho", rho)
-        self.delta = _real("delta", delta)
+        self.delta = _number("delta", delta)
         self.cap = None if cap is None else _count("cap", cap, 1)
         if self.k > self.n:
             raise ValueError(f"k={self.k} outside [1, n={self.n}]")
@@ -339,12 +366,6 @@ class SparseCodec(Codec):
         x[support] += 0.5 * self.spacing
         return x if np.linalg.norm(x) <= self.rho else None
 
-    def config(self) -> dict:
-        return {
-            "class": "sparse", "n": self.n, "k": self.k, "rho": self.rho,
-            "delta": self.delta, "cap": self.cap,
-        }
-
 
 class GridCodec(SparseCodec):
     """Uniform product grid covering the ball B2(rho) in R^n: the sparse
@@ -357,6 +378,7 @@ class GridCodec(SparseCodec):
     """
 
     kind = "grid"
+    _descriptor = {"n": "n", "rho": "rho", "delta": "delta", "cap": "cap"}
 
     def __init__(self, n: int, rho: float, delta: float,
                  cap: int | None = DEFAULT_CAP):
@@ -367,12 +389,6 @@ class GridCodec(SparseCodec):
         """Uniform draw from the ball, with no support draw first."""
         return self._ball_draw(gen, self.n)
 
-    def config(self) -> dict:
-        return {
-            "class": "grid", "n": self.n, "rho": self.rho,
-            "delta": self.delta, "cap": self.cap,
-        }
-
 
 class ExplicitCodec(Codec):
     """A codec wrapping a read-only copy of a list of codewords (test and
@@ -380,6 +396,7 @@ class ExplicitCodec(Codec):
     ties)."""
 
     kind = "explicit"
+    _descriptor = {"n": "n", "size": "size"}
 
     def __init__(self, codewords):
         self._codewords = np.array(codewords, dtype=float, ndmin=2)
@@ -410,9 +427,6 @@ class ExplicitCodec(Codec):
     def materialize(self) -> np.ndarray:
         return self._codewords
 
-    def config(self) -> dict:
-        return {"class": "explicit", "n": self.n, "size": self.size}
-
 
 class PiecewisePolyCodec(Codec):
     """Quantized piecewise polynomials: degree <= N on Q+1 pieces of [0,1],
@@ -438,13 +452,16 @@ class PiecewisePolyCodec(Codec):
     """
 
     kind = "ppoly"
+    # "n" is the time grid and "rho" the amplitude bound
+    _descriptor = {"n": "grid", "N": "degree", "Q": "n_breaks", "rho": "amp",
+                   "delta": "delta", "cap": "cap"}
 
     def __init__(self, degree: int, n_breaks: int, amp: float, delta: float,
                  grid: int = 4096, cap: int | None = DEFAULT_CAP):
         self.degree = _count("degree", degree, 0)
         self.n_breaks = _count("n_breaks", n_breaks, 0)
         self.amp = _positive("amp", amp)
-        self.delta = _real("delta", delta)
+        self.delta = _number("delta", delta)
         self.grid = _count("grid", grid, 2)
         self.cap = None if cap is None else _count("cap", cap, 1)
         if not 0 < self.delta < self.amp:
@@ -648,48 +665,35 @@ class PiecewisePolyCodec(Codec):
             coeffs[j] = raw * (self.amp * gen.uniform(0.0, 1.0) / sup)
         return PiecewisePolynomial(breaks, coeffs)
 
-    def config(self) -> dict:
-        return {
-            "class": "ppoly", "n": self.grid, "N": self.degree,
-            "Q": self.n_breaks, "rho": self.amp, "delta": self.delta,
-            "cap": self.cap,
-        }
 
-
-# class -> (required keys, optional keys) of its descriptor
-_CODEC_KEYS = {
-    "grid": ({"n", "rho", "delta"}, {"cap"}),
-    "sparse": ({"n", "k", "rho", "delta"}, {"cap"}),
-    "ppoly": ({"rho", "delta"}, {"n", "N", "Q", "cap"}),
+# class -> (codec, the descriptor keys it requires, defaults of the others
+# that its constructor lacks)
+_CODEC_CLASSES = {
+    "grid": (GridCodec, {"n", "rho", "delta"}, {}),
+    "sparse": (SparseCodec, {"n", "k", "rho", "delta"}, {}),
+    "ppoly": (PiecewisePolyCodec, {"rho", "delta"}, {"N": 0, "Q": 0}),
 }
 
 
 def codec_from_config(cfg: dict) -> Codec:
     """Build a codec from its JSON descriptor; unknown or missing keys are
-    rejected.
+    rejected.  Each key is the constructor argument its class's _descriptor
+    names.
 
     ppoly descriptors reuse "rho" for the amplitude bound and "n" for the
     time-grid resolution.
     """
     kind = cfg.get("class")
-    if kind not in _CODEC_KEYS:
+    if kind not in _CODEC_CLASSES:
         raise ValueError(f"unknown codec class {kind!r}")
-    required, optional = _CODEC_KEYS[kind]
-    extra = set(cfg) - required - optional - {"class"}
-    if extra:
-        raise ValueError(f"unknown codec config keys: {sorted(extra)}")
-    missing = required - set(cfg)
+    cls, required, defaults = _CODEC_CLASSES[kind]
+    args = {**defaults, **cfg}
+    del args["class"]
+    _refuse_unknown(args, cls._descriptor, "codec config")
+    missing = required - set(args)
     if missing:
         raise ValueError(f"{kind} codec config lacks keys: {sorted(missing)}")
-    cap = cfg.get("cap", DEFAULT_CAP)
-    if kind == "grid":
-        return GridCodec(cfg["n"], cfg["rho"], cfg["delta"], cap=cap)
-    if kind == "sparse":
-        return SparseCodec(cfg["n"], cfg["k"], cfg["rho"], cfg["delta"], cap=cap)
-    return PiecewisePolyCodec(
-        cfg.get("N", 0), cfg.get("Q", 0), cfg["rho"], cfg["delta"],
-        grid=cfg.get("n", 4096), cap=cap,
-    )
+    return cls(**{cls._descriptor[key]: value for key, value in args.items()})
 
 
 def rd_profile(descriptor: dict, delta_list, cap: int | None = None) -> list:
@@ -701,7 +705,7 @@ def rd_profile(descriptor: dict, delta_list, cap: int | None = None) -> list:
     that point with nan fields and the error as its reason instead of failing
     the profile.
     """
-    deltas = [float(d) for d in delta_list]
+    deltas = [_number("delta", d) for d in delta_list]
     if not deltas or any(d <= 0 for d in deltas):
         raise ValueError("delta_list must be nonempty and positive")
     points = []

@@ -28,7 +28,7 @@ from . import rng as _rng
 from .bounds import (BoundInputs, ParameterError, budget_for_rate, check_eta,
                      compatible_theorems, evaluate_bound)
 from .codecs import (CapacityError, Codec, GridResolutionError, PiecewisePolyCodec,
-                     codec_from_config)
+                     _count, _refuse_unknown, codec_from_config)
 from .measurement import (NoiseModel, apply_noise, measure, measure_analog,
                           sample_ensemble, sample_wiener_ensemble)
 from .solver import csp_recover, csp_recover_analog, csp_recover_panel
@@ -88,8 +88,11 @@ class ExperimentConfig:
                 raise ValueError(f"{name}={value!r} must be an integer")
             if value < least:
                 raise ValueError(f"{name} must be >= {least}")
-        if self.threads != 1:
-            raise ValueError(f"threads={self.threads} must be 1: the scan is serial")
+        if type(self.threads) is not int or self.threads != 1:
+            raise ValueError(f"threads={self.threads!r} must be 1: the scan is serial")
+        # a truthy string would write real scan times and break reproducibility
+        if not isinstance(self.record_timings, bool):
+            raise ValueError(f"record_timings={self.record_timings!r} must be a bool")
         if self.eta is not None:
             check_eta(self.eta)
         if self.signal_source not in ("class", "codebook"):
@@ -98,9 +101,7 @@ class ExperimentConfig:
             raise ValueError("set either d or the budget factor eta")
         kind = self.noise_model().kind  # validates the noise block
         if self.axis is not None:
-            extra = set(self.axis) - {"name", "values"}
-            if extra:
-                raise ValueError(f"unknown axis keys: {sorted(extra)}")
+            _refuse_unknown(self.axis, ("name", "values"), "axis")
             if self.axis.get("name") not in _AXES:
                 raise ValueError(f"axis name must be one of {_AXES}")
             if not (isinstance(self.axis.get("values"), (list, tuple)) and self.axis["values"]):
@@ -118,19 +119,15 @@ class ExperimentConfig:
                     f"{self.regime}, noise={kind}; "
                     f"allowed: {allowed}"
                 )
-        bad = set(self.bound_params) - {f.name for f in fields(BoundInputs)}
-        if bad:
-            raise ValueError(f"unknown bound_params keys: {sorted(bad)}")
+        _refuse_unknown(self.bound_params, (f.name for f in fields(BoundInputs)),
+                        "bound_params")
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel.from_dict(self.noise)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        extra = set(raw) - known
-        if extra:
-            raise ValueError(f"unknown config keys: {sorted(extra)}")
+        _refuse_unknown(raw, (f.name for f in fields(cls)), "config")
         return cls(**raw)
 
     def to_dict(self) -> dict:
@@ -192,9 +189,7 @@ class SweepResult:
 def _resolve_d(config: ExperimentConfig, codec: Codec) -> int:
     if config.d is not None:
         # a d axis arrives as floats: 4.0 is d=4, 2.7 is no measurement count
-        if isinstance(config.d, bool) or not (config.d >= 1 and float(config.d).is_integer()):
-            raise ParameterError(f"d={config.d} must be an integer >= 1")
-        d = int(config.d)
+        d = _count("d", config.d, 1, ParameterError)
     else:  # analog measurements take the weak (fixed-signal) multiplier
         d = budget_for_rate(codec.rate_bits, codec.delta, config.eta,
                             "strong" if config.regime == "strong" else "weak")

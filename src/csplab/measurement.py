@@ -11,22 +11,28 @@ a trial records the keys it used in its CSV row.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codecs import _number, _refuse_unknown
 from .piecewise import PiecewisePolynomial
 from .rng import derive_stream, gaussian_matrix, gaussian_vector
 
 
 @dataclass
 class MeasurementEnsemble:
-    """A d-by-n Gaussian measurement matrix."""
+    """A d-by-n Gaussian measurement matrix; d and n are its shape."""
 
-    d: int
-    n: int
     matrix: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return self.matrix.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.matrix.shape[1]
 
 
 def sample_ensemble(d: int, n: int, stream: np.random.Generator) -> MeasurementEnsemble:
@@ -37,7 +43,7 @@ def sample_ensemble(d: int, n: int, stream: np.random.Generator) -> MeasurementE
     """
     if d < 1 or n < 1:
         raise ValueError(f"need d >= 1 and n >= 1; got d={d}, n={n}")
-    return MeasurementEnsemble(d=int(d), n=int(n), matrix=gaussian_matrix(stream, d, n))
+    return MeasurementEnsemble(gaussian_matrix(stream, d, n))
 
 
 def measure(ensemble: MeasurementEnsemble, x) -> np.ndarray:
@@ -76,11 +82,8 @@ class NoiseModel:
         if self.kind not in _NOISE_KEYS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         for name in ("zeta", "sigma"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0 <= value < math.inf):
-                raise ValueError(f"{name}={value!r} must be finite and >= 0")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _number(
+                name, getattr(self, name), lambda v: 0 <= v < math.inf, "finite and >= 0"))
         if self.kind == "bounded" and self.shape not in (
             "random_direction", "worst_aligned",
         ):
@@ -94,9 +97,7 @@ class NoiseModel:
         kind = block.pop("kind", "none")
         if kind not in _NOISE_KEYS:
             raise ValueError(f"unknown noise kind {kind!r}")
-        extra = set(block) - _NOISE_KEYS[kind]
-        if extra:
-            raise ValueError(f"unknown noise keys: {sorted(extra)}")
+        _refuse_unknown(block, _NOISE_KEYS[kind], "noise")
         shape = block.pop("shape", "random_direction")
         return cls(kind, shape=shape, **block)
 
@@ -153,14 +154,20 @@ def apply_noise(y: np.ndarray, model: NoiseModel,
 class WienerEnsemble:
     """d independent Wiener paths on a shared m-step grid.
 
-    increments[i, k] = W_i((k+1)/m) - W_i(k/m).  sample_wiener_ensemble
-    draws each path from its own stream, so the paths are independent by
-    construction.
+    increments[i, k] = W_i((k+1)/m) - W_i(k/m), so d and m are its shape.
+    sample_wiener_ensemble draws each path from its own stream, so the paths
+    are independent by construction.
     """
 
-    d: int
-    m: int
     increments: np.ndarray
+
+    @property
+    def d(self) -> int:
+        return self.increments.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.increments.shape[1]
 
     @property
     def times(self) -> np.ndarray:
@@ -183,7 +190,7 @@ def sample_wiener_ensemble(d: int, m: int, master_seed: int,
     for i in range(d):
         stream = derive_stream(master_seed, base_stream_id + i)
         inc[i] = gaussian_vector(stream, m) * scale
-    return WienerEnsemble(d=int(d), m=int(m), increments=inc)
+    return WienerEnsemble(inc)
 
 
 def measure_analog(ensemble: WienerEnsemble, f) -> np.ndarray:

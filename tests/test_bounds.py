@@ -369,13 +369,20 @@ class TestIndistinguishablePair:
         with pytest.raises(ParameterError):
             construct_indistinguishable_pair(tall, 2)  # d+1 > n
 
+    @pytest.mark.parametrize("d,k", [(3, 2.5), (1, True)])
+    def test_k_must_be_a_count(self, d, k):
+        # both built pairs, with 2k-1 taken as 4.0 and 1
+        A = gaussian_matrix(derive_stream(64, 0), d, 10)
+        with pytest.raises(ParameterError, match=rf"^k={k!r} must be an integer >= 1$"):
+            construct_indistinguishable_pair(A, k)
+
     def test_pursuit_cannot_separate_the_pair(self):
         A = gaussian_matrix(derive_stream(64, 0), 3, 10)
         pair = construct_indistinguishable_pair(A, 2)
         u = pair.beta * pair.x1
         v = pair.beta * pair.x2
         codec = ExplicitCodec(np.vstack([u, v, np.zeros(10)]))
-        ens = MeasurementEnsemble(3, 10, A)
+        ens = MeasurementEnsemble(A)
         y = measure(ens, u)
         r_u = np.linalg.norm(y - A @ u)
         r_v = np.linalg.norm(y - A @ v)

@@ -423,6 +423,23 @@ class TestDecodeBlock:
         assert c.decode_block(c.size, 0).shape == (0, c.n)
         assert np.array_equal(c.decode_block(c.size - 1, 1)[0], c.decode(c.size - 1))
 
+    @pytest.mark.parametrize("name", ["sparse", "grid", "explicit", "ppoly"])
+    def test_index_must_be_an_integer(self, name):
+        # decode(2.5) gave codeword 2, decode(True) codeword 1 and
+        # decode_block(0.5, 2) codewords 0-1
+        c = (ExplicitCodec([[0.0], [1.0], [2.0], [3.0]]) if name == "explicit"
+             else round_trip_codec(name))
+        for index in (2.5, 1.9, True, "1"):
+            with pytest.raises(IndexError, match=f"^index {index!r} must be an integer$"):
+                c.decode(index)
+        if name != "ppoly":  # ppoly decodes no blocks
+            for start, count in ((0.5, 2), (0, 2.0), (False, 1)):
+                with pytest.raises(IndexError, match="must be an integer$"):
+                    c.decode_block(start, count)
+            assert np.array_equal(c.decode_block(np.int64(1), np.int64(2)),
+                                  c.decode_block(1, 2))
+        assert repr(c.decode(np.int64(2))) == repr(c.decode(2))
+
 
 class TestExplicitCodec:
     def test_round_trip_and_nearest(self):
@@ -514,6 +531,15 @@ class TestProfiles:
             rd_profile({"class": "grid", "n": 2, "rho": 1.0}, [])
         with pytest.raises(ValueError):
             rd_profile({"class": "grid", "n": 2, "rho": 1.0}, [0.1, -0.1])
+
+    @pytest.mark.parametrize("deltas,message", [
+        ([True, 0.1], "delta=True must be a number"),    # profiled delta = 1.0
+        ([0.1, "0.01"], "delta='0.01' must be a number"),
+    ])
+    def test_deltas_must_be_numbers(self, deltas, message):
+        with pytest.raises(ValueError) as err:
+            rd_profile({"class": "grid", "n": 2, "rho": 1.0}, deltas)
+        assert str(err.value) == message
 
 
 class TestEntropyBound:

@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from xml.dom import minidom
 
 import numpy as np
@@ -148,10 +148,42 @@ class TestConfig:
         with pytest.raises(ParameterError, match=rf"^{re.escape(message)}$"):
             small_config(d=None, eta=eta)
 
-    @pytest.mark.parametrize("threads", [2, 0])
+    @pytest.mark.parametrize("threads", [2, 0, True, 1.0])  # only the int 1 loads
     def test_threads_other_than_one_rejected(self, threads):
         with pytest.raises(ValueError, match=rf"^threads={threads} must be 1: "):
             small_config(threads=threads)
+
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_record_timings_must_be_a_bool(self, value):
+        # a truthy string wrote real scan times into wall_ms
+        with pytest.raises(ValueError, match=rf"^record_timings={value!r} must be a bool$"):
+            small_config(record_timings=value)
+
+    # one wrong value per field, with the start of its message; d is a
+    # string because a bool d is left to _resolve_d's ParameterError
+    WRONG_FIELDS = {
+        "codec": ("sparse", "codec='sparse' must be a JSON object"),
+        "regime": ("medium", "unknown regime 'medium'"),
+        "noise": (None, "noise=None must be a JSON object"),
+        "d": ("5", "d='5' must be a number"),
+        "eta": ("2", "eta='2' must be a number"),
+        "trials": (2.0, "trials=2.0 must be an integer"),
+        "master_seed": (-1, "master_seed must be >= 0"),
+        "theorem_id": ("T99", "theorem T99 incompatible"),
+        "bound_params": ({"tau9": 1.0}, "unknown bound_params keys: ['tau9']"),
+        "signal_source": ("file", "unknown signal_source 'file'"),
+        "panel_size": (0, "panel_size must be >= 1"),
+        "axis": ({"name": "n", "values": [1]}, "axis name must be one of"),
+        "threads": (True, "threads=True must be 1"),
+        "record_timings": ("false", "record_timings='false' must be a bool"),
+    }
+
+    def test_every_field_is_checked(self):
+        # a new field fails here until it has a check and a row
+        assert set(self.WRONG_FIELDS) == {f.name for f in fields(ExperimentConfig)}
+        for name, (value, message) in self.WRONG_FIELDS.items():
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                small_config(**{name: value})
 
     def test_threads_one_still_loads(self):
         # configs written for the threaded scan, the benchmark's too, say threads=1

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from csplab.bounds import chi2_tail, singular_value_tail
-from csplab.measurement import (NoiseModel, WienerEnsemble, apply_noise,
-                                measure, measure_analog, sample_ensemble,
-                                sample_wiener_ensemble)
+from csplab.measurement import (MeasurementEnsemble, NoiseModel, WienerEnsemble,
+                                apply_noise, measure, measure_analog,
+                                sample_ensemble, sample_wiener_ensemble)
 from csplab.piecewise import constant_function, piecewise_constant
 from csplab.rng import derive_stream, gaussian_matrix
 
@@ -20,10 +20,18 @@ def big_wiener_ensemble(seed, n_paths, m):
     streams, but cheap enough for 1e5-path law checks.
     """
     inc = gaussian_matrix(derive_stream(seed, 0), n_paths, m) * np.sqrt(1.0 / m)
-    return WienerEnsemble(d=n_paths, m=m, increments=inc)
+    return WienerEnsemble(inc)
 
 
 class TestEnsemble:
+    def test_sizes_are_the_array_shape(self):
+        # a d or n set beside the matrix let the scan read a column subset
+        ens = MeasurementEnsemble(np.zeros((3, 10)))
+        assert (ens.d, ens.n) == (3, 10)
+        wiener = WienerEnsemble(np.zeros((2, 8)))
+        assert (wiener.d, wiener.m) == (2, 8)
+        assert np.array_equal(wiener.times, np.arange(8) / 8)
+
     def test_entry_moments(self):
         ens = sample_ensemble(100, 100, derive_stream(20, 0))
         entries = ens.matrix.ravel()
