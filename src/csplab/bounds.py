@@ -45,12 +45,13 @@ class ParameterError(ValueError):
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Free symbols of the guarantee formulas; fill what the theorem needs.
+    """Symbols of the guarantee formulas; fill what the theorem needs.
 
-    r bits, delta distortion, d measurements, n ambient dimension, sigma
-    gaussian noise level, zeta bounded-noise radius, eta measurement
-    oversampling factor (> 1), eps/eps_prime slack parameters, and the
-    concentration parameters tau* / t / gamma*.
+    An experiment supplies the first seven: r bits, delta distortion, d
+    measurements, n ambient dimension, sigma gaussian noise level, zeta
+    bounded-noise radius and eta measurement oversampling factor (> 1).  The
+    rest are the free parameters (FREE_PARAMS): eps/eps_prime slack and the
+    concentration parameters tau* / t / gamma.
     """
 
     r: float | None = None
@@ -69,8 +70,6 @@ class BoundInputs:
     tau_prime: float | None = None
     t: float | None = None
     gamma: float | None = None
-    gamma1: float | None = None
-    gamma2: float | None = None
 
 
 @dataclass(frozen=True)
@@ -318,6 +317,9 @@ _GUARANTEES = {
     "T11": (_eval_T11, ("tau", "t", "gamma"), (("strong", "gaussian"),)),
 }
 THEOREM_IDS = tuple(_GUARANTEES)
+# the symbols a guarantee leaves free: its search columns, which a config's
+# bound_params may set; the experiment supplies every other BoundInputs field
+FREE_PARAMS = frozenset(name for _, free, _ in _GUARANTEES.values() for name in free)
 
 
 def compatible_theorems(regime: str, noise_kind: str) -> list[str]:
@@ -398,24 +400,39 @@ def optimize_free_params(theorem_id: str, inputs: BoundInputs,
         raise ParameterError(
             f"{theorem_id}: target_failure={target_failure} must be in [0, 1)"
         )
-    grids = _candidate_grids(theorem_id, inputs)
-    points = []  # (failure, error, values) per admissible grid point
-    for values in itertools.product(*grids.values()):
-        try:
-            ev = evaluate_bound(theorem_id, replace(inputs, **dict(zip(grids, values))))
-        except ParameterError:
-            continue
-        points.append((ev.failure_probability, ev.error_bound, values))
+    # the types key the cache too: True == 1, but a bool is no number
+    types = tuple(map(type, vars(inputs).values()))
+    try:
+        names, points = _grid_pass(theorem_id, inputs, types)
+    except TypeError:  # an unhashable symbol cannot key the cache
+        names, points = _grid_pass.__wrapped__(theorem_id, inputs, types)
     if not points:
         raise ParameterError(f"{theorem_id}: no admissible grid point")
     # target 0 is unattainable by construction (every failure formula is a
     # sum of strictly positive exponentials), so it always reports infeasible
     feasible = [p[1:] for p in points if target_failure > 0 and p[0] <= target_failure]
     # min keeps the first of equal keys: ties go to the earliest grid point
-    values = (min(feasible) if feasible else min(points))[-1]
-    chosen = replace(inputs, **dict(zip(grids, values)))
-    return OptimizationResult(theorem_id, chosen, evaluate_bound(theorem_id, chosen),
-                              bool(feasible))
+    # (grid points are distinct, so no evaluation is ever compared)
+    *_, values, ev = min(feasible) if feasible else min(points)
+    return OptimizationResult(theorem_id, replace(inputs, **dict(zip(names, values))),
+                              ev, bool(feasible))
+
+
+# One entry: the optimizer's targets for one (theorem, inputs) share a pass.
+@functools.lru_cache(maxsize=1)
+def _grid_pass(theorem_id: str, inputs: BoundInputs, types: tuple) -> tuple:
+    """The guarantee's free-parameter names and, in grid order, (failure,
+    error, values, evaluation) for every admissible point of its search grid.
+    types, the type of each symbol of inputs, only keys the cache."""
+    grids = _candidate_grids(theorem_id, inputs)
+    points = []
+    for values in itertools.product(*grids.values()):
+        try:
+            ev = evaluate_bound(theorem_id, replace(inputs, **dict(zip(grids, values))))
+        except ParameterError:
+            continue
+        points.append((ev.failure_probability, ev.error_bound, values, ev))
+    return tuple(grids), tuple(points)
 
 
 @dataclass(frozen=True)

@@ -67,12 +67,13 @@ def _write(args, name: str, text: str) -> Path:
 
 def _cmd_rd_profile(args) -> int:
     descriptor = {"class": args.codec_class, "rho": args.rho}
-    if args.codec_class in ("grid", "sparse"):
+    # ppoly takes n only when given: its codec's grid=4096 is the one default
+    if args.codec_class != "ppoly" or args.n is not None:
         descriptor["n"] = args.n
     if args.codec_class == "sparse":
         descriptor["k"] = args.k
     if args.codec_class == "ppoly":
-        descriptor.update({"n": args.n or 4096, "N": args.N, "Q": args.Q})
+        descriptor.update({"N": args.N, "Q": args.Q})
     deltas = [float(v) for v in args.deltas.split(",")]
     points = rd_profile(descriptor, deltas, cap=args.cap)
     rows = [f"{p.delta!r},{p.rate_bits!r},{p.alpha_hat!r}" for p in points]

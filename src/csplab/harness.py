@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import rng as _rng
-from .bounds import (BoundInputs, ParameterError, budget_for_rate, check_eta,
-                     compatible_theorems, evaluate_bound)
+from .bounds import (FREE_PARAMS, BoundInputs, ParameterError, budget_for_rate,
+                     check_eta, compatible_theorems, evaluate_bound)
 from .codecs import (CapacityError, Codec, GridResolutionError, PiecewisePolyCodec,
                      _count, _refuse_unknown, codec_from_config)
 from .measurement import (NoiseModel, apply_noise, measure, measure_analog,
@@ -55,7 +55,9 @@ _AXES = ("d", "delta", "sigma", "zeta")
 class ExperimentConfig:
     """One experiment: codec descriptor, regime, noise, measurement count (or
     oversampling factor eta for the budget rule), trial count, master seed,
-    and an optional guarantee to compare against."""
+    and an optional guarantee to compare against.  The guarantee takes r,
+    delta, d, n, sigma, zeta and eta from the experiment (eta is this
+    config's eta); bound_params sets only its free parameters (FREE_PARAMS)."""
 
     codec: dict
     regime: str = "weak"
@@ -119,8 +121,7 @@ class ExperimentConfig:
                     f"{self.regime}, noise={kind}; "
                     f"allowed: {allowed}"
                 )
-        _refuse_unknown(self.bound_params, (f.name for f in fields(BoundInputs)),
-                        "bound_params")
+        _refuse_unknown(self.bound_params, FREE_PARAMS, "bound_params")
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel.from_dict(self.noise)
@@ -201,15 +202,12 @@ def _resolve_d(config: ExperimentConfig, codec: Codec) -> int:
     return d
 
 
-def _bound_for(config: ExperimentConfig, codec: Codec, d: int, n: int):
+def _bound_for(config: ExperimentConfig, codec: Codec, d: int, n: int, model: NoiseModel):
     if config.theorem_id is None:
         return None
-    model = config.noise_model()
-    # bound_params may override any derived field (e.g. a hand-set sigma)
-    kwargs = dict(r=codec.rate_bits, delta=codec.delta, d=d, n=n,
-                  sigma=model.sigma, zeta=model.zeta)
-    kwargs.update(config.bound_params)
-    return evaluate_bound(config.theorem_id, BoundInputs(**kwargs))
+    return evaluate_bound(config.theorem_id, BoundInputs(
+        r=codec.rate_bits, delta=codec.delta, d=d, n=n, sigma=model.sigma,
+        zeta=model.zeta, eta=config.eta, **config.bound_params))
 
 
 def _draw_signal(config: ExperimentConfig, codec: Codec, stream):
@@ -313,8 +311,8 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
         )
     d = _resolve_d(config, codec)
     n = codec.grid if analog else codec.n
-    bound = _bound_for(config, codec, d, n)
     model = config.noise_model()
+    bound = _bound_for(config, codec, d, n, model)
     seed = config.master_seed
     noise_stream = _rng.derive_stream(seed, stream_id(point, trial_index, CH_NOISE))
 

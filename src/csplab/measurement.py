@@ -26,6 +26,10 @@ class MeasurementEnsemble:
 
     matrix: np.ndarray
 
+    def __post_init__(self):
+        if np.ndim(self.matrix) != 2:
+            raise ValueError(f"matrix shape {np.shape(self.matrix)}; need a 2-D (d, n) array")
+
     @property
     def d(self) -> int:
         return self.matrix.shape[0]
@@ -160,6 +164,11 @@ class WienerEnsemble:
     """
 
     increments: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.increments) != 2:
+            raise ValueError(
+                f"increments shape {np.shape(self.increments)}; need a 2-D (d, m) array")
 
     @property
     def d(self) -> int:

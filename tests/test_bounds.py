@@ -1,10 +1,12 @@
 """Closed-form guarantees: worked values, monotonicities, Monte Carlo checks."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from csplab import bounds
 from csplab.bounds import (BoundInputs, FiniteDimRate, ParameterError,
                            PolylogRate, PowerlawRate, chi2_tail,
                            construct_indistinguishable_pair, evaluate_bound,
@@ -244,6 +246,21 @@ class TestEvaluateBound:
             assert str(err.value) == f"{tid}: {name}={value!r} must be a number"
 
 
+class TestSymbolSources:
+    # an experiment supplies these; a guarantee's search columns are the rest
+    TRIAL = {"r", "delta", "d", "n", "sigma", "zeta", "eta"}
+
+    def test_free_and_trial_symbols_partition_the_inputs(self):
+        # a new BoundInputs field fails here until it is classified
+        free = bounds.FREE_PARAMS
+        assert free | self.TRIAL == {f.name for f in fields(BoundInputs)}
+        assert not free & self.TRIAL
+        assert free == {name for _, columns, _ in bounds._GUARANTEES.values()
+                        for name in columns}
+        assert free == {"tau", "tau1", "tau2", "tau3", "tau_prime", "t", "gamma",
+                        "eps", "eps_prime"}
+
+
 class TestOptimizer:
     def test_unknown_id_names_the_registry(self):
         with pytest.raises(ParameterError) as opt_err:
@@ -273,6 +290,36 @@ class TestOptimizer:
         b = optimize_free_params("T8", BoundInputs(r=9.0, d=48, n=64,
                                                    delta=0.25), 0.5)
         assert a == b
+
+    def test_targets_share_one_grid_pass(self, monkeypatch):
+        calls = []
+
+        def counting(tid, inputs):
+            calls.append(tid)
+            return evaluate_bound(tid, inputs)
+
+        monkeypatch.setattr(bounds, "evaluate_bound", counting)
+        inputs = BoundInputs(r=11.0, d=41, delta=0.05)
+        first = optimize_free_params("T3", inputs, 0.01)
+        one_pass = len(calls)
+        again = [optimize_free_params("T3", inputs, t) for t in (0.0, 1e-12, 0.01, 0.5)]
+        assert len(calls) == one_pass  # no grid point and no chosen point re-evaluated
+        assert again[2] == first
+        assert first.evaluation == evaluate_bound("T3", first.inputs)
+
+    def test_unhashable_symbols_are_searched_as_any_other(self):
+        # a list symbol cannot key the grid cache; the search still runs
+        with pytest.raises(ParameterError, match=r"^T3: no admissible grid point$"):
+            optimize_free_params("T3", BoundInputs(r=[1.0], d=5, delta=0.1), 0.5)
+        opt = optimize_free_params("T3", BoundInputs(r=10, d=40, delta=0.05,
+                                                     sigma=[1.0]), 0.01)
+        assert opt.feasible and opt.inputs.sigma == [1.0]
+
+    def test_a_bool_count_is_no_count_after_its_int(self):
+        # True == 1 and hashes alike, so the cache must not hand one the other's pass
+        assert optimize_free_params("T3", BoundInputs(r=10, d=1, delta=0.05), 0.5)
+        with pytest.raises(ParameterError, match=r"^T3: no admissible grid point$"):
+            optimize_free_params("T3", BoundInputs(r=10, d=True, delta=0.05), 0.5)
 
     def test_infeasible_target_reports_best(self):
         opt = optimize_free_params("T3", BoundInputs(r=30, d=5, delta=0.05),

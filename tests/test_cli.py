@@ -227,6 +227,15 @@ def test_bounds_rejects_a_fractional_count(capsys):
     assert capsys.readouterr().err == "error: T3: d=2.5 must be an integer >= 1\n"
 
 
+@pytest.mark.parametrize("flag", ["--gamma1", "--gamma2"])
+def test_bounds_has_no_unread_symbols(capsys, flag):
+    # no guarantee reads gamma1 or gamma2, so neither is a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--theorem", "T11", flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 def test_pair_output(tmp_path):
     assert main(["pair", "--n", "10", "--k", "2", "--d", "3", "--seed", "4",
                  "--out", str(tmp_path)]) == 0
@@ -302,6 +311,16 @@ def test_rd_profile_missing_count_exits_2(tmp_path, capsys, argv, message):
                "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "rd_profile.csv").exists()
+
+
+def test_rd_profile_checks_a_given_ppoly_grid(tmp_path, capsys):
+    # --n 0 used to fall back to a 4,096-point grid; the codec's default
+    # applies only when --n is not given
+    rc = main(["rd-profile", "--codec-class", "ppoly", "--n", "0", "--rho", "1",
+               "--deltas", "0.5", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: grid=0 must be an integer >= 2\n"
     assert not (tmp_path / "rd_profile.csv").exists()
 
 

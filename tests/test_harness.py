@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from csplab import harness
-from csplab.bounds import THEOREM_IDS, ParameterError
+from csplab.bounds import THEOREM_IDS, BoundInputs, ParameterError, evaluate_bound
 from csplab.codecs import SparseCodec, codec_from_config
 from csplab.harness import (CSV_COLUMNS, MAX_WIENER_PATHS, ExperimentConfig,
                             build_panel, records_to_csv, run_sweep, run_trial,
@@ -48,6 +48,28 @@ class TestConfig:
     def test_unknown_bound_params_rejected(self):
         with pytest.raises(ValueError, match="bound_params"):
             small_config(bound_params={"tau9": 1.0})
+
+    # the experiment supplies these seven, so a bound_params value for one
+    # would describe another experiment than the trial's; gamma1 and gamma2
+    # are no symbols at all
+    @pytest.mark.parametrize("name", ["r", "delta", "d", "n", "sigma", "zeta", "eta",
+                                      "gamma1", "gamma2"])
+    def test_bound_params_take_only_free_parameters(self, name):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"unknown bound_params keys: ['{name}']")):
+            small_config(bound_params={"tau1": 3.0, "tau2": 0.75, name: 500})
+
+    def test_config_eta_is_the_guarantees_eta(self):
+        # the budget factor eta is the eta the corollary reads, though d is set
+        config = small_config(codec={"class": "sparse", "n": 8, "k": 1, "rho": 1.0,
+                                     "delta": 0.05},
+                              d=8, eta=2.0, theorem_id="C4", bound_params={"eps": 1.5})
+        codec = codec_from_config(config.codec)
+        expected = evaluate_bound("C4", BoundInputs(r=codec.rate_bits, delta=codec.delta,
+                                                    d=8, eta=2.0, eps=1.5))
+        for record in run_trials(config):
+            assert record.bound_error == expected.error_bound
+            assert record.bound_fail_prob == expected.failure_probability
 
     def test_requires_d_or_eta(self):
         with pytest.raises(ValueError, match="eta"):

@@ -1,6 +1,7 @@
 """Gaussian ensembles, noise models, and Wiener-integral measurements."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,17 @@ class TestEnsemble:
         wiener = WienerEnsemble(np.zeros((2, 8)))
         assert (wiener.d, wiener.m) == (2, 8)
         assert np.array_equal(wiener.times, np.arange(8) / 8)
+
+    def test_matrix_must_be_two_dimensional(self):
+        # a 1-D matrix raised IndexError from the n property inside measure
+        with pytest.raises(ValueError,
+                           match=re.escape("matrix shape (3,); need a 2-D (d, n) array")):
+            MeasurementEnsemble(np.zeros(3))
+
+    def test_increments_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "increments shape (4,); need a 2-D (d, m) array")):
+            WienerEnsemble(np.zeros(4))
 
     def test_entry_moments(self):
         ens = sample_ensemble(100, 100, derive_stream(20, 0))
