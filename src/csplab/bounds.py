@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codecs import _count, _number, ceil_snap
+from .codecs import _count, _is_number, _number, ceil_snap
 
 
 class ParameterError(ValueError):
@@ -320,6 +320,10 @@ THEOREM_IDS = tuple(_GUARANTEES)
 # the symbols a guarantee leaves free: its search columns, which a config's
 # bound_params may set; the experiment supplies every other BoundInputs field
 FREE_PARAMS = frozenset(name for _, free, _ in _GUARANTEES.values() for name in free)
+# the guarantees that read eta: their slack eps or eps_prime is at least
+# eta/ln(1/(e*delta)), and each is stated for a d of at least eta's budget
+READS_ETA = frozenset(tid for tid, (_, free, _) in _GUARANTEES.items()
+                      if {"eps", "eps_prime"} & set(free))
 
 
 def compatible_theorems(regime: str, noise_kind: str) -> list[str]:
@@ -357,28 +361,30 @@ _GRID_POSITIVE = [2.0 ** (j / 2.0) for j in range(-8, 13)]
 
 
 def _candidate_grids(theorem_id: str, inputs: BoundInputs) -> dict[str, list[float]]:
+    # the grids read each symbol as a float, and one that is no number as
+    # unset: the evaluations then refuse it (ParameterError, not TypeError)
+    r, delta, eta, eps = (float(v) if _is_number(v) else None
+                          for v in (inputs.r, inputs.delta, inputs.eta, inputs.eps))
     grids: dict[str, list[float]] = {}
     for name in _guarantee(theorem_id)[1]:
         if name in ("tau2", "tau"):
             g = _GRID_OPEN01 + [0.75]
-            if inputs.eta is not None and inputs.eps is not None and inputs.delta and \
-                    0 < inputs.delta < 1 / math.e:
+            if eta is not None and eps is not None and delta and 0 < delta < 1 / math.e:
                 # hand-picked corollary value 1 - (e*delta)^(2(1+eps)/eta)
-                g.append(1.0 - (math.e * inputs.delta) ** (2 * (1 + inputs.eps) / inputs.eta))
+                g.append(1.0 - (math.e * delta) ** (2 * (1 + eps) / eta))
             grids[name] = sorted({v for v in g if 0 < v < 1})
         elif name in ("tau1", "tau3", "tau_prime", "t"):
             grids[name] = sorted({*_GRID_POSITIVE, 1.0, 3.0})
         elif name == "gamma":
-            scale = math.sqrt(max(inputs.r or 1.0, 1.0))
+            scale = math.sqrt(max(r or 1.0, 1.0))
             grids[name] = sorted({v * scale for v in _GRID_POSITIVE}
-                                 | {math.sqrt(2.0 * max(inputs.r or 1.0, 1.0))})
+                                 | {math.sqrt(2.0 * max(r or 1.0, 1.0))})
         elif name in ("eps", "eps_prime"):
-            if inputs.delta is None or not 0 < inputs.delta < 1 / math.e or \
-                    inputs.eta is None:
+            if delta is None or not 0 < delta < 1 / math.e or eta is None:
                 raise ParameterError(
                     f"{theorem_id}: optimizing {name} needs delta in (0,1/e) and eta"
                 )
-            floor = _eps_floor(inputs.eta, inputs.delta)
+            floor = _eps_floor(eta, delta)
             grids[name] = sorted({floor * (1.0 + 2.0 ** (j / 2.0)) for j in range(-6, 9)})
         else:
             raise ParameterError(f"no search grid for parameter {name}")
@@ -400,12 +406,10 @@ def optimize_free_params(theorem_id: str, inputs: BoundInputs,
         raise ParameterError(
             f"{theorem_id}: target_failure={target_failure} must be in [0, 1)"
         )
-    # the types key the cache too: True == 1, but a bool is no number
-    types = tuple(map(type, vars(inputs).values()))
-    try:
-        names, points = _grid_pass(theorem_id, inputs, types)
-    except TypeError:  # an unhashable symbol cannot key the cache
-        names, points = _grid_pass.__wrapped__(theorem_id, inputs, types)
+    # only inputs of numbers key the cache: a list has no hash, and True == 1
+    # hashes alike though a bool is no number
+    cached = all(v is None or _is_number(v) for v in vars(inputs).values())
+    names, points = (_grid_pass if cached else _grid_pass.__wrapped__)(theorem_id, inputs)
     if not points:
         raise ParameterError(f"{theorem_id}: no admissible grid point")
     # target 0 is unattainable by construction (every failure formula is a
@@ -420,10 +424,11 @@ def optimize_free_params(theorem_id: str, inputs: BoundInputs,
 
 # One entry: the optimizer's targets for one (theorem, inputs) share a pass.
 @functools.lru_cache(maxsize=1)
-def _grid_pass(theorem_id: str, inputs: BoundInputs, types: tuple) -> tuple:
+def _grid_pass(theorem_id: str, inputs: BoundInputs) -> tuple:
     """The guarantee's free-parameter names and, in grid order, (failure,
     error, values, evaluation) for every admissible point of its search grid.
-    types, the type of each symbol of inputs, only keys the cache."""
+    Equal inputs of numbers give one pass: the grids and the evaluators read
+    each symbol as a float."""
     grids = _candidate_grids(theorem_id, inputs)
     points = []
     for values in itertools.product(*grids.values()):

@@ -77,11 +77,15 @@ def _count(name: str, value, least: int, error=ValueError) -> int:
     return int(value)
 
 
+def _is_number(value) -> bool:
+    """A real number; a bool or a string is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _number(name: str, value, ok=None, text: str = "a number", error=ValueError) -> float:
     """value as a float, or error "name=value must be text" unless it is a
-    number (a bool or a string is not) whose float satisfies ok, if given."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or ok is not None and not ok(float(value))):
+    number (_is_number) whose float satisfies ok, if given."""
+    if not _is_number(value) or ok is not None and not ok(float(value)):
         raise error(f"{name}={value!r} must be {text}")
     return float(value)
 

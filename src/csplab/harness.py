@@ -25,10 +25,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import rng as _rng
-from .bounds import (FREE_PARAMS, BoundInputs, ParameterError, budget_for_rate,
-                     check_eta, compatible_theorems, evaluate_bound)
+from .bounds import (FREE_PARAMS, READS_ETA, BoundInputs, ParameterError,
+                     budget_for_rate, check_eta, compatible_theorems, evaluate_bound)
 from .codecs import (CapacityError, Codec, GridResolutionError, PiecewisePolyCodec,
-                     _count, _refuse_unknown, codec_from_config)
+                     _count, _is_number, _refuse_unknown, codec_from_config)
 from .measurement import (NoiseModel, apply_noise, measure, measure_analog,
                           sample_ensemble, sample_wiener_ensemble)
 from .solver import csp_recover, csp_recover_analog, csp_recover_panel
@@ -57,7 +57,8 @@ class ExperimentConfig:
     oversampling factor eta for the budget rule), trial count, master seed,
     and an optional guarantee to compare against.  The guarantee takes r,
     delta, d, n, sigma, zeta and eta from the experiment (eta is this
-    config's eta); bound_params sets only its free parameters (FREE_PARAMS)."""
+    config's eta, and a guarantee that reads it needs d >= eta's budget);
+    bound_params sets only its free parameters (FREE_PARAMS)."""
 
     codec: dict
     regime: str = "weak"
@@ -109,8 +110,7 @@ class ExperimentConfig:
             if not (isinstance(self.axis.get("values"), (list, tuple)) and self.axis["values"]):
                 raise ValueError("axis values must be a nonempty list")
             for value in self.axis["values"]:
-                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                        or not math.isfinite(value)):
+                if not _is_number(value) or not math.isfinite(value):
                     raise ValueError(f"axis value {value!r} must be a finite number")
                 _point_config(self, value)  # validates the point's noise block
         if self.theorem_id is not None:
@@ -187,13 +187,19 @@ class SweepResult:
     records: list
 
 
+def _budget(config: ExperimentConfig, codec: Codec) -> int:
+    """The budget rule's d at the config's eta; analog measurements take the
+    weak (fixed-signal) multiplier."""
+    return budget_for_rate(codec.rate_bits, codec.delta, config.eta,
+                           "strong" if config.regime == "strong" else "weak")
+
+
 def _resolve_d(config: ExperimentConfig, codec: Codec) -> int:
     if config.d is not None:
         # a d axis arrives as floats: 4.0 is d=4, 2.7 is no measurement count
         d = _count("d", config.d, 1, ParameterError)
-    else:  # analog measurements take the weak (fixed-signal) multiplier
-        d = budget_for_rate(codec.rate_bits, codec.delta, config.eta,
-                            "strong" if config.regime == "strong" else "weak")
+    else:
+        d = _budget(config, codec)
     if config.regime == "analog" and d > MAX_WIENER_PATHS:
         raise ParameterError(
             f"analog d={d} exceeds {MAX_WIENER_PATHS}: Wiener path i takes stream "
@@ -203,9 +209,17 @@ def _resolve_d(config: ExperimentConfig, codec: Codec) -> int:
 
 
 def _bound_for(config: ExperimentConfig, codec: Codec, d: int, n: int, model: NoiseModel):
-    if config.theorem_id is None:
+    tid = config.theorem_id
+    if tid is None:
         return None
-    return evaluate_bound(config.theorem_id, BoundInputs(
+    # a guarantee that reads eta is stated for at least eta's budget of
+    # measurements, so a set d below it would bound another experiment
+    if tid in READS_ETA and config.eta is not None:
+        budget = _budget(config, codec)
+        if d < budget:
+            raise ParameterError(f"{tid}: d={d} is below the budget {budget} "
+                                 f"at eta={config.eta!r}")
+    return evaluate_bound(tid, BoundInputs(
         r=codec.rate_bits, delta=codec.delta, d=d, n=n, sigma=model.sigma,
         zeta=model.zeta, eta=config.eta, **config.bound_params))
 

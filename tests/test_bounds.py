@@ -1,7 +1,7 @@
 """Closed-form guarantees: worked values, monotonicities, Monte Carlo checks."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -260,6 +260,20 @@ class TestSymbolSources:
         assert free == {"tau", "tau1", "tau2", "tau3", "tau_prime", "t", "gamma",
                         "eps", "eps_prime"}
 
+    def test_reads_eta_names_the_guarantees_that_read_it(self):
+        # every symbol set but eta: exactly the READS_ETA guarantees miss it
+        full = BoundInputs(r=20.0, d=30, n=64, delta=0.005, sigma=0.05, zeta=0.005,
+                           eps=1.5, eps_prime=1.5, tau=0.75, tau1=3.0, tau2=0.75,
+                           tau3=1.0, tau_prime=1.0, t=1.0, gamma=5.0)
+        for tid in bounds.THEOREM_IDS:
+            assert evaluate_bound(tid, replace(full, eta=2.0))
+            if tid in bounds.READS_ETA:
+                with pytest.raises(ParameterError, match=f"^{tid}: missing parameter eta$"):
+                    evaluate_bound(tid, full)
+            else:
+                assert evaluate_bound(tid, full) == evaluate_bound(tid, replace(full, eta=2.0))
+        assert bounds.READS_ETA == {"C4", "C6", "T7", "C9", "C11"}
+
 
 class TestOptimizer:
     def test_unknown_id_names_the_registry(self):
@@ -299,9 +313,11 @@ class TestOptimizer:
             return evaluate_bound(tid, inputs)
 
         monkeypatch.setattr(bounds, "evaluate_bound", counting)
+        bounds._grid_pass.cache_clear()
         inputs = BoundInputs(r=11.0, d=41, delta=0.05)
         first = optimize_free_params("T3", inputs, 0.01)
         one_pass = len(calls)
+        assert one_pass > 0
         again = [optimize_free_params("T3", inputs, t) for t in (0.0, 1e-12, 0.01, 0.5)]
         assert len(calls) == one_pass  # no grid point and no chosen point re-evaluated
         assert again[2] == first
@@ -320,6 +336,26 @@ class TestOptimizer:
         assert optimize_free_params("T3", BoundInputs(r=10, d=1, delta=0.05), 0.5)
         with pytest.raises(ParameterError, match=r"^T3: no admissible grid point$"):
             optimize_free_params("T3", BoundInputs(r=10, d=True, delta=0.05), 0.5)
+
+    def test_equal_inputs_share_a_pass_whatever_their_types(self):
+        # eta=2 as float32 equals eta=2.0 and keys the same pass, so the grid
+        # must read both alike, whichever is searched first
+        inputs = BoundInputs(r=10.0, d=40, delta=0.05, eta=2.0)
+        bounds._grid_pass.cache_clear()
+        alone = optimize_free_params("C4", inputs, 0.01)
+        bounds._grid_pass.cache_clear()
+        optimize_free_params("C4", replace(inputs, eta=np.float32(2.0)), 0.01)
+        assert optimize_free_params("C4", inputs, 0.01) == alone
+
+    @pytest.mark.parametrize("tid,inputs", [
+        ("T3", BoundInputs(r=10, d=40, delta=[0.05], eta=2.0, eps=1.5)),
+        ("T3", BoundInputs(r=10, d=40, delta="0.05", eta=2.0, eps=1.5)),
+        ("T11", BoundInputs(r="10", d=40, n=64, delta=0.05, sigma=0.1)),
+    ])
+    def test_a_symbol_that_is_no_number_is_a_parameter_error(self, tid, inputs):
+        # the grid builder compared these raw and raised TypeError
+        with pytest.raises(ParameterError, match=f"^{tid}: no admissible grid point$"):
+            optimize_free_params(tid, inputs, 0.5)
 
     def test_infeasible_target_reports_best(self):
         opt = optimize_free_params("T3", BoundInputs(r=30, d=5, delta=0.05),

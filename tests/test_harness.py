@@ -71,6 +71,17 @@ class TestConfig:
             assert record.bound_error == expected.error_bound
             assert record.bound_fail_prob == expected.failure_probability
 
+    @pytest.mark.parametrize("regime,tid", [("weak", "C4"), ("strong", "C9")])
+    def test_a_set_d_must_reach_the_budget_of_the_guarantees_eta(self, regime, tid):
+        # eta=50 budgets hundreds of measurements; the trial has 5
+        config = small_config(codec={"class": "sparse", "n": 8, "k": 1, "rho": 1.0,
+                                     "delta": 0.05},
+                              regime=regime, d=5, eta=50.0, theorem_id=tid,
+                              bound_params={"eps": 30.0})
+        with pytest.raises(ParameterError,
+                           match=rf"^{tid}: d=5 is below the budget \d+ at eta=50\.0$"):
+            run_trial(config, 0)
+
     def test_requires_d_or_eta(self):
         with pytest.raises(ValueError, match="eta"):
             small_config(d=None, eta=None)
