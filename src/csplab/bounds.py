@@ -519,61 +519,41 @@ class IndistinguishablePair:
     columns: tuple
 
 
-def construct_indistinguishable_pair(A, k: int, stream=None) -> IndistinguishablePair:
+def construct_indistinguishable_pair(A, k: int) -> IndistinguishablePair:
     """Build two k-sparse vectors the measurement matrix cannot tell apart.
 
-    Requires an integer k >= 1, d <= 2k-1 and d+1 <= n.  Takes d+1 columns
-    of A (consecutive runs first, then, on numerical degeneracy, selections
-    drawn from `stream` if given; 32 distinct selections in all at most, and
-    never more than the C(n, d+1) there are),
-    finds a null-space combination of them, and splits its support into two
-    disjoint halves of sizes ceil((d+1)/2) and floor((d+1)/2).  By
-    construction A(x1 - x2) = 0 up to solver roundoff.
+    Requires an integer k >= 1, a finite A with d <= 2k-1 and d+1 <= n.
+    Takes the first d+1 columns of A, whose d equations in d+1 unknowns
+    always leave a null vector, finds it with one SVD, and splits its
+    support into two disjoint halves of sizes ceil((d+1)/2) and
+    floor((d+1)/2).  By construction A(x1 - x2) = 0 up to solver roundoff;
+    a null vector that misses that by more than 1e-9 * max(||A||_F, 1) is a
+    ParameterError.
     """
     k = _count("k", k, 1, ParameterError)
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ParameterError("A must be a d-by-n matrix")
+    # the SVD of a matrix holding inf need not return
+    if not np.isfinite(A).all():
+        raise ParameterError("A must be finite")
     d, n = A.shape
     if d > 2 * k - 1:
         raise ParameterError(f"d={d} must be <= 2k-1 = {2 * k - 1}")
     if d + 1 > n:
         raise ParameterError(f"need d+1 = {d + 1} <= n = {n} columns")
+    sub = A[:, :d + 1]
+    v = np.linalg.svd(sub)[2][-1]
+    if np.linalg.norm(sub @ v) > 1e-9 * max(float(np.linalg.norm(A)), 1.0):
+        raise ParameterError("the null vector of the first d+1 columns misses "
+                             "A v = 0 (matrix numerically degenerate)")
     half = (d + 2) // 2
-    fro = float(np.linalg.norm(A))
-    tol = 1e-9 * max(fro, 1.0)
-
-    selections = [tuple(range(i, i + d + 1)) for i in range(n - d)]
-
-    attempts = 0
-    seen = set()
-    while attempts < 32:
-        if selections:
-            cols = selections.pop(0)
-        elif stream is not None and len(seen) < math.comb(n, d + 1):
-            cols = tuple(sorted(stream.choice(n, size=d + 1, replace=False).tolist()))
-        else:
-            break
-        if cols in seen:
-            continue
-        seen.add(cols)
-        attempts += 1
-        sub = A[:, cols]
-        _, _, vt = np.linalg.svd(sub)
-        v = vt[-1]
-        if np.linalg.norm(sub @ v) > tol:
-            continue
-        x1 = np.zeros(n)
-        x2 = np.zeros(n)
-        x1[list(cols[:half])] = v[:half]
-        x2[list(cols[half:])] = -v[half:]
-        if np.linalg.norm(x1) < np.linalg.norm(x2):
-            x1, x2 = x2, x1
-        nrm = float(np.linalg.norm(x1))
-        if nrm == 0.0:
-            continue
-        return IndistinguishablePair(x1=x1, x2=x2, beta=1.0 / nrm, columns=cols)
-    raise ParameterError(
-        f"no usable column selection found in {attempts} attempts "
-        f"(matrix numerically degenerate)"
-    )
+    x1 = np.zeros(n)
+    x2 = np.zeros(n)
+    x1[:half] = v[:half]
+    x2[half:d + 1] = -v[half:]
+    # v is a unit vector, so the larger half has norm >= 1/sqrt(2)
+    if np.linalg.norm(x1) < np.linalg.norm(x2):
+        x1, x2 = x2, x1
+    return IndistinguishablePair(x1=x1, x2=x2, beta=1.0 / float(np.linalg.norm(x1)),
+                                 columns=tuple(range(d + 1)))

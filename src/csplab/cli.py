@@ -34,6 +34,7 @@ from .rng import derive_stream
 from .svgplot import render_svg
 
 _BOUND_FLAGS = [f.name for f in fields(BoundInputs)]
+_RD_FLAGS = ("n", "k", "N", "Q", "rho", "cap")  # rd-profile's codec descriptor keys
 
 
 def _add_common(p: argparse.ArgumentParser, config: bool = False, seed: bool = True):
@@ -66,16 +67,13 @@ def _write(args, name: str, text: str) -> Path:
 
 
 def _cmd_rd_profile(args) -> int:
-    descriptor = {"class": args.codec_class, "rho": args.rho}
-    # ppoly takes n only when given: its codec's grid=4096 is the one default
-    if args.codec_class != "ppoly" or args.n is not None:
-        descriptor["n"] = args.n
-    if args.codec_class == "sparse":
-        descriptor["k"] = args.k
-    if args.codec_class == "ppoly":
-        descriptor.update({"N": args.N, "Q": args.Q})
+    # each given flag is the descriptor key of its name; codec_from_config
+    # refuses a key the class does not read and supplies the defaults
+    descriptor = {"class": args.codec_class,
+                  **{key: getattr(args, key) for key in _RD_FLAGS
+                     if getattr(args, key) is not None}}
     deltas = [float(v) for v in args.deltas.split(",")]
-    points = rd_profile(descriptor, deltas, cap=args.cap)
+    points = rd_profile(descriptor, deltas)
     rows = [f"{p.delta!r},{p.rate_bits!r},{p.alpha_hat!r}" for p in points]
     # the profile draws nothing from a seed: its audits use a fixed stream
     out = _write(args, "rd_profile.csv",
@@ -144,10 +142,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_pair(args) -> int:
     seed = args.seed or 0
-    stream = derive_stream(seed, 0)
-    ensemble = sample_ensemble(args.d, args.n, stream)
-    pair = construct_indistinguishable_pair(ensemble.matrix, args.k,
-                                            stream=derive_stream(seed, 1))
+    ensemble = sample_ensemble(args.d, args.n, derive_stream(seed, 0))
+    pair = construct_indistinguishable_pair(ensemble.matrix, args.k)
     gap = float(np.linalg.norm(ensemble.matrix @ (pair.x1 - pair.x2)))
     lines = [
         f"beta,{pair.beta!r}",
@@ -186,12 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="ambient dimension (grid/sparse) or time grid (ppoly)")
     p.add_argument("--k", type=int, default=None, help="sparsity (sparse)")
-    p.add_argument("--N", type=int, default=0, help="max degree (ppoly)")
-    p.add_argument("--Q", type=int, default=0, help="breakpoint budget (ppoly)")
+    p.add_argument("--N", type=int, default=None, help="max degree (ppoly; default 0)")
+    p.add_argument("--Q", type=int, default=None, help="breakpoint count (ppoly; default 0)")
     p.add_argument("--rho", type=float, required=True,
                    help="ball radius, or amplitude bound for ppoly")
     p.add_argument("--deltas", required=True, help="comma-separated distortions")
-    p.add_argument("--cap", type=int, default=None, help="codebook cap")
+    p.add_argument("--cap", type=int, default=None, help="codebook cap (default: none)")
     _add_common(p, seed=False)
     p.set_defaults(func=_cmd_rd_profile)
 

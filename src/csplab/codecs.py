@@ -700,25 +700,23 @@ def codec_from_config(cfg: dict) -> Codec:
     return cls(**{cls._descriptor[key]: value for key, value in args.items()})
 
 
-def rd_profile(descriptor: dict, delta_list, cap: int | None = None) -> list:
+def rd_profile(descriptor: dict, delta_list) -> list:
     """Rate-distortion profile of a codec family over a list of distortions.
 
-    For each delta the codec is built (by default with no enumeration cap,
-    since only its rate is read) and (delta, rate_bits, rate/log2(1/delta))
-    recorded.  A CapacityError (or GridResolutionError) for one point marks
-    that point with nan fields and the error as its reason instead of failing
-    the profile.
+    For each delta the codec of the descriptor at that delta is built and
+    (delta, rate_bits, rate/log2(1/delta)) recorded.  Its cap is the
+    descriptor's "cap", and no enumeration cap when that is absent, since
+    only the rate is read.  A CapacityError (or GridResolutionError) for one
+    point marks that point with nan fields and the error as its reason
+    instead of failing the profile.
     """
     deltas = [_number("delta", d) for d in delta_list]
     if not deltas or any(d <= 0 for d in deltas):
         raise ValueError("delta_list must be nonempty and positive")
     points = []
     for d in deltas:
-        cfg = dict(descriptor)
-        cfg["delta"] = d
-        cfg["cap"] = cap
         try:
-            codec = codec_from_config(cfg)
+            codec = codec_from_config({"cap": None, **descriptor, "delta": d})
         except (CapacityError, GridResolutionError) as exc:
             points.append(RateDistortionPoint(d, math.nan, math.nan,
                                               f"{type(exc).__name__}: {exc}"))

@@ -96,7 +96,7 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
     the minimum per signal, and the smallest index among the tiles that
     reach it, so the order in which tiles are visited cannot pick the
     index.  Returns the minimum squared residual and its codeword index per
-    signal.
+    signal; a minimum that is not finite is a ValueError.
 
     Tiling moves no bits: numpy's matmul runs one gemm per stacked slice,
     the same (rows x n) @ (n x d) call as the group's own product, and the
@@ -122,6 +122,10 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
             at.append(j + (g * size + offset))
     mins, at = np.array(mins), np.array(at)
     best = mins.min(axis=0)
+    # a nan minimum matches no tile, so no index could be returned for it
+    if not np.isfinite(best).all():
+        raise ValueError("minimum residual is not finite: the ensemble holds "
+                         "nan or inf entries, or its products overflow")
     return best, np.where(mins == best, at, np.iinfo(np.int64).max).min(axis=0)
 
 

@@ -416,6 +416,7 @@ class TestIndistinguishablePair:
             for i in range(20):
                 A = gaussian_matrix(derive_stream(62, 100 * k + i), d, 10)
                 pair = construct_indistinguishable_pair(A, k)
+                assert pair.columns == tuple(range(d + 1))
                 assert np.count_nonzero(pair.x1) <= k
                 assert np.count_nonzero(pair.x2) <= k
                 assert not np.any((pair.x1 != 0) & (pair.x2 != 0))
@@ -426,23 +427,31 @@ class TestIndistinguishablePair:
 
     @pytest.mark.parametrize("d,n", [(2, 3), (1, 3), (1, 4), (2, 5)])
     def test_exhausted_selections_raise(self, d, n, monkeypatch):
-        # with every SVD failing, the search stops once all C(n, d+1) column
-        # selections have been tried instead of redrawing seen ones forever
-        stream = derive_stream(65, 0)
+        # the first d+1 columns are the one selection: a failed null vector
+        # is a ParameterError after exactly one SVD, with no search after it
+        calls = []
 
-        class Draws:
-            calls = 0
+        def svd(a):
+            calls.append(a.shape)
+            return None, None, np.eye(a.shape[1])
 
-            def choice(self, *args, **kwargs):
-                self.calls += 1
-                assert self.calls < 10_000, "redrawing seen selections"
-                return stream.choice(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda a: (None, None, np.eye(a.shape[1])))
+        monkeypatch.setattr(np.linalg, "svd", svd)
         A = gaussian_matrix(derive_stream(65, 1), d, n)
-        with pytest.raises(ParameterError, match=f"found in {math.comb(n, d + 1)} "):
-            construct_indistinguishable_pair(A, d, stream=Draws())
+        with pytest.raises(ParameterError, match="first d\\+1 columns"):
+            construct_indistinguishable_pair(A, d)
+        assert calls == [(d, d + 1)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_refused_before_the_svd(self, bad, monkeypatch):
+        # the SVD of a matrix holding inf did not return; nan raised LinAlgError
+        def svd(a):
+            pytest.fail("the SVD ran on a non-finite matrix")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        A = gaussian_matrix(derive_stream(66, 0), 3, 4)
+        A[1, 2] = bad
+        with pytest.raises(ParameterError, match="^A must be finite$"):
+            construct_indistinguishable_pair(A, 2)
 
     def test_precondition_errors(self):
         A = gaussian_matrix(derive_stream(63, 0), 4, 10)

@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from csplab.cli import main
+from csplab.cli import _RD_FLAGS, build_parser, main
+from csplab.codecs import _CODEC_CLASSES
 
 
 @pytest.fixture
@@ -302,8 +303,8 @@ def test_trials_offered_only_where_read(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--codec-class", "grid"], "n=None must be an integer >= 1"),
-    (["--codec-class", "sparse", "--n", "4"], "k=None must be an integer >= 1"),
+    (["--codec-class", "grid"], "grid codec config lacks keys: ['n']"),
+    (["--codec-class", "sparse", "--n", "4"], "sparse codec config lacks keys: ['k']"),
 ])
 def test_rd_profile_missing_count_exits_2(tmp_path, capsys, argv, message):
     # a missing count is a usage error, not a traceback
@@ -312,6 +313,34 @@ def test_rd_profile_missing_count_exits_2(tmp_path, capsys, argv, message):
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "rd_profile.csv").exists()
+
+
+@pytest.mark.parametrize("argv,keys", [
+    (["grid", "--n", "2", "--k", "5"], ["k"]),
+    (["grid", "--n", "2", "--N", "3"], ["N"]),
+    (["grid", "--n", "2", "--k", "5", "--N", "3"], ["N", "k"]),
+    (["sparse", "--n", "8", "--k", "2", "--Q", "1"], ["Q"]),
+    (["ppoly", "--k", "2"], ["k"]),
+], ids=["grid-k", "grid-N", "grid-k-N", "sparse-Q", "ppoly-k"])
+def test_rd_profile_refuses_a_flag_its_class_does_not_read(tmp_path, capsys, argv, keys):
+    # each flag is the descriptor key of its name; one the class does not
+    # read used to be ignored, so another family was profiled than described
+    rc = main(["rd-profile", "--codec-class", *argv, "--rho", "1", "--deltas", "0.5",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: unknown codec config keys: {keys}\n"
+    assert not (tmp_path / "rd_profile.csv").exists()
+
+
+def test_rd_profile_flags_are_the_descriptor_keys():
+    # every rd-profile codec flag is a key some class reads, the command
+    # passes each on under its name, and every key but the profiled delta
+    # has its flag
+    args = vars(build_parser().parse_args(
+        ["rd-profile", "--codec-class", "grid", "--rho", "1", "--deltas", "0.1"]))
+    flags = set(args) - {"command", "func", "codec_class", "deltas", "out"}
+    keys = set().union(*(cls._descriptor for cls, _, _ in _CODEC_CLASSES.values()))
+    assert flags == set(_RD_FLAGS) == keys - {"delta"}
 
 
 def test_rd_profile_checks_a_given_ppoly_grid(tmp_path, capsys):

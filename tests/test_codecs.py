@@ -512,8 +512,8 @@ class TestProfiles:
         assert alphas[-1] <= 2.4
 
     def test_capacity_marks_point_unavailable(self):
-        pts = rd_profile({"class": "grid", "n": 4, "rho": 1.0}, [0.5, 0.001],
-                         cap=2**24)
+        pts = rd_profile({"class": "grid", "n": 4, "rho": 1.0, "cap": 2**24},
+                         [0.5, 0.001])
         assert not math.isnan(pts[0].rate_bits)
         assert math.isnan(pts[1].rate_bits)
         # a nan point carries its reason, as an unavailable sweep point does
@@ -525,6 +525,17 @@ class TestProfiles:
         assert not math.isnan(pts[0].rate_bits)
         assert math.isnan(pts[1].rate_bits)
         assert pts[1].reason.startswith("GridResolutionError: breakpoint quantizer ")
+
+    def test_cap_comes_from_the_descriptor(self):
+        # the descriptor's cap used to be overwritten by the uncapped default
+        desc = {"class": "grid", "n": 4, "rho": 1.0, "cap": 1000}
+        [pt] = rd_profile(desc, [0.001])
+        assert math.isnan(pt.rate_bits) and math.isnan(pt.alpha_hat)
+        assert pt.reason.startswith("CapacityError: grid codec: codebook has ")
+        assert pt.reason.endswith("configured cap is 1000")
+        # without a cap the profile is uncapped, since only the rate is read
+        del desc["cap"]
+        assert rd_profile(desc, [0.001])[0].rate_bits == pytest.approx(47.9, abs=0.05)
 
     def test_rejects_bad_delta_list(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from csplab.codecs import (ExplicitCodec, GridCodec, PiecewisePolyCodec,
                            SparseCodec, ceil_snap)
-from csplab.measurement import (measure, measure_analog, sample_ensemble,
+from csplab.measurement import (MeasurementEnsemble, WienerEnsemble, measure,
+                                measure_analog, sample_ensemble,
                                 sample_wiener_ensemble)
 from csplab.piecewise import orthonormal_basis_matrix
 from csplab import solver
@@ -474,6 +475,32 @@ class TestValidation:
         ppoly = PiecewisePolyCodec(0, 0, 1.0, 0.05, grid=512)
         with pytest.raises(ValueError, match="finite"):
             csp_recover_analog(y, sample_wiener_ensemble(4, 512, 55, 0), ppoly)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_ensemble_rejected(self, bad):
+        # a nan minimum matched no tile, so the fold's int64-max sentinel
+        # reached decode as an IndexError
+        codec = GridCodec(3, 1.0, 0.5)
+        ens = sample_ensemble(4, 3, derive_stream(58, 0))
+        matrix = ens.matrix.copy()
+        matrix[1, 2] = bad
+        ens = MeasurementEnsemble(matrix)
+        y = np.array([0.0, 0.1, 0.2, 0.0])
+        # 0 * inf in the products warns before the scan's check is reached
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="minimum residual is not finite"):
+                csp_recover(y, ens, codec)
+            with pytest.raises(ValueError, match="minimum residual is not finite"):
+                csp_recover_panel(np.stack([np.zeros(4), y]), ens, codec)
+
+    def test_non_finite_increments_rejected(self):
+        # an inf minimum matched itself, so the scan returned an inf residual
+        ppoly = PiecewisePolyCodec(0, 0, 1.0, 0.05, grid=512)
+        increments = sample_wiener_ensemble(4, 512, 58, 0).increments.copy()
+        increments[2, 100] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="minimum residual is not finite"):
+            csp_recover_analog(np.zeros(4), WienerEnsemble(increments), ppoly)
 
 
 # codecs per solver front end, built once each; the explicit codebook holds
