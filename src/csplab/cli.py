@@ -142,6 +142,9 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_pair(args) -> int:
     seed = args.seed or 0
+    # checked like recover's master_seed, before numpy's message that names no flag
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, not {seed}")
     ensemble = sample_ensemble(args.d, args.n, derive_stream(seed, 0))
     pair = construct_indistinguishable_pair(ensemble.matrix, args.k)
     gap = float(np.linalg.norm(ensemble.matrix @ (pair.x1 - pair.x2)))

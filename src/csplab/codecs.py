@@ -184,6 +184,17 @@ class Codec:
             raise IndexError(f"index {index} outside [0, {self.size})")
         return index
 
+    def _indices(self, indices) -> np.ndarray:
+        """indices as a 1-D integer array, or IndexError unless it is one
+        whose every entry lies in [0, size)."""
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise IndexError(f"indices must be a 1-D integer array, not {idx.dtype} "
+                             f"of shape {idx.shape}")
+        if idx.size and not (0 <= idx.min() and idx.max() < self.size):
+            raise IndexError(f"indices outside [0, {self.size})")
+        return idx
+
     def _span(self, start, count) -> tuple[int, int]:
         """(start, count) as ints, or IndexError unless both are integers
         and the codewords [start, start + count) lie inside [0, size)."""
@@ -231,8 +242,8 @@ class SparseCodec(Codec):
     codewords, with the columns of the support as its operator and
     level_block as its coefficient rows, and decodes no codeword.  Level
     rows are computed from their grid digits on request; the scan asks for
-    each block of them once.  decode, decode_block and materialize return
-    fresh arrays.
+    each block of them once.  decode, decode_many, decode_block and
+    materialize return fresh arrays.
     """
 
     kind = "sparse"
@@ -306,13 +317,27 @@ class SparseCodec(Codec):
             out[i] = (d - self.steps) * self.spacing
         return out
 
+    def _levels(self, grid_indices: np.ndarray) -> np.ndarray:
+        """Level values (count, k) of an array of grid indices, computed from
+        their grid digits."""
+        digits = np.stack(np.unravel_index(grid_indices, (self.levels_per_dim,) * self.k),
+                          axis=1)
+        return (digits - self.steps) * self.spacing
+
     def level_block(self, grid_index: int, count: int) -> np.ndarray:
         """Level values of the grid indices [grid_index, grid_index + count),
-        shape (count, k), computed from their grid digits.  Row i holds the
-        values, on its support, of codeword grid_index + i of every support."""
-        gidx = np.arange(grid_index, grid_index + count, dtype=np.int64)
-        digits = np.stack(np.unravel_index(gidx, (self.levels_per_dim,) * self.k), axis=1)
-        return (digits - self.steps) * self.spacing
+        shape (count, k).  Row i holds the values, on its support, of
+        codeword grid_index + i of every support."""
+        return self._levels(np.arange(grid_index, grid_index + count, dtype=np.int64))
+
+    def decode_many(self, indices) -> np.ndarray:
+        """Codewords (p, n) of p indices, with decode's bits: row i holds
+        the level values of index i's grid index on the support of its
+        rank, gathered from the support table."""
+        rank, grid_index = np.divmod(self._indices(indices), self.grid_size)
+        out = np.zeros((len(rank), self.n))
+        np.put_along_axis(out, self.supports[rank], self._levels(grid_index), axis=1)
+        return out
 
     @functools.cached_property
     def supports(self) -> np.ndarray:
@@ -324,15 +349,7 @@ class SparseCodec(Codec):
 
     def decode_block(self, start: int, count: int) -> np.ndarray:
         start, count = self._span(start, count)
-        block = np.zeros((count, self.n))
-        pos = 0
-        while pos < count:
-            support_rank, grid_index = divmod(start + pos, self.grid_size)
-            run = min(count - pos, self.grid_size - grid_index)
-            support = _comb_unrank(support_rank, self.n, self.k)
-            block[pos:pos + run, support] = self.level_block(grid_index, run)
-            pos += run
-        return block
+        return self.decode_many(np.arange(start, start + count, dtype=np.int64))
 
     def materialize(self) -> np.ndarray:
         return self.decode_block(0, self.size)
@@ -423,6 +440,9 @@ class ExplicitCodec(Codec):
 
     def decode(self, index: int) -> np.ndarray:
         return self._codewords[self._index(index)].copy()
+
+    def decode_many(self, indices) -> np.ndarray:
+        return self._codewords[self._indices(indices)]
 
     def decode_block(self, start: int, count: int) -> np.ndarray:
         start, count = self._span(start, count)

@@ -359,26 +359,28 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
         ys.append(apply_noise(y, model, noise_stream,
                               context=aligned(i, y) if model.worst_aligned else None))
     if strong:
-        results = csp_recover_panel(np.asarray(ys), ensemble, codec,
-                                    truths=panel.truths)
-    elif analog:
-        results = [csp_recover_analog(ys[0], ensemble, codec, truth=signals[0])]
+        result = csp_recover_panel(np.asarray(ys), ensemble, codec,
+                                   truths=panel.truths)
+        worst = int(np.argmax(result.error_l2))  # the first of equal maxima
+        error, residual = result.error_l2[worst], result.residual[worst]
+        desc = f"panel-max[{descs[worst]}]"
     else:
-        results = [csp_recover(ys[0], ensemble, codec, truth=signals[0])]
-    worst = int(np.argmax([r.error_l2 for r in results]))
-    error = float(results[worst].error_l2)
+        recover = csp_recover_analog if analog else csp_recover
+        result = recover(ys[0], ensemble, codec, truth=signals[0])
+        error, residual, desc = result.error_l2, result.residual, descs[0]
+    error, residual = float(error), float(residual)
 
     return TrialRecord(
         trial=trial_index, axis_value=axis_value,
         ensemble_seed=ensemble_seed, signal_seed=signal_seed,
         n=n, d=d, rate_bits=codec.rate_bits, delta=codec.delta,
         noise_kind=model.kind, noise_level=model.level,
-        error_l2=error, residual=results[worst].residual,
+        error_l2=error, residual=residual,
         bound_error=None if bound is None else bound.error_bound,
         bound_fail_prob=None if bound is None else bound.failure_probability,
         within_bound=None if bound is None else bool(error <= bound.error_bound),
-        wall_ms=(results[0].wall_time * 1e3) if config.record_timings else 0.0,
-        signal_desc=f"panel-max[{descs[worst]}]" if strong else descs[0],
+        wall_ms=(result.wall_time * 1e3) if config.record_timings else 0.0,
+        signal_desc=desc,
     )
 
 

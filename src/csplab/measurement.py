@@ -29,6 +29,9 @@ class MeasurementEnsemble:
     def __post_init__(self):
         if np.ndim(self.matrix) != 2:
             raise ValueError(f"matrix shape {np.shape(self.matrix)}; need a 2-D (d, n) array")
+        # a nan or inf entry would poison every product of the scan
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("matrix entries must be finite")
 
     @property
     def d(self) -> int:
@@ -169,6 +172,8 @@ class WienerEnsemble:
         if np.ndim(self.increments) != 2:
             raise ValueError(
                 f"increments shape {np.shape(self.increments)}; need a 2-D (d, m) array")
+        if not np.isfinite(self.increments).all():
+            raise ValueError("increments must be finite")
 
     @property
     def d(self) -> int:

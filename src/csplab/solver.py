@@ -50,6 +50,20 @@ class RecoveryResult:
     wall_time: float
 
 
+@dataclass
+class PanelResult:
+    """Outcome of one panel scan, one row per signal: chosen_index (p,),
+    reconstruction (p, n), residual (p,) and error_l2 (p,), or None when no
+    truths are given; candidates_scanned equals the codebook size."""
+
+    chosen_index: np.ndarray
+    reconstruction: np.ndarray
+    residual: np.ndarray
+    error_l2: np.ndarray | None
+    candidates_scanned: int
+    wall_time: float
+
+
 def _check(ys: np.ndarray, ensemble, codec, analog: bool = False,
            truths=None) -> None:
     """Validate a scan of codec against ensemble for (p, d) measurements
@@ -124,22 +138,22 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
     best = mins.min(axis=0)
     # a nan minimum matches no tile, so no index could be returned for it
     if not np.isfinite(best).all():
-        raise ValueError("minimum residual is not finite: the ensemble holds "
-                         "nan or inf entries, or its products overflow")
+        raise ValueError("minimum residual is not finite: the products or "
+                         "residuals overflow, or the ensemble was changed to "
+                         "hold nan or inf entries")
     return best, np.where(mins == best, at, np.iinfo(np.int64).max).min(axis=0)
 
 
-def _results(codec, sq, idx, t0, truths, error) -> list[RecoveryResult]:
-    wall = time.perf_counter() - t0
-    out = []
-    for s, (i, r) in enumerate(zip(idx.tolist(), np.sqrt(sq).tolist())):
-        recon = codec.decode(i)
-        out.append(RecoveryResult(
-            chosen_index=i, reconstruction=recon, residual=r,
-            error_l2=error(recon, truths[s]) if truths is not None else None,
-            candidates_scanned=codec.size, wall_time=wall,
-        ))
-    return out
+def _result(codec, sq, idx, t0, truth, distance) -> RecoveryResult:
+    """The RecoveryResult of a one-signal scan; distance(recon, truth) is
+    its error_l2 when a truth is given."""
+    i = int(idx[0])
+    recon = codec.decode(i)
+    return RecoveryResult(
+        chosen_index=i, reconstruction=recon, residual=float(np.sqrt(sq[0])),
+        error_l2=None if truth is None else distance(recon, truth),
+        candidates_scanned=codec.size, wall_time=time.perf_counter() - t0,
+    )
 
 
 def _finite_plan(ensemble: MeasurementEnsemble, codec: Codec):
@@ -161,6 +175,13 @@ def _finite_plan(ensemble: MeasurementEnsemble, codec: Codec):
 
 def _l2(recon, truth) -> float:
     return float(np.linalg.norm(recon - truth))
+
+
+def _row_norms(D: np.ndarray) -> np.ndarray:
+    """||D[i]||_2 of every row of D (p, n), each with np.linalg.norm's bits:
+    the stacked (1 x n) @ (n x 1) products are one BLAS dot per row, the
+    call norm makes (einsum's sums round differently)."""
+    return np.sqrt(np.matmul(D[:, None, :], D[:, :, None]).reshape(len(D)))
 
 
 def _direct(y):
@@ -187,16 +208,19 @@ def csp_recover(y, ensemble: MeasurementEnsemble, codec: Codec,
     truths = None if truth is None else np.asarray(truth, dtype=float)[None]
     _check(ys, ensemble, codec, truths=truths)
     sq, idx = _scan(*_finite_plan(ensemble, codec), _direct(ys[0]), 1)
-    return _results(codec, sq, idx, t0, truths, _l2)[0]
+    return _result(codec, sq, idx, t0, None if truths is None else truths[0], _l2)
 
 
 def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
-                      truths=None) -> list[RecoveryResult]:
+                      truths=None) -> PanelResult:
     """Recover a panel of signals against one shared ensemble in one pass.
 
     The codebook is measured once per tile for the whole panel, which is
     what the uniform-guarantee (one matrix, all signals) experiments need.
-    ys has shape (p, d); truths, if given, (p, n).
+    ys has shape (p, d); truths, if given, (p, n).  The result holds one
+    array row per signal: the chosen codewords are decoded in one call of
+    the codec's decode_many and their errors are computed by _row_norms, so
+    each row has the bits of decode and of np.linalg.norm.
 
     Residuals come from the expanded form ||R c||^2 + ||y||^2 - 2<R c, y>
     (clipped at 0), which rounds differently from csp_recover's direct
@@ -220,7 +244,12 @@ def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
         return np.maximum(rn[:, None] + yn[None, :] - 2.0 * (R @ ys.T), 0.0)
 
     sq, idx = _scan(*_finite_plan(ensemble, codec), expanded, len(ys))
-    return _results(codec, sq, idx, t0, truths, _l2)
+    recon = codec.decode_many(idx)
+    return PanelResult(
+        chosen_index=idx, reconstruction=recon, residual=np.sqrt(sq),
+        error_l2=None if truths is None else _row_norms(recon - truths),
+        candidates_scanned=codec.size, wall_time=time.perf_counter() - t0,
+    )
 
 
 def _analog_operators(codec: PiecewisePolyCodec, layouts: np.ndarray,
@@ -286,6 +315,4 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     ops = _analog_operators(codec, codec.break_layouts, ensemble.times, inc_t)
     sq, idx = _scan(lambda g, count: ops[g:g + count], len(ops), codec.coef_space,
                     codec.coef_block, _direct(ys[0]), 1)
-    truths = None if truth is None else [truth]
-    return _results(codec, sq, idx, t0, truths,
-                    lambda recon, f: f.l2_distance(recon))[0]
+    return _result(codec, sq, idx, t0, truth, lambda recon, f: f.l2_distance(recon))

@@ -1,0 +1,80 @@
+"""The panel's batched decode and error pass, bit for bit.
+
+csp_recover_panel decodes its chosen codewords with one decode_many call
+and computes their errors with one stacked product (solver._row_norms).
+Both must have the bits of the per-signal path they replaced: decode per
+index, and np.linalg.norm per row.  Every comparison is on int64 views, so
+a last-bit difference (or a -0.0 for a 0.0) fails.  The norms are BLAS dots,
+so these tests are worth running under every OpenBLAS kernel, e.g. with
+OPENBLAS_CORETYPE=Nehalem.
+"""
+
+import numpy as np
+import pytest
+
+from csplab.codecs import ExplicitCodec, GridCodec, SparseCodec
+from csplab.measurement import measure, sample_ensemble
+from csplab.rng import derive_stream
+from csplab.solver import _row_norms, csp_recover_panel
+
+
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("codec", [
+    SparseCodec(9, 1, 1.0, 0.3),
+    SparseCodec(7, 2, 1.0, 0.35),
+    GridCodec(3, 1.0, 0.4),
+    ExplicitCodec(derive_stream(70, 0).standard_normal((40, 5))),
+], ids=["sparse-k1", "sparse-k2", "grid", "explicit"])
+@pytest.mark.parametrize("p", [1, 2, 57])
+def test_decode_many_has_decode_bits(codec, p):
+    gen = derive_stream(71, p)
+    idx = gen.integers(0, codec.size, size=p)
+    if p > 2:
+        idx[:2] = 0, codec.size - 1
+    got = codec.decode_many(idx)
+    assert got.shape == (p, codec.n)
+    assert np.array_equal(bits(got), bits(np.stack([codec.decode(int(i)) for i in idx])))
+
+
+def test_decode_many_returns_fresh_rows():
+    codec = ExplicitCodec([[1.0, 2.0], [3.0, 4.0]])
+    rows = codec.decode_many(np.array([1, 1]))
+    rows[0, 0] = 9.0
+    assert codec.decode(1).tolist() == [3.0, 4.0]
+
+
+@pytest.mark.parametrize("codec", [SparseCodec(5, 2, 1.0, 0.5),
+                                   ExplicitCodec([[1.0], [2.0]])])
+@pytest.mark.parametrize("bad", [[0.0], [-1], [10**6], [[0]], [True]])
+def test_decode_many_checks_indices(codec, bad):
+    with pytest.raises(IndexError):
+        codec.decode_many(np.array(bad))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (7, 1), (5, 2), (33, 16),
+                                   (200, 3), (4, 37), (3, 128)])
+def test_row_norms_have_norm_bits(shape):
+    gen = derive_stream(72, shape[0] * 1000 + shape[1])
+    for scale in (1e-150, 1e-3, 1.0, 1e150):
+        D = scale * gen.standard_normal(shape)
+        want = [np.linalg.norm(row) for row in D]
+        assert np.array_equal(bits(_row_norms(D)), bits(want))
+
+
+@pytest.mark.parametrize("d, n, k", [(1, 6, 2), (3, 1, 1), (1, 1, 1), (5, 8, 2)])
+def test_panel_errors_have_norm_bits(d, n, k):
+    # class samples lie off the codebook, so every error is nonzero
+    codec = SparseCodec(n, k, 1.0, 0.3)
+    ens = sample_ensemble(d, n, derive_stream(73, d * 10 + n))
+    gen = derive_stream(74, n)
+    truths = np.array([codec.sample_member(gen) for _ in range(23)])
+    ys = np.array([measure(ens, x) for x in truths])
+    panel = csp_recover_panel(ys, ens, codec, truths=truths)
+    want = [np.linalg.norm(codec.decode(int(i)) - x)
+            for i, x in zip(panel.chosen_index, truths)]
+    assert np.array_equal(bits(panel.error_l2), bits(want))
+    assert np.array_equal(bits(panel.reconstruction),
+                          bits(np.stack([codec.decode(int(i)) for i in panel.chosen_index])))

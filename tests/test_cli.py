@@ -246,6 +246,14 @@ def test_pair_output(tmp_path):
     assert gap < 1e-9
 
 
+def test_pair_refuses_a_negative_seed(tmp_path, capsys):
+    rc = main(["pair", "--n", "10", "--k", "2", "--d", "3", "--seed", "-1",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, not -1\n"
+    assert not (tmp_path / "pair.csv").exists()
+
+
 def test_analog_demo(tmp_path, capsys):
     rc = main(["analog-demo", "--d", "6", "--delta", "0.1", "--grid", "256",
                "--trials", "5", "--seed", "2", "--out", str(tmp_path)])
