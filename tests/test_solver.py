@@ -678,6 +678,7 @@ class TestFiniteScanReference:
     @example(case=("grid-4", "panel", 2, 0.3, 3))
     @example(case=("sparse-cross", "single", 1, 0.05, 4))
     @example(case=("sparse-large", "panel", 1, 0.0, 5))
+    @example(case=("sparse-large", "panel", 1, 0.0, 317245))  # 5.3e-9 against 0
     def test_matches_block_reference(self, case):
         name, front, d, noise, seed = case
         codec = grouped_codec(name)
