@@ -195,14 +195,6 @@ class Codec:
             raise IndexError(f"indices outside [0, {self.size})")
         return idx
 
-    def _span(self, start, count) -> tuple[int, int]:
-        """(start, count) as ints, or IndexError unless both are integers
-        and the codewords [start, start + count) lie inside [0, size)."""
-        start, count = _integer("start", start), _integer("count", count)
-        if not (0 <= start and 0 <= count <= self.size - start):
-            raise IndexError(f"block [{start}, {start} + {count}) outside [0, {self.size})")
-        return start, count
-
     def encode(self, x) -> int:
         raise NotImplementedError
 
@@ -242,8 +234,7 @@ class SparseCodec(Codec):
     codewords, with the columns of the support as its operator and
     level_block as its coefficient rows, and decodes no codeword.  Level
     rows are computed from their grid digits on request; the scan asks for
-    each block of them once.  decode, decode_many, decode_block and
-    materialize return fresh arrays.
+    each block of them once.  decode and decode_many return fresh arrays.
     """
 
     kind = "sparse"
@@ -347,13 +338,6 @@ class SparseCodec(Codec):
         table.flags.writeable = False
         return table
 
-    def decode_block(self, start: int, count: int) -> np.ndarray:
-        start, count = self._span(start, count)
-        return self.decode_many(np.arange(start, start + count, dtype=np.int64))
-
-    def materialize(self) -> np.ndarray:
-        return self.decode_block(0, self.size)
-
     def is_member(self, x) -> bool:
         x = np.asarray(x, dtype=float)
         return (x.shape == (self.n,)
@@ -416,9 +400,6 @@ class ExplicitCodec(Codec):
     diagnostic tool; encode is brute-force nearest codeword, first index on
     ties)."""
 
-    kind = "explicit"
-    _descriptor = {"n": "n", "size": "size"}
-
     def __init__(self, codewords):
         self._codewords = np.array(codewords, dtype=float, ndmin=2)
         if self._codewords.ndim != 2 or 0 in self._codewords.shape:
@@ -444,12 +425,8 @@ class ExplicitCodec(Codec):
     def decode_many(self, indices) -> np.ndarray:
         return self._codewords[self._indices(indices)]
 
-    def decode_block(self, start: int, count: int) -> np.ndarray:
-        start, count = self._span(start, count)
-        return self._codewords[start:start + count]
-
-    def materialize(self) -> np.ndarray:
-        return self._codewords
+    def config(self) -> dict:
+        raise ValueError("an explicit codebook has no JSON descriptor")
 
 
 class PiecewisePolyCodec(Codec):

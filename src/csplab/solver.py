@@ -163,14 +163,15 @@ def _finite_plan(ensemble: MeasurementEnsemble, codec: Codec):
     grid_size codewords share the operator A[:, S]^T, gathered per tile from
     the codec's support table, and their coefficient rows are the codec's
     level rows, so the scan multiplies only the k support columns.  Any other
-    codec is one group of its decoded blocks times the transposed matrix,
-    a view: a contiguous copy would round one-row (gemv) products
-    differently."""
+    codec is one group whose coefficient rows are its codewords, each block
+    read with decode_many, times the transposed matrix, a view: a contiguous
+    copy would round one-row (gemv) products differently."""
     At = ensemble.matrix.T
     if isinstance(codec, SparseCodec):
         return (lambda g, count: At[codec.supports[g:g + count]], codec.n_supports,
                 codec.grid_size, codec.level_block)
-    return lambda g, count: At[None], 1, codec.size, codec.decode_block
+    return (lambda g, count: At[None], 1, codec.size,
+            lambda start, count: codec.decode_many(np.arange(start, start + count)))
 
 
 def _l2(recon, truth) -> float:

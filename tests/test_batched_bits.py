@@ -22,21 +22,32 @@ def bits(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
+CODEWORDS = derive_stream(70, 0).standard_normal((40, 5))
+
+
 @pytest.mark.parametrize("codec", [
     SparseCodec(9, 1, 1.0, 0.3),
     SparseCodec(7, 2, 1.0, 0.35),
     GridCodec(3, 1.0, 0.4),
-    ExplicitCodec(derive_stream(70, 0).standard_normal((40, 5))),
+    ExplicitCodec(CODEWORDS),
 ], ids=["sparse-k1", "sparse-k2", "grid", "explicit"])
-@pytest.mark.parametrize("p", [1, 2, 57])
+@pytest.mark.parametrize("p", [1, 2, 57, "run"])
 def test_decode_many_has_decode_bits(codec, p):
-    gen = derive_stream(71, p)
-    idx = gen.integers(0, codec.size, size=p)
-    if p > 2:
-        idx[:2] = 0, codec.size - 1
+    if p == "run":
+        # a contiguous run, as the explicit scan plan reads its blocks: it
+        # crosses a support boundary of a sparse codec, and it ends at the
+        # last codeword of the grid and explicit codecs
+        start = min(getattr(codec, "grid_size", codec.size) - 3, codec.size - 7)
+        idx = np.arange(start, start + 7)
+    else:
+        idx = derive_stream(71, p).integers(0, codec.size, size=p)
+        if p > 2:
+            idx[:2] = 0, codec.size - 1
     got = codec.decode_many(idx)
-    assert got.shape == (p, codec.n)
+    assert got.shape == (len(idx), codec.n)
     assert np.array_equal(bits(got), bits(np.stack([codec.decode(int(i)) for i in idx])))
+    if p == "run" and isinstance(codec, ExplicitCodec):
+        assert np.array_equal(bits(got), bits(CODEWORDS[idx[0]:idx[-1] + 1]))
 
 
 def test_decode_many_returns_fresh_rows():

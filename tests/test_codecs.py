@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from csplab import codecs
@@ -17,7 +17,7 @@ from csplab.rng import derive_stream
 
 
 def brute_force_nearest(codec, x):
-    cw = codec.materialize()
+    cw = codec.decode_many(np.arange(codec.size))
     d2 = ((cw - np.asarray(x)) ** 2).sum(axis=1)
     return int(np.argmin(d2)), float(np.sqrt(d2.min()))
 
@@ -80,7 +80,7 @@ class TestGridCodec:
 
     def test_enumeration_bijective(self):
         c = GridCodec(2, 1.0, 0.5)
-        cw = c.materialize()
+        cw = c.decode_many(np.arange(c.size))
         assert len(np.unique(cw, axis=0)) == c.size
 
     def test_out_of_ball_rejected(self):
@@ -117,7 +117,8 @@ class TestGridCodec:
             assert g.size == s.size
             assert g.rate_bits == n * math.log2(g.levels_per_dim)
             assert g.rate_bits == pytest.approx(s.rate_bits)
-            assert np.array_equal(g.materialize(), s.materialize())
+            assert np.array_equal(g.decode_many(np.arange(g.size)),
+                                  s.decode_many(np.arange(s.size)))
             for i in range(g.size):
                 cw = g.decode(i)
                 assert g.encode(cw) == s.encode(cw) == i
@@ -126,12 +127,6 @@ class TestGridCodec:
                 assert corner is None or np.array_equal(corner, sparse_corner)
             assert g.config() == {"class": "grid", "n": n, "rho": rho,
                                   "delta": delta, "cap": g.cap}
-
-    def test_decode_block_matches_decode(self):
-        c = GridCodec(3, 1.0, 0.7)
-        blk = c.decode_block(5, 9)
-        for off in range(9):
-            assert np.array_equal(blk[off], c.decode(5 + off))
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -210,13 +205,6 @@ class TestSparseCodec:
         c = SparseCodec(6, 2, 1.0, 0.5)
         with pytest.raises(DomainError, match="finite"):
             c.encode(np.array([bad, 0.0, 0.0, 0.0, 0.0, 0.0]))
-
-    def test_decode_block_spans_supports(self):
-        c = SparseCodec(5, 2, 1.0, 0.8)
-        start = c.grid_size - 2  # straddles a support boundary
-        blk = c.decode_block(start, 5)
-        for off in range(5):
-            assert np.array_equal(blk[off], c.decode(start + off))
 
 
 class TestPiecewisePolyCodec:
@@ -347,10 +335,11 @@ class TestCodebookCache:
     @pytest.mark.parametrize("name", ["sparse", "grid"])
     def test_blocks_handed_out_are_fresh(self, name):
         c = round_trip_codec(name)
-        before = c.materialize()
-        for book in (c.materialize(), c.decode_block(0, 3), c.decode(0)):
+        every = np.arange(c.size)
+        before = c.decode_many(every)
+        for book in (c.decode_many(every), c.decode_many(np.arange(3)), c.decode(0)):
             book[...] = 7.0
-        assert np.array_equal(c.materialize(), before)
+        assert np.array_equal(c.decode_many(every), before)
 
     @pytest.mark.parametrize("args", [(6, 2, 1.0, 0.5), (5, 3, 1.0, 0.8),
                                       (7, 1, 1.0, 0.5), (3, 3, 1.0, 0.4)])
@@ -381,33 +370,54 @@ def per_run_block(c, start, count):
     return block
 
 
+def run_codec(n, k, grid, steps, rho, slack):
+    """The sparse (or, with grid and k == n, grid) codec of steps levels per
+    side of zero, at a delta slack short of the next coarser grid."""
+    delta = rho * math.sqrt(k) / (steps - slack)
+    return GridCodec(n, rho, delta) if grid else SparseCodec(n, k, rho, delta)
+
+
+@st.composite
+def decode_runs(draw):
+    """(n, k, grid, steps, rho, slack, start, count, index): a codec of
+    run_codec within 200,000 codewords, a run [start, start + count) of it
+    and one index."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, n))
+    grid = draw(st.booleans()) and k == n
+    # the most steps that keep the codebook within 200,000 codewords
+    most = max(1, int(((200_000 / math.comb(n, k)) ** (1 / k) - 1) / 2))
+    steps = draw(st.integers(1, min(most, 6)))
+    rho = draw(st.sampled_from([1.0, 0.7]))
+    slack = draw(st.sampled_from([0.0, 0.25])) if steps > 1 else 0.0
+    c = run_codec(n, k, grid, steps, rho, slack)
+    assume(c.size <= 200_000)
+    start = draw(st.integers(0, c.size - 1))
+    # up to two grids and a bit: most runs cross a support boundary
+    count = draw(st.integers(0, min(c.size - start, 2 * c.grid_size + 2)))
+    return n, k, grid, steps, rho, slack, start, count, draw(st.integers(0, c.size - 1))
+
+
 class TestDecodeBlock:
+    """Runs of codewords [start, start + count), read with decode_many of
+    their index range, as the explicit scan plan reads its blocks."""
+
     @settings(max_examples=80, deadline=None, derandomize=True)
-    @given(data=st.data())
-    def test_matches_the_per_run_reference(self, data):
-        # the decoded blocks hold the reference's floats bit for bit, and
-        # decode(i) is row 0 of decode_block(i, 1)
-        n = data.draw(st.integers(1, 10), label="n")
-        k = data.draw(st.integers(1, n), label="k")
-        grid = data.draw(st.booleans(), label="grid") and k == n
-        supports = math.comb(n, k)
-        # the most steps that keep the codebook within 200,000 codewords
-        most = max(1, int(((200_000 / supports) ** (1 / k) - 1) / 2))
-        steps = data.draw(st.integers(1, min(most, 6)), label="steps")
-        rho = data.draw(st.sampled_from([1.0, 0.7]), label="rho")
-        slack = data.draw(st.sampled_from([0.0, 0.25]), label="slack") if steps > 1 else 0.0
-        delta = rho * math.sqrt(k) / (steps - slack)
-        c = GridCodec(n, rho, delta) if grid else SparseCodec(n, k, rho, delta)
-        assume(c.size <= 200_000)
-        start = data.draw(st.integers(0, c.size - 1), label="start")
-        # up to two grids and a bit: most blocks cross a support boundary
-        count = data.draw(st.integers(0, min(c.size - start, 2 * c.grid_size + 2)),
-                          label="count")
-        got = c.decode_block(start, count)
-        assert got.shape == (count, n)
-        assert np.array_equal(got, per_run_block(c, start, count))
-        index = data.draw(st.integers(0, c.size - 1), label="index")
-        assert c.decode(index).tobytes() == c.decode_block(index, 1)[0].tobytes()
+    @given(case=decode_runs())
+    @example(case=(5, 2, False, 1, 1.0, 0.0, 7, 5, 8))         # crosses a support boundary
+    @example(case=(4, 2, False, 2, 0.7, 0.25, 140, 10, 149))   # ends at the last codeword
+    @example(case=(3, 1, False, 3, 1.0, 0.0, 5, 0, 0))         # count = 0
+    @example(case=(2, 2, True, 3, 1.0, 0.25, 10, 30, 48))      # a grid codec (k = n)
+    @example(case=(1, 1, False, 6, 0.7, 0.0, 0, 13, 12))       # n = 1, the whole codebook
+    def test_matches_the_per_run_reference(self, case):
+        # the decoded runs hold the reference's floats bit for bit, and
+        # decode(i) is row 0 of decode_many([i])
+        *params, start, count, index = case
+        c = run_codec(*params)
+        got = c.decode_many(np.arange(start, start + count))
+        assert got.shape == (count, c.n)
+        assert got.tobytes() == per_run_block(c, start, count).tobytes()
+        assert c.decode(index).tobytes() == c.decode_many(np.array([index]))[0].tobytes()
 
     @pytest.mark.parametrize("name", ["sparse", "sparse-lazy", "grid", "grid-lazy",
                                       "explicit"])
@@ -417,27 +427,27 @@ class TestDecodeBlock:
         # wrong codewords
         c = (ExplicitCodec([[0.0], [1.0]]) if name == "explicit"
              else round_trip_codec(name))
-        for start, count in ((c.size - 1, 2), (-3, 2), (0, -1), (c.size + 1, 0)):
+        for start, count in ((c.size - 1, 2), (-3, 2), (c.size + 1, 1)):
             with pytest.raises(IndexError, match="outside"):
-                c.decode_block(start, count)
-        assert c.decode_block(c.size, 0).shape == (0, c.n)
-        assert np.array_equal(c.decode_block(c.size - 1, 1)[0], c.decode(c.size - 1))
+                c.decode_many(np.arange(start, start + count))
+        assert c.decode_many(np.arange(c.size, c.size)).shape == (0, c.n)
+        assert np.array_equal(c.decode_many(np.arange(c.size - 1, c.size))[0],
+                              c.decode(c.size - 1))
 
     @pytest.mark.parametrize("name", ["sparse", "grid", "explicit", "ppoly"])
     def test_index_must_be_an_integer(self, name):
-        # decode(2.5) gave codeword 2, decode(True) codeword 1 and
-        # decode_block(0.5, 2) codewords 0-1
+        # decode(2.5) gave codeword 2 and decode(True) codeword 1
         c = (ExplicitCodec([[0.0], [1.0], [2.0], [3.0]]) if name == "explicit"
              else round_trip_codec(name))
         for index in (2.5, 1.9, True, "1"):
             with pytest.raises(IndexError, match=f"^index {index!r} must be an integer$"):
                 c.decode(index)
-        if name != "ppoly":  # ppoly decodes no blocks
-            for start, count in ((0.5, 2), (0, 2.0), (False, 1)):
-                with pytest.raises(IndexError, match="must be an integer$"):
-                    c.decode_block(start, count)
-            assert np.array_equal(c.decode_block(np.int64(1), np.int64(2)),
-                                  c.decode_block(1, 2))
+        if name != "ppoly":  # ppoly decodes one index at a time
+            for indices in ([0.5, 1.5], [2.0], [False, True]):
+                with pytest.raises(IndexError, match="must be a 1-D integer array"):
+                    c.decode_many(np.array(indices))
+            assert np.array_equal(c.decode_many(np.arange(1, 3, dtype=np.int32)),
+                                  c.decode_many([1, 2]))
         assert repr(c.decode(np.int64(2))) == repr(c.decode(2))
 
 
@@ -473,8 +483,7 @@ class TestExplicitCodec:
         c = ExplicitCodec(cw)
         cw[0] = 7.0
         assert np.array_equal(c.decode(0), [0.0, 0.0])
-        with pytest.raises(ValueError, match="read-only"):
-            c.materialize()[0] = 7.0
+        c.decode_many(np.arange(2))[0] = 7.0
         assert np.array_equal(c.decode(0), [0.0, 0.0])
 
 
@@ -593,6 +602,12 @@ class TestConfig:
                       "delta": 0.1, "cap": 2**24}):
             codec = codec_from_config(desc)
             assert codec.config() == desc
+
+    def test_explicit_codebook_has_no_descriptor(self):
+        # config() returned {"class": "explicit", ...}, which
+        # codec_from_config refused as an unknown class
+        with pytest.raises(ValueError, match="^an explicit codebook has no JSON descriptor$"):
+            ExplicitCodec([[0.0, 1.0]]).config()
 
     @pytest.mark.parametrize("desc,message", [
         ({"class": "sparse", "n": 8.5, "k": 1}, "n=8.5 must be an integer >= 1"),

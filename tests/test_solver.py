@@ -600,7 +600,7 @@ class TestScanInvariance:
 def reference_block_scan(ys, ens, codec, kernel):
     """Reference finite scan, as it ran before codewords were grouped by
     support: every block of the fixed _BLOCK-row grid over the whole
-    codebook decoded with decode_block, times the transposed matrix, the
+    codebook read with decode_many, times the transposed matrix, the
     kernel, and a strict fold that keeps the earlier index on ties.  Returns
     the chosen indices, their squared residuals and every squared residual,
     (size, p)."""
@@ -609,7 +609,7 @@ def reference_block_scan(ys, ens, codec, kernel):
     every = []
     for start in range(0, codec.size, solver._BLOCK):
         count = min(solver._BLOCK, codec.size - start)
-        sq = kernel(codec.decode_block(start, count) @ ens.matrix.T)
+        sq = kernel(codec.decode_many(np.arange(start, start + count)) @ ens.matrix.T)
         every.append(sq.copy())
         j = sq.argmin(axis=0)
         m = sq[j, np.arange(p)]
