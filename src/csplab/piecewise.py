@@ -11,10 +11,22 @@ order (the integrands are polynomials).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] with order points, exact
+    for polynomials up to degree 2 * order - 1.  Computed once per order
+    (each leggauss call solves an eigenproblem) and shared, so both arrays
+    are read-only."""
+    nodes, weights = npleg.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def orthonormal_basis_matrix(a: float, b: float, degree: int, t: np.ndarray) -> np.ndarray:
@@ -124,7 +136,7 @@ class PiecewisePolynomial:
         edges = np.unique(np.concatenate([self.edges, other.edges]))
         deg = max(self.degree, other.degree)
         # Gauss-Legendre with deg + 1 nodes is exact up to degree 2*deg + 1
-        nodes, weights = npleg.leggauss(deg + 1)
+        nodes, weights = _gauss_legendre(deg + 1)
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             if b <= a:
@@ -162,7 +174,7 @@ class PiecewisePolynomial:
             )
         )
         deg = max(self.degree, degree)
-        nodes, weights = npleg.leggauss(deg + 1)
+        nodes, weights = _gauss_legendre(deg + 1)
         out = np.zeros(degree + 1)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             if hi <= lo:

@@ -12,8 +12,9 @@ tile minima are reduced once by (residual, index), so the smallest index
 wins a tie whatever order the tiles are visited in.  The three solvers are
 front ends that differ only in their plan (the groups, their operators and
 coefficient rows) and their residual kernel.  No codeword is decoded to scan
-it: memory stays at one block of coefficient rows and one tile of operators
-and measurements, beside the analog operators and one minimum per tile.
+it: memory stays at one block of coefficient rows, one tile of operators and
+one buffer of measurements, allocated once per scan and reused by every
+tile, beside the analog operators and one minimum per tile.
 """
 
 from __future__ import annotations
@@ -97,8 +98,12 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
     ops(g, count) returns the operators B of the groups from g up to
     g + count (fewer at the end) as one (count, rows of B, d) stack, and
     kernel maps measurements R (count, d) to squared residuals (count, p)
-    against the p signals.  Every R is a fresh product that the scan reads
-    no more, so the kernel may overwrite it.
+    against the p signals.  Every tile's R is a prefix of one buffer
+    allocated per scan, sized by the first tile, which is the largest; the
+    scan reads R no more once the kernel returns, so the kernel may
+    overwrite it.  A kernel may also return its squares in memory that its
+    next call overwrites, so the scan reads and copies each tile's minima
+    (sq[j, cols]) before it takes the next tile.
 
     Every group is cut into the same grid of _BLOCK-row blocks, one block
     when size <= _BLOCK.  The outer loop walks that grid and builds each
@@ -113,22 +118,25 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
     signal; a minimum that is not finite is a ValueError.
 
     Tiling moves no bits: numpy's matmul runs one gemm per stacked slice,
-    the same (rows x n) @ (n x d) call as the group's own product, and the
-    kernel works row by row.  The fixed grid of a large group is part of
-    the output: BLAS can round a row of coefs @ B differently with its
-    block's row count, so another grid could move residuals in the last
-    bits, and the argmin at ties.
+    the same (rows x n) @ (n x d) call as the group's own product, into the
+    reused buffer as into a fresh array, and the kernel works row by row.
+    The fixed grid of a large group is part of the output: BLAS can round a
+    row of coefs @ B differently with its block's row count, so another
+    grid could move residuals in the last bits, and the argmin at ties.
     """
     step = max(1, _BLOCK // size)
     cols = np.arange(p)
     mins, at = [], []
-    # measurements are not kept past their kernel call, so no two tiles of
-    # them are alive at once
+    buf = None
     for offset in range(0, size, _BLOCK):
         rows = coefs(offset, min(_BLOCK, size - offset))
         for g in range(0, n_groups, step):
             B = ops(g, step)
-            sq = kernel(np.matmul(rows, B).reshape(-1, B.shape[-1]))
+            shape = (len(B), len(rows), B.shape[-1])
+            if buf is None:    # the first tile is the largest
+                buf = np.empty(np.prod(shape))
+            R = np.matmul(rows, B, out=buf[:np.prod(shape)].reshape(shape))
+            sq = kernel(R.reshape(-1, shape[-1]))
             j = sq.argmin(axis=0)    # first occurrence per signal
             mins.append(sq[j, cols])
             # row j of the tile is codeword g * size + offset + j, whether
@@ -186,11 +194,22 @@ def _row_norms(D: np.ndarray) -> np.ndarray:
 
 
 def _direct(y):
-    """Kernel ||R - y||^2 for one signal, as a (count, 1) column.  R is
-    overwritten with the residuals R - y, which _scan allows."""
+    """Kernel ||R - y||^2 for one signal, as a (count, 1) column, for one
+    scan.  Its first call, on the scan's largest tile, tiles y to that
+    tile's row count and allocates one output of as many rows; every call
+    then subtracts a prefix of the tiled y in one contiguous pass, writing
+    the residuals R - y over R, which _scan allows, and returns a prefix of
+    that output, which the next call overwrites (_scan reads it first).
+    Subtraction is elementwise and the einsum sums each row as it would
+    into a fresh array, so the bits are those of R - y and its row sums."""
+    Y = out = None
+
     def kernel(R):
-        np.subtract(R, y, out=R)
-        return np.einsum("ij,ij->i", R, R)[:, None]
+        nonlocal Y, out
+        if Y is None:
+            Y, out = np.tile(y, (len(R), 1)), np.empty(len(R))
+        np.subtract(R, Y[:len(R)], out=R)
+        return np.einsum("ij,ij->i", R, R, out=out[:len(R)])[:, None]
     return kernel
 
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from csplab.piecewise import (PiecewisePolynomial, constant_function,
-                              orthonormal_basis_matrix, piecewise_constant)
+from csplab.piecewise import (PiecewisePolynomial, _gauss_legendre,
+                              constant_function, orthonormal_basis_matrix,
+                              piecewise_constant)
 
 
 def test_basis_orthonormal_on_interval():
@@ -14,6 +15,18 @@ def test_basis_orthonormal_on_interval():
     phi = orthonormal_basis_matrix(a, b, deg, x)
     gram = 0.5 * (b - a) * (phi * w) @ phi.T
     assert np.allclose(gram, np.eye(deg + 1), atol=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 12])
+def test_gauss_legendre_rule_is_shared_and_read_only(order):
+    nodes, weights = _gauss_legendre(order)
+    want = np.polynomial.legendre.leggauss(order)
+    assert nodes.tobytes() == want[0].tobytes()
+    assert weights.tobytes() == want[1].tobytes()
+    assert _gauss_legendre(order)[0] is nodes  # computed once per order
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_constant_function_evaluates():

@@ -386,13 +386,24 @@ class TestAnalogGroupOperator:
             assert max(counts) == bs  # memory stays O(block * n_coef)
 
 
+def direct_kernel(y):
+    """The direct kernel ||R - y||^2 as a (count, 1) column, written out
+    independently of solver._direct: y broadcast over the rows of R, then
+    the row sums of squares by einsum into a fresh array, so the references
+    below catch a change to the program's kernel."""
+    def kernel(R):
+        D = R - y
+        return np.einsum("ij,ij->i", D, D)[:, None]
+    return kernel
+
+
 def reference_analog_scan(y, ens, codec):
     """Reference scan, one group at a time: each block of a layout's
     coefficient grid times its operator, the direct kernel, and a strict
     fold that keeps the earlier index on ties."""
     inc_t = np.ascontiguousarray(ens.increments.T)
     ops = _analog_operators(codec, codec.break_layouts, ens.times, inc_t)
-    kernel = solver._direct(np.asarray(y, dtype=float))
+    kernel = direct_kernel(np.asarray(y, dtype=float))
     size = codec.coef_space
     best, at = np.inf, 0
     for r, B in enumerate(ops):
@@ -676,7 +687,10 @@ class TestFiniteScanReference:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=grouped_cases())
-    @example(case=("sparse-large", "single", 5, 0.05, 1))
+    @example(case=("sparse-large", "single", 5, 0.05, 1))  # remainder blocks of 817
+    @example(case=("sparse-large", "single", 2, 0.3, 6))   # remainder blocks of 817
+    @example(case=("sparse-cross", "single", 3, 0.05, 7))  # 28 supports: tiles of 6, the last of 4
+    @example(case=("sparse-cross", "panel", 2, 0.3, 8))    # 28 supports: tiles of 6, the last of 4
     @example(case=("sparse-wide", "panel", 3, 0.0, 2))
     @example(case=("grid-4", "panel", 2, 0.3, 3))
     @example(case=("sparse-cross", "single", 1, 0.05, 4))
@@ -699,7 +713,7 @@ class TestFiniteScanReference:
             for y in ys:
                 res = csp_recover(y, ens, codec)
                 pairs.append((res.chosen_index, res.residual,
-                              reference_block_scan(y[None], ens, codec, solver._direct(y)), 0))
+                              reference_block_scan(y[None], ens, codec, direct_kernel(y)), 0))
         for chosen, residual, (at, best, every), s in pairs:
             if d >= 2:
                 assert (chosen, residual) == (at[s], math.sqrt(best[s]))
