@@ -1,8 +1,9 @@
 """Self-contained SVG line charts for sweep results.
 
-The files are assembled by hand from the sweep data with fixed formatting,
-so identical input produces byte-identical output (no timestamps, no ids, no
-library-version drift).
+The files are assembled from the sweep data with fixed formatting, so
+identical input produces byte-identical output (no timestamps, no ids, no
+library-version drift).  Every element goes through one writer, _element,
+which keeps attributes in call order and escapes every text node.
 """
 
 from __future__ import annotations
@@ -27,6 +28,21 @@ def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         return [lo]
     return [lo + i * (hi - lo) / 4 for i in range(5)]
+
+
+def _element(tag: str, text: str | None = None, **attrs) -> str:
+    """One element: attributes in call order with '_' in a name written as
+    '-'; self-closing without text, the text escaped otherwise."""
+    head = f"<{tag}" + "".join(f' {k.replace("_", "-")}="{v}"' for k, v in attrs.items())
+    if text is None:
+        return head + "/>"
+    return f"{head}>{html.escape(text, quote=False)}</{tag}>"
+
+
+def _label(x, y, size: int, text: str, **attrs) -> str:
+    """A monospace text label; anchor and offset attrs precede the font."""
+    return _element("text", text, x=x, y=y, **attrs, font_family="monospace",
+                    font_size=size)
 
 
 def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
@@ -64,70 +80,42 @@ def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
     pw = _WIDTH - _ML - _MR
     ph = _HEIGHT - _MT - _MB
 
-    def px(x: float) -> float:
-        return _ML + (x - x_lo) / (x_hi - x_lo) * pw
+    def px(x: float) -> str:
+        return _fmt(_ML + (x - x_lo) / (x_hi - x_lo) * pw)
 
-    def py(v: float) -> float:
-        return _MT + (y_hi - v) / (y_hi - y_lo) * ph
+    def py(v: float) -> str:
+        return _fmt(_MT + (y_hi - v) / (y_hi - y_lo) * ph)
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
-        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" '
-        f'stroke="#333333" stroke-width="1"/>',
+        _element("rect", width=_WIDTH, height=_HEIGHT, fill="white"),
+        _element("rect", x=_ML, y=_MT, width=pw, height=ph, fill="none",
+                 stroke="#333333", stroke_width=1),
     ]
     if title:
-        out.append(
-            f'<text x="{_WIDTH // 2}" y="{_MT - 12}" text-anchor="middle" '
-            f'font-family="monospace" font-size="13">{html.escape(title, quote=False)}</text>'
-        )
+        out.append(_label(_WIDTH // 2, _MT - 12, 13, title, text_anchor="middle"))
     for x in _ticks(x_lo, x_hi):
-        X = _fmt(px(x))
-        out.append(
-            f'<line x1="{X}" y1="{_MT + ph}" x2="{X}" y2="{_MT + ph + 5}" '
-            f'stroke="#333333"/>'
-        )
-        out.append(
-            f'<text x="{X}" y="{_MT + ph + 18}" text-anchor="middle" '
-            f'font-family="monospace" font-size="11">{_fmt(x)}</text>'
-        )
+        out.append(_element("line", x1=px(x), y1=_MT + ph, x2=px(x),
+                            y2=_MT + ph + 5, stroke="#333333"))
+        out.append(_label(px(x), _MT + ph + 18, 11, _fmt(x), text_anchor="middle"))
     for yv in _ticks(y_lo, y_hi):
-        Y = _fmt(py(yv))
-        label = _fmt(10.0**yv) if log_y else _fmt(yv)
-        out.append(
-            f'<line x1="{_ML - 5}" y1="{Y}" x2="{_ML}" y2="{Y}" stroke="#333333"/>'
-        )
-        out.append(
-            f'<text x="{_ML - 8}" y="{Y}" text-anchor="end" dy="4" '
-            f'font-family="monospace" font-size="11">{label}</text>'
-        )
-    out.append(
-        f'<text x="{_WIDTH // 2}" y="{_HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">{sweep.axis_name}</text>'
-    )
-    legend_y = _MT + 14
-    for label, color, pairs in series:
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(v))}" for x, v in pairs)
+        out.append(_element("line", x1=_ML - 5, y1=py(yv), x2=_ML, y2=py(yv),
+                            stroke="#333333"))
+        out.append(_label(_ML - 8, py(yv), 11, _fmt(10.0**yv if log_y else yv),
+                          text_anchor="end", dy=4))
+    out.append(_label(_WIDTH // 2, _HEIGHT - 10, 12, sweep.axis_name,
+                      text_anchor="middle"))
+    for i, (label, color, pairs) in enumerate(series):
+        legend_y = _MT + 14 + 16 * i
         if len(pairs) > 1:
-            out.append(
-                f'<polyline points="{pts}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5"/>'
-            )
-        for x, v in pairs:
-            out.append(
-                f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(v))}" r="3" '
-                f'fill="{color}"/>'
-            )
-        out.append(
-            f'<rect x="{_ML + pw - 150}" y="{legend_y - 9}" width="10" '
-            f'height="10" fill="{color}"/>'
-        )
-        out.append(
-            f'<text x="{_ML + pw - 136}" y="{legend_y}" font-family="monospace" '
-            f'font-size="11">{label}</text>'
-        )
-        legend_y += 16
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
-
+            out.append(_element(
+                "polyline", points=" ".join(f"{px(x)},{py(v)}" for x, v in pairs),
+                fill="none", stroke=color, stroke_width=1.5))
+        out.extend(_element("circle", cx=px(x), cy=py(v), r=3, fill=color)
+                   for x, v in pairs)
+        out.append(_element("rect", x=_ML + pw - 150, y=legend_y - 9, width=10,
+                            height=10, fill=color))
+        out.append(_label(_ML + pw - 136, legend_y, 11, label))
+    root = _element("svg", xmlns="http://www.w3.org/2000/svg", width=_WIDTH,
+                    height=_HEIGHT, viewBox=f"0 0 {_WIDTH} {_HEIGHT}")
+    # the root element encloses the others: its self-closing "/>" becomes ">"
+    return "\n".join([root.removesuffix("/>") + ">", *out, "</svg>\n"])
