@@ -626,9 +626,11 @@ class TestSvg:
         assert ">bound</text>" not in without
 
     def test_title_is_escaped(self):
-        dom = minidom.parseString(render_svg(self.make_sweep(), title="T<3 & d"))
+        sweep = replace(self.make_sweep(), axis_name="a<b & c")
+        dom = minidom.parseString(render_svg(sweep, title="T<3 & d"))
         texts = [t.firstChild.data for t in dom.getElementsByTagName("text")]
         assert "T<3 & d" in texts
+        assert "a<b & c" in texts
 
     def test_log_scale(self):
         text = render_svg(self.make_sweep(), log_y=True)
