@@ -30,6 +30,13 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [lo + i * (hi - lo) / 4 for i in range(5)]
 
 
+def _span(values) -> tuple[float, float]:
+    """An axis range: the values' min and max, widened by 0.5 each way when
+    they are equal."""
+    lo, hi = min(values), max(values)
+    return (lo - 0.5, hi + 0.5) if hi == lo else (lo, hi)
+
+
 def _element(tag: str, text: str | None = None, **attrs) -> str:
     """One element: attributes in call order with '_' in a name written as
     '-'; self-closing without text, the text escaped otherwise."""
@@ -70,13 +77,8 @@ def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
     if not series:
         raise ValueError("nothing to plot (log scale dropped every value)")
 
-    all_y = [v for _, _, pairs in series for _, v in pairs]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(all_y), max(all_y)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _span(xs)
+    y_lo, y_hi = _span([v for _, _, pairs in series for _, v in pairs])
     pw = _WIDTH - _ML - _MR
     ph = _HEIGHT - _MT - _MB
 
