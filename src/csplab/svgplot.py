@@ -3,7 +3,8 @@
 The files are assembled from the sweep data with fixed formatting, so
 identical input produces byte-identical output (no timestamps, no ids, no
 library-version drift).  Every element goes through one writer, _element,
-which keeps attributes in call order and escapes every text node.
+which keeps attributes in call order and escapes every text node.  Points
+are plotted in axis order, whatever order the sweep lists them in.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
     """Render a SweepResult as SVG text: empirical mean/max error and the
     bound curve (when the sweep carried one) against the axis values.  With
     log_y, nonpositive values are dropped from the plot."""
-    points = [p for p in sweep.points if not math.isnan(p.mean_error)]
+    # a config may list its axis values in any order; plot them ascending
+    points = sorted((p for p in sweep.points if not math.isnan(p.mean_error)),
+                    key=lambda p: p.axis_value)
     if not points:
         raise ValueError("sweep has no plottable points")
     xs = [p.axis_value for p in points]

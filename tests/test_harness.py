@@ -632,6 +632,13 @@ class TestSvg:
         assert "T<3 & d" in texts
         assert "a<b & c" in texts
 
+    def test_points_are_plotted_in_axis_order(self):
+        sweep = self.make_sweep(values=(6, 2, 8, 4))
+        ordered = replace(sweep, points=sorted(sweep.points, key=lambda p: p.axis_value))
+        assert [p.axis_value for p in ordered.points] == [2, 4, 6, 8]
+        for log_y in (False, True):
+            assert render_svg(sweep, log_y=log_y) == render_svg(ordered, log_y=log_y)
+
     def test_log_scale(self):
         text = render_svg(self.make_sweep(), log_y=True)
         assert text.startswith("<svg")
