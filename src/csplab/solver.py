@@ -69,6 +69,9 @@ def _check(ys: np.ndarray, ensemble, codec, analog: bool = False,
            truths=None) -> None:
     """Validate a scan of codec against ensemble for (p, d) measurements
     and, if given, (p, n) ground truths."""
+    kind = WienerEnsemble if analog else MeasurementEnsemble
+    if not isinstance(ensemble, kind):
+        raise ValueError(f"needs a {kind.__name__}, got a {type(ensemble).__name__}")
     if ensemble.d < 1:
         raise ValueError("need at least one measurement")
     if ys.ndim != 2 or ys.shape[1] != ensemble.d:

@@ -456,6 +456,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             csp_recover_panel(np.zeros((2, 5)), ens, codec)
 
+    @pytest.mark.parametrize("front", ["single", "panel", "analog"])
+    def test_wrong_ensemble_kind_rejected(self, front):
+        # each front end used to fail with an AttributeError ('n' or 'm')
+        finite = sample_ensemble(4, 3, derive_stream(59, 0))
+        wiener = sample_wiener_ensemble(4, 512, 59, 0)
+        grid, ppoly = GridCodec(3, 1.0, 0.5), PiecewisePolyCodec(0, 0, 1.0, 0.05, grid=512)
+        want, got = ("Wiener", "Measurement") if front == "analog" else ("Measurement", "Wiener")
+        with pytest.raises(ValueError, match=f"needs a {want}Ensemble, got a {got}Ensemble"):
+            if front == "single":
+                csp_recover(np.zeros(4), wiener, grid)
+            elif front == "panel":
+                csp_recover_panel(np.zeros((2, 4)), wiener, grid)
+            else:
+                csp_recover_analog(np.zeros(4), finite, ppoly)
+
     def test_truth_shape_checked(self):
         # a truth of the wrong shape used to broadcast into error_l2, and
         # too few panel truths raised IndexError after the scan
