@@ -100,8 +100,9 @@ _RANGES = {
 
 
 def _req(inputs: BoundInputs, theorem: str, **checks) -> dict:
-    """Pull required symbols, enforcing each one's range code (_RANGES); a
-    bool or a string is no number here, so neither True nor "3" counts."""
+    """Pull required symbols, enforcing each one's range code (_RANGES) and
+    finiteness; a bool or a string is no number here, so neither True nor
+    "3" counts."""
     out = {}
     for name, kind in checks.items():
         val = getattr(inputs, name)
@@ -112,6 +113,8 @@ def _req(inputs: BoundInputs, theorem: str, **checks) -> dict:
         ok, text = _RANGES[kind]
         if not ok(val):
             raise ParameterError(f"{label}={val} must be {text}")
+        if not math.isfinite(val):    # inf passes "> 0" and makes an inf bound
+            raise ParameterError(f"{label}={val} must be finite")
         out[name] = val
     return out
 

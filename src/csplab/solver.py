@@ -15,10 +15,19 @@ coefficient rows) and their residual kernel.  No codeword is decoded to scan
 it: memory stays at one block of coefficient rows, one tile of operators and
 one buffer of measurements, allocated once per scan and reused by every
 tile, beside the analog operators and one minimum per tile.
+
+A piecewise-polynomial codec of several breakpoint layouts is scanned twice
+with the same scan: first with every layout's operator built cheaply from
+prefix sums of the increments, keeping each layout's minimum, then with
+exact operators for only the layouts that a certified rounding margin
+cannot rule out (csp_recover_analog).  The result is the exhaustive exact
+scan's, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass
 
@@ -93,7 +102,7 @@ def _check(ys: np.ndarray, ensemble, codec, analog: bool = False,
                          f"expected ({len(ys)}, {ensemble.n})")
 
 
-def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
+def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int, minima=None):
     """The one tiled scan behind every solver.
 
     Group g is the codewords [g * size, (g + 1) * size), whose measurements
@@ -118,7 +127,10 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
     the minimum per signal, and the smallest index among the tiles that
     reach it, so the order in which tiles are visited cannot pick the
     index.  Returns the minimum squared residual and its codeword index per
-    signal; a minimum that is not finite is a ValueError.
+    signal; a minimum that is not finite is a ValueError.  Given minima, an
+    (n_groups,) array for one signal (p = 1), the scan lowers each entry to
+    its group's minimum instead, over every block of the group, and returns
+    minima without a fold or a check.
 
     Tiling moves no bits: numpy's matmul runs one gemm per stacked slice,
     the same (rows x n) @ (n x d) call as the group's own product, into the
@@ -135,16 +147,23 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
         rows = coefs(offset, min(_BLOCK, size - offset))
         for g in range(0, n_groups, step):
             B = ops(g, step)
-            shape = (len(B), len(rows), B.shape[-1])
+            count, d = len(B), B.shape[-1]
+            cells = count * len(rows) * d
             if buf is None:    # the first tile is the largest
-                buf = np.empty(np.prod(shape))
-            R = np.matmul(rows, B, out=buf[:np.prod(shape)].reshape(shape))
-            sq = kernel(R.reshape(-1, shape[-1]))
+                buf = np.empty(cells)
+            R = np.matmul(rows, B, out=buf[:cells].reshape(count, len(rows), d))
+            sq = kernel(R.reshape(-1, d))
+            if minima is not None:
+                group = minima[g:g + count]
+                np.minimum(group, sq.reshape(count, -1).min(axis=1), out=group)
+                continue
             j = sq.argmin(axis=0)    # first occurrence per signal
             mins.append(sq[j, cols])
             # row j of the tile is codeword g * size + offset + j, whether
             # the tile holds many groups (offset 0) or one block of one group
             at.append(j + (g * size + offset))
+    if minima is not None:
+        return minima
     mins, at = np.array(mins), np.array(at)
     best = mins.min(axis=0)
     # a nan minimum matches no tile, so no index could be returned for it
@@ -275,6 +294,18 @@ def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
     )
 
 
+def _pieces(layouts: np.ndarray, times: np.ndarray, m: int):
+    """Edges and cell cuts (n_layouts, n_breaks + 2) of every row of layouts:
+    piece j of a layout spans [edges[j], edges[j+1]] and covers the grid
+    cells [cuts[j], cuts[j+1]), found by one searchsorted over the table."""
+    n = len(layouts)
+    edges = np.hstack((np.zeros((n, 1)), layouts, np.ones((n, 1))))
+    cuts = np.hstack((np.zeros((n, 1), dtype=np.int64),
+                      np.searchsorted(times, layouts, side="left"),
+                      np.full((n, 1), m)))
+    return edges, cuts
+
+
 def _analog_operators(codec: PiecewisePolyCodec, layouts: np.ndarray,
                       times: np.ndarray, inc_t: np.ndarray) -> np.ndarray:
     """Operators (n_layouts, n_coef, d), one matrix B per row of layouts
@@ -285,16 +316,10 @@ def _analog_operators(codec: PiecewisePolyCodec, layouts: np.ndarray,
     times is the sorted grid of left endpoints and inc_t the (m, d)
     C-contiguous transpose of the ensemble's increments, so piece j of a
     layout covers the contiguous cells [cuts[j], cuts[j+1]) and its integrals
-    are one product with a row slice of inc_t.  The cuts of every layout come
-    from one searchsorted over the whole table."""
-    m, d = inc_t.shape
-    n = len(layouts)
-    edges = np.hstack((np.zeros((n, 1)), layouts, np.ones((n, 1))))
-    cuts = np.hstack((np.zeros((n, 1), dtype=np.int64),
-                      np.searchsorted(times, layouts, side="left"),
-                      np.full((n, 1), m)))
+    are one product with a row slice of inc_t."""
+    edges, cuts = _pieces(layouts, times, len(inc_t))
     deg = codec.degree
-    ops = np.zeros((n, codec.n_coef, d))
+    ops = np.zeros((len(layouts), codec.n_coef, inc_t.shape[1]))
     for B, e, c in zip(ops, edges.tolist(), cuts.tolist()):
         for j in range(codec.n_breaks + 1):
             lo, hi = c[j], c[j + 1]
@@ -303,6 +328,124 @@ def _analog_operators(codec: PiecewisePolyCodec, layouts: np.ndarray,
             phi = orthonormal_basis_matrix(e[j], e[j + 1], deg, times[lo:hi])
             B[j * (deg + 1):(j + 1) * (deg + 1)] = phi @ inc_t[lo:hi]
     return ops
+
+
+_U = np.finfo(float).eps / 2    # unit roundoff
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u): an n-term dot product, summed in
+    any order, with or without FMA, is within gamma_n |x| . |y| of its exact
+    value, and n roundings (1 + delta_i) multiply to within gamma_n of 1."""
+    return n * _U / (1 - n * _U)
+
+
+@functools.lru_cache(maxsize=None)
+def _basis_terms(degree: int):
+    """(M, kappa) for the orthonormal basis of one degree, P = degree + 1.
+
+    M (P, P, P) holds the integers with, on a piece [a, a + h],
+        phi_k(t) = s_k sum_{l,j} M[k, l, j] (-a)^(l-j) h^-l t^j,
+    s_k = sqrt((2k + 1) / h): the shifted Legendre polynomial
+    P_k(2x - 1) = sum_l (-1)^(k+l) C(k, l) C(k+l, l) x^l at x = (t - a) / h,
+    with (t - a)^l expanded binomially.  kappa[k] bounds |phi^_k - phi_k| / s_k
+    for the values phi^_k that orthonormal_basis_matrix computes at a grid
+    time in the piece.  Row 0 is fl(sqrt(fl(1 / h))), within gamma_2 of s_0.
+    A row k >= 1 is fl(s^_k * legval(u^, e_k)): u^ = fl(fl(2 fl(t - a)) / h
+    - 1) lies in [-1, 1] (rounding is monotone, a <= t < b, h = fl(b - a)) and within
+    2 gamma_2 + u <= gamma_5 of u; |P_k'| <= k(k+1)/2 on [-1, 1]; and the
+    rounding of numpy's recurrence for legval (run below on bounds of the
+    magnitude and the error of each intermediate, with x in [-1, 1]) is at
+    most c_k.  So |legval - P_k(u)| <= e_k = c_k + k(k+1)/2 gamma_5, and
+    |phi^_k - phi_k| <= s_k (gamma_2 (1 + u)(1 + e_k) + (1 + u) e_k + u)."""
+    P = degree + 1
+    M = np.zeros((P, P, P))
+    for k in range(P):
+        for l in range(k + 1):
+            beta = (-1) ** (k + l) * math.comb(k, l) * math.comb(k + l, l)
+            for j in range(l + 1):
+                M[k, l, j] = beta * math.comb(l, j)
+
+    # (magnitude, error) bounds through one rounded product or sum
+    def mul(x, z):
+        return x[0] * z[0] * (1 + _U), x[1] * z[0] + (x[0] + x[1]) * z[1] + _U * x[0] * z[0]
+
+    def add(x, z):
+        return (x[0] + z[0]) * (1 + _U), x[1] + z[1] + _U * (x[0] + z[0])
+
+    kappa = [_gamma(2)]
+    for k in range(1, P):
+        c0, c1, x, nd = (0.0, 0.0), (1.0, 0.0), (1.0, 0.0), k + 1
+        for _ in range(k - 1):    # legval's loop for c = e_k; 0 - z is exact
+            nd -= 1
+            r1, r2 = (nd - 1) / nd, (2 * nd - 1) / nd
+            c0, c1 = (mul(c1, (r1, _gamma(1) * r1)),
+                      add(c0, mul(mul(c1, x), (r2, _gamma(1) * r2))))
+        e = add(c0, mul(c1, x))[1] + k * (k + 1) / 2 * _gamma(5)
+        kappa.append(_gamma(2) * (1 + _U) * (1 + e) + (1 + _U) * e + _U)
+    kappa = np.array(kappa)
+    M.flags.writeable = kappa.flags.writeable = False    # shared by every call
+    return M, kappa
+
+
+def _screen(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray,
+            inc: np.ndarray, y: np.ndarray):
+    """Screened operators (n_layouts, n_coef, d) of every layout, from prefix
+    sums, and each layout's margin (n_layouts,): for every codeword of the
+    layout, the squared residual that the scan computes with the screened
+    operator is within the margin of the one it computes with the exact
+    operator of _analog_operators (csp_recover_analog derives it).
+
+    S[j] is the prefix sum, zero row first, of t^j inc_t over the grid, for
+    each j <= degree, with t^j a running product of the times.  A piece of a
+    layout with cells [lo, hi) gets the differences S[j, hi] - S[j, lo] and
+    its coefficients C[k, j] = s_k sum_l M[k, l, j] (-a)^(l-j) h^-l
+    (_basis_terms); its operator rows are C @ those differences.  A piece
+    without cells gets zero rows, as in _analog_operators."""
+    d, m = inc.shape
+    n, N, K = len(layouts), codec.degree, codec.n_coef
+    P = N + 1
+    edges, cuts = _pieces(layouts, times, m)
+    live = cuts[:, 1:] > cuts[:, :-1]
+    a = edges[:, :-1]
+    h = np.where(live, np.diff(edges, axis=1), 1.0)    # finite for dead pieces too
+    # the prefix sums are needed only at the cuts: sum the cells between
+    # consecutive cuts, then accumulate those sums
+    at = np.unique(cuts)
+    S = np.zeros((P, d, len(at)))
+    tj = np.ones(m)
+    for j in range(P):
+        np.cumsum(np.add.reduceat(inc * tj if j else inc, at[:-1], axis=1), axis=1,
+                  out=S[j, :, 1:])
+        tj = tj * times
+    k = np.searchsorted(at, cuts)
+    diff = (S[..., k[:, 1:]] - S[..., k[:, :-1]]).transpose(2, 3, 0, 1)  # (n, pieces, P, d)
+
+    M, kappa = _basis_terms(N)
+    X = np.zeros(h.shape + (P, P))                     # (-a)^(l-j) h^-l
+    na, gh = [np.ones_like(h)], [np.ones_like(h)]
+    for _ in range(1, P):
+        na.append(na[-1] * -a)
+        gh.append(gh[-1] * (1.0 / h))
+    for l in range(P):
+        for j in range(l + 1):
+            X[..., l, j] = na[l - j] * gh[l]
+    s = np.sqrt((2 * np.arange(P) + 1) / h[..., None])
+    C = s[..., None] * np.einsum("klj,...lj->...kj", M, X) * live[..., None, None]
+    terms = s * np.einsum("klj,...lj->...k", np.abs(M), np.abs(X))  # |C|_k summed over j
+    ops = (C @ diff).reshape(n, K, d)
+
+    g_m, absC = _gamma(m), np.abs(C)
+    A = np.abs(inc).sum(axis=1) * (1 + g_m)
+    w = (2 * g_m * absC.sum(axis=-1) + _gamma(7 * N + 9) * terms
+         + s * ((1 + _gamma(2)) * (g_m * (1 + kappa) + kappa))) * live[..., None]
+    E = _gamma(P + 1) * (absC @ np.abs(diff)) + w[..., None] * A
+    Bs, Es = np.abs(ops).sum(axis=1), E.reshape(n, K, d).sum(axis=1)
+    amp, g_K = codec.amp, _gamma(K)
+    Y = np.abs(y) + amp * (1 + g_K) * Bs
+    dD = (1 + _U) * amp * (g_K * (2 * Bs + Es) + Es) + 2 * _U * Y
+    D = (1 + _U) * Y + dD
+    return ops, 2 * (D * (_gamma(d) * D + dD)).sum(axis=1) * (1 + 2.0 ** -20)
 
 
 def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
@@ -319,23 +462,90 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
 
     The increments are transposed once per scan into a C-contiguous (m, d)
     array.  The grid times are sorted, so each piece of a breakpoint layout
-    covers a contiguous run of cells and its operator rows are one product
-    of its basis values (row 0 a constant, see orthonormal_basis_matrix)
-    with a row slice of that transpose.  Row slices reproduce the bits of a
-    masked copy of increments[:, cells]; column slices of the increments
-    (views or copies) take another BLAS path and can differ in the last bits,
-    which would change reported residuals.  The coefficient grid is the
-    same for every group, so each block of it is built once per scan, and
-    the groups are scanned a tile of at most _BLOCK rows at a time, so
-    memory stays at O(block * (n_coef + d)) beside the operators.
+    covers a contiguous run of cells and its exact operator rows are one
+    product of its basis values (row 0 a constant, see
+    orthonormal_basis_matrix) with a row slice of that transpose.  Row
+    slices reproduce the bits of a masked copy of increments[:, cells];
+    column slices of the increments (views or copies) take another BLAS path
+    and can differ in the last bits, which would change reported residuals.
+
+    Building every layout's exact operator is a Python loop over pieces, so
+    a codec of several layouts is scanned as a floating-point filter
+    (Shewchuk, Discrete Comput. Geom. 18, 1997): a cheap evaluation with an
+    error bound, and exact work only where the bound cannot decide.
+    1. Screen: _screen builds every layout's operator from prefix sums, and
+       _scan scans them with the direct kernel, keeping each layout's
+       minimum squared residual s~_min.
+    2. Margin: _screen also gives each layout a margin mu, with
+       |s~ - s^| <= mu for every codeword of the layout, where s~ is the
+       screened squared residual and s^ the one the exact scan computes.
+    3. Rebuild: the candidates are the layouts with
+       s~_min - mu <= min over all layouts of (s~_min + mu), and a layout
+       whose minimum or margin is not finite.  Only they get exact operators.
+    4. Rescan: _scan scans the candidates' exact operators as a run of
+       groups, on the same block grid with the same kernel and the same
+       (residual, index) fold, and its index is mapped back to the layout.
+    The global minimum is at most the exact minimum of the layout that
+    attains min (s~_min + mu), so it is at most that bound, and its own
+    layout has s~_min - mu below it: every layout holding a minimizer, ties
+    included, is rescanned.  A codeword's exact squared residual does not
+    depend on which layouts share its tile (numpy's matmul runs one gemm per
+    stacked slice, and the kernel works row by row), so the result is the
+    exhaustive scan's, bit for bit.  A codec of one layout has nothing to
+    screen and is scanned exactly.  The screen and the rescan share the
+    kernel and, through a one-entry cache, the block of coefficient rows:
+    a grid of one block (coef_space <= _BLOCK) is built once per recovery,
+    and a larger one once per block per scan, so memory stays at
+    O(block * (n_coef + d)) beside the operators.
+
+    The margin (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, sections 3.1 and 4.2; u is the unit roundoff and gamma_n =
+    n u / (1 - n u)).  Per piece of m' cells, operator row k and column:
+    - the exact row is a dot product of the computed basis values phi^_k
+      with the piece's increments: within gamma_m' sum |phi^_k| |inc| of
+      T = sum phi^_k inc, and |phi^_k| <= s_k (1 + kappa_k) (_basis_terms);
+    - the screen's prefix sums of t^j inc, in any order, are within
+      gamma_m A of exact, A = sum |inc| over the whole grid, so a
+      difference S[hi] - S[lo], rounded, is within gamma_1 |diff| + 2 gamma_m
+      A of the piece's sum, and the row C @ diff adds gamma_(N+1) |C| @
+      |diff| more;
+    - the polynomial with the computed coefficients C^ and powers t^j
+      differs from phi^_k by at most Delta_k = gamma_(7N+9) sum_j |C|_kj +
+      s_k (1 + gamma_2) kappa_k at every cell, where |C|_kj sums the
+      absolute values of the terms of C_kj: C^ is within gamma_(6N+8) of C
+      term by term, t^j within gamma_N, phi^_k within s_k kappa_k of phi_k.
+    So |B~ - B^| <= E = gamma_(N+2) |C| @ |diff| + (2 gamma_m sum_j |C_kj| +
+    gamma_m s_k (1 + gamma_2)(1 + kappa_k) + Delta_k) A per row, zero for a
+    piece without cells.  With |c| <= amp for every coefficient, a codeword's
+    measurements R = c @ B (n_coef terms) differ by dR <= amp (gamma_n_coef
+    (2 |B~| + E) + E) per column, summed over rows; R - y is within
+    Y = |y| + amp (1 + gamma_n_coef) |B~| on the screen, and after the
+    subtraction |D^ - D~| <= dD = (1 + u) dR + 2 u Y, with |D^|, |D~| <=
+    D = (1 + u) Y + dD.  The kernel's sum of d squares is within gamma_d of
+    its exact value on both sides, and |D^^2 - D~^2| <= dD (|D^| + |D~|), so
+    mu = 2 sum over columns of D (gamma_d D + dD), times 1 + 2^-20 for the
+    rounding of the margin's own arithmetic, whose terms are all
+    nonnegative.  The bounds hold for any summation order and with FMA, so
+    under every BLAS kernel.
     """
     t0 = time.perf_counter()
     ys = np.asarray(y, dtype=float)[None]
     _check(ys, ensemble, codec, analog=True)
     inc_t = np.ascontiguousarray(ensemble.increments.T)
+    layouts, times, size = codec.break_layouts, ensemble.times, codec.coef_space
+    coefs = functools.lru_cache(maxsize=1)(codec.coef_block)
+    kernel = _direct(ys[0])
+    cand = np.arange(len(layouts))
+    if len(layouts) > 1:    # one layout: nothing to screen
+        screen, margin = _screen(codec, layouts, times, ensemble.increments, ys[0])
+        low = _scan(lambda g, count: screen[g:g + count], len(screen), size, coefs,
+                    kernel, 1, minima=np.full(len(screen), np.inf))
+        # a layout whose minimum or margin is not finite is kept
+        cand = cand[~(low - margin > np.min(low + margin)) | ~np.isfinite(low + margin)]
     # operators are built before the scan starts: built between its blocks
     # they cost the analog-groups benchmark about 4% more time per trial
-    ops = _analog_operators(codec, codec.break_layouts, ensemble.times, inc_t)
-    sq, idx = _scan(lambda g, count: ops[g:g + count], len(ops), codec.coef_space,
-                    codec.coef_block, _direct(ys[0]), 1)
+    ops = _analog_operators(codec, layouts[cand], times, inc_t)
+    sq, idx = _scan(lambda g, count: ops[g:g + count], len(ops), size, coefs, kernel, 1)
+    # codeword i of the rescan is codeword i % size of layout cand[i // size]
+    idx = cand[idx // size] * size + idx % size
     return _result(codec, sq, idx, t0, truth, lambda recon, f: f.l2_distance(recon))

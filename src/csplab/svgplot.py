@@ -55,8 +55,9 @@ def _label(x, y, size: int, text: str, **attrs) -> str:
 
 def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
     """Render a SweepResult as SVG text: empirical mean/max error and the
-    bound curve (when the sweep carried one) against the axis values.  With
-    log_y, nonpositive values are dropped from the plot."""
+    bound curve (when the sweep carried one) against the axis values.
+    Values that are not finite, and with log_y nonpositive values, are
+    dropped from the plot."""
     # a config may list its axis values in any order; plot them ascending
     points = sorted((p for p in sweep.points if not math.isnan(p.mean_error)),
                     key=lambda p: p.axis_value)
@@ -72,7 +73,7 @@ def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
         vals = [getattr(p, attr) for p in points]
         pairs = [
             (x, ty(float(v))) for x, v in zip(xs, vals)
-            if v is not None and not math.isnan(float(v))
+            if v is not None and math.isfinite(float(v))
             and (not log_y or float(v) > 0)
         ]
         if pairs:

@@ -133,6 +133,18 @@ def test_recover_summary_lines(tmp_path, weak_config, capsys, change, expected):
     assert capsys.readouterr().out == expected.format(out=tmp_path / "recover.csv")
 
 
+def test_recover_refuses_an_infinite_bound_parameter(tmp_path, weak_config, capsys):
+    # json reads Infinity, which passed the "> 0" range of tau1
+    cfg = json.loads(weak_config.read_text())
+    cfg["bound_params"]["tau1"] = float("inf")
+    weak_config.write_text(json.dumps(cfg))
+    assert "Infinity" in weak_config.read_text()
+    rc = main(["recover", "--config", str(weak_config), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: T3: tau1=inf must be finite\n"
+    assert not (tmp_path / "recover.csv").exists()
+
+
 def test_sweep_refuses_a_nan_axis_value_before_running(tmp_path, capsys):
     cfg = {
         "codec": {"class": "sparse", "n": 8, "k": 1, "rho": 1.0, "delta": 0.2},

@@ -535,6 +535,18 @@ class TestSweep:
             "ParameterError: d=2.7 must be an integer >= 1"]
         assert all(math.isnan(p.mean_error) for p in sweep.points[1:])
 
+    def test_infinite_bound_parameter_is_refused(self):
+        # "> 0" let inf through, so the bound read inf and the chart nan
+        cfg = small_config(bound_params={"tau1": math.inf, "tau2": 0.75},
+                           axis={"name": "d", "values": [3, 5]}, trials=2)
+        with pytest.raises(ParameterError, match=r"^T3: tau1=inf must be finite$"):
+            run_trial(cfg, 0)
+        sweep = run_sweep(cfg)
+        assert not sweep.records
+        assert [p.reason for p in sweep.points] == [
+            "ParameterError: T3: tau1=inf must be finite"] * 2
+        assert all(math.isnan(p.mean_error) for p in sweep.points)
+
     def test_unexpected_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("a bug, not an infeasible point")
@@ -638,6 +650,20 @@ class TestSvg:
         assert [p.axis_value for p in ordered.points] == [2, 4, 6, 8]
         for log_y in (False, True):
             assert render_svg(sweep, log_y=log_y) == render_svg(ordered, log_y=log_y)
+
+    @pytest.mark.parametrize("log_y", [False, True])
+    def test_non_finite_values_are_dropped(self, log_y):
+        # an inf bound point once made every y coordinate and tick label nan
+        sweep = self.make_sweep()
+        points = list(sweep.points)
+        points[1] = replace(points[1], bound_error=math.inf, max_error=-math.inf)
+        text = render_svg(replace(sweep, points=points), log_y=log_y)
+        dom = minidom.parseString(text)
+        values = [a.value for node in dom.getElementsByTagName("*")
+                  for a in node.attributes.values()]
+        values += [t.firstChild.data for t in dom.getElementsByTagName("text")]
+        assert not [v for v in values if "nan" in v or "inf" in v]
+        assert ">bound</text>" in text
 
     def test_log_scale(self):
         text = render_svg(self.make_sweep(), log_y=True)

@@ -1,6 +1,7 @@
 """Exhaustive codeword pursuit: optimality, ties, block-size invariance."""
 
 import contextlib
+import copy
 import functools
 import math
 
@@ -440,6 +441,121 @@ class TestAnalogScanReference:
                 res = csp_recover_analog(y, ens, codec)
                 want = reference_analog_scan(y, ens, codec)
             assert (res.chosen_index, res.residual) == want
+
+
+# (degree, n_breaks, delta, grid) of small codecs for the analog screen:
+# N in {0, 1, 2} and Q in {0, 1, 2, 3}, as far as the coefficient grid stays
+# small (N = 1 with Q = 3, and N = 2 with Q >= 2, hold 16.7M+ codewords per
+# layout); layouts of Q >= 2 repeat breakpoints, which makes empty pieces
+SCREEN_CODECS = [(0, 0, 0.9, 16), (0, 1, 0.9, 16), (0, 2, 0.9, 32), (0, 3, 0.9, 32),
+                 (1, 0, 0.7, 16), (1, 1, 0.9, 16), (1, 2, 0.9, 32),
+                 (2, 0, 0.7, 16), (2, 1, 0.9, 16)]
+
+
+def analog_signal(codec, d, seed, noise):
+    """A Wiener ensemble of d paths on the codec's grid and the measurements
+    of a random codeword plus noise."""
+    ens = sample_wiener_ensemble(d, codec.grid, seed, 0)
+    gen = derive_stream(seed, 1)
+    f = codec.decode(int(gen.integers(0, codec.size)))
+    return ens, measure_analog(ens, f) + noise * gen.standard_normal(d)
+
+
+def rebuilt_layouts(monkeypatch):
+    """The layout count of every _analog_operators call the solver makes."""
+    counts = []
+    build = solver._analog_operators
+
+    def counting(codec, layouts, times, inc_t):
+        counts.append(len(layouts))
+        return build(codec, layouts, times, inc_t)
+
+    monkeypatch.setattr(solver, "_analog_operators", counting)
+    return counts
+
+
+@st.composite
+def screen_cases(draw):
+    return (draw(st.sampled_from(SCREEN_CODECS)), draw(st.integers(1, 8)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([0.0, 0.05, 0.3])),
+            draw(st.sampled_from([None, 7, 64])))
+
+
+class TestAnalogScreen:
+    """A codec of several breakpoint layouts is screened with operators from
+    prefix sums and rescanned exactly where the margin cannot decide; the
+    result must be the exhaustive exact scan's, index for index and
+    residual bit for bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=screen_cases())
+    @example(case=((0, 0, 0.9, 16), 3, 1, 0.05, None))   # one layout: no screen
+    @example(case=((0, 1, 0.9, 16), 2, 2, 0.3, None))
+    @example(case=((0, 2, 0.9, 32), 5, 3, 0.0, None))    # empty pieces tie
+    @example(case=((0, 3, 0.9, 32), 4, 4, 0.05, None))
+    @example(case=((1, 0, 0.7, 16), 1, 5, 0.3, None))
+    @example(case=((1, 1, 0.9, 16), 6, 6, 0.0, 7))       # 37 blocks per layout
+    @example(case=((1, 2, 0.9, 32), 8, 7, 0.05, None))
+    @example(case=((2, 0, 0.7, 16), 2, 8, 0.0, 7))
+    @example(case=((2, 1, 0.9, 16), 3, 9, 0.3, None))    # one block per layout
+    @example(case=((2, 1, 0.9, 16), 1, 10, 0.05, 64))    # 64 blocks per layout
+    def test_matches_exhaustive_scan(self, case):
+        params, d, seed, noise, block_size = case
+        codec = ppoly_codec(*params)
+        ens, y = analog_signal(codec, d, seed, noise)
+        with scan_block(block_size or solver._BLOCK):
+            res = csp_recover_analog(y, ens, codec)
+            want = reference_analog_scan(y, ens, codec)
+        assert (res.chosen_index, res.residual) == want
+
+    @pytest.mark.parametrize("rows", [[5] * 8, [0, 1, 6, 3, 4, 5, 6, 7], [7, 6, 5, 4, 3, 2, 1, 0]])
+    @pytest.mark.parametrize("noise", [0.0, 0.2])
+    def test_ties_across_layouts_go_to_the_smallest_index(self, monkeypatch, rows, noise):
+        # a layout table whose rows repeat gives equal operators, so equal
+        # residuals, in every copy: the first copy's index must win
+        base = ppoly_codec(0, 1, 0.9, 16)
+        codec = copy.copy(base)
+        codec.__dict__["break_layouts"] = base.break_layouts[rows]
+        counts = rebuilt_layouts(monkeypatch)
+        for seed in range(3):
+            ens, y = analog_signal(base, 4, 40 + seed, noise)
+            counts.clear()
+            res = csp_recover_analog(y, ens, codec)
+            assert (res.chosen_index, res.residual) == reference_analog_scan(y, ens, codec)
+            layout = res.chosen_index // codec.coef_space
+            assert layout == rows.index(rows[layout])
+            # every copy of the winning layout was rescanned
+            assert counts[0] >= rows.count(rows[layout])
+
+    @pytest.mark.parametrize("params", SCREEN_CODECS[1:] + [(0, 1, 0.2, 256)])
+    def test_margin_bounds_every_codeword(self, params):
+        # |screened - exact| <= the layout's margin, for every codeword of
+        # every layout, the codec's own and layouts off the grid's times
+        codec = ppoly_codec(*params)
+        gen = derive_stream(65, sum(params[:2]))
+        halves = np.sort(gen.integers(1, 2 * codec.grid, size=(6, codec.n_breaks)), axis=1)
+        layouts = np.vstack((codec.break_layouts, halves / (2 * codec.grid)))
+        rows = codec.coef_block(0, codec.coef_space)
+        for seed, noise in ((0, 0.0), (1, 0.05), (2, 3.0)):
+            ens, y = analog_signal(codec, 3 + seed, 70 + seed, noise)
+            inc_t = np.ascontiguousarray(ens.increments.T)
+            screen, margin = solver._screen(codec, layouts, ens.times, ens.increments, y)
+            exact = _analog_operators(codec, layouts, ens.times, inc_t)
+            assert np.all(margin > 0) and np.all(np.isfinite(margin))
+            kernel = direct_kernel(y)
+            for B, C, mu in zip(exact, screen, margin):
+                gap = np.abs(kernel(rows @ C)[:, 0] - kernel(rows @ B)[:, 0])
+                assert gap.max() <= mu
+
+    def test_screen_rebuilds_one_layout(self, monkeypatch):
+        # the 128-layout codec of the analog-groups benchmark, on a smaller
+        # grid: the margin is small enough that one layout is rebuilt
+        codec = ppoly_codec(0, 1, 0.2, 256)
+        counts = rebuilt_layouts(monkeypatch)
+        for seed in range(5):
+            ens, y = analog_signal(codec, 8, 80 + seed, 0.05)
+            csp_recover_analog(y, ens, codec)
+        assert counts == [1] * 5
 
 
 class TestValidation:
