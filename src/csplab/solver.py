@@ -396,8 +396,10 @@ def _screen(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray,
     operator is within the margin of the one it computes with the exact
     operator of _analog_operators (csp_recover_analog derives it).
 
-    S[j] is the prefix sum, zero row first, of t^j inc_t over the grid, for
-    each j <= degree, with t^j a running product of the times.  A piece of a
+    inc is the ensemble's (d, m) increments.  S[j] holds, for each
+    j <= degree, the prefix sums of t^j inc at every cut of the table, zero
+    first, with t^j a running product of the times: the cells between
+    consecutive cuts are summed, then those sums accumulated.  A piece of a
     layout with cells [lo, hi) gets the differences S[j, hi] - S[j, lo] and
     its coefficients C[k, j] = s_k sum_l M[k, l, j] (-a)^(l-j) h^-l
     (_basis_terms); its operator rows are C @ those differences.  A piece
@@ -409,8 +411,6 @@ def _screen(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray,
     live = cuts[:, 1:] > cuts[:, :-1]
     a = edges[:, :-1]
     h = np.where(live, np.diff(edges, axis=1), 1.0)    # finite for dead pieces too
-    # the prefix sums are needed only at the cuts: sum the cells between
-    # consecutive cuts, then accumulate those sums
     at = np.unique(cuts)
     S = np.zeros((P, d, len(at)))
     tj = np.ones(m)
