@@ -16,12 +16,13 @@ it: memory stays at one block of coefficient rows, one tile of operators and
 one buffer of measurements, allocated once per scan and reused by every
 tile, beside the analog operators and one minimum per tile.
 
-A piecewise-polynomial codec of several breakpoint layouts is scanned twice
-with the same scan: first with every layout's operator built cheaply from
-prefix sums of the increments, keeping each layout's minimum, then with
-exact operators for only the layouts that a certified rounding margin
-cannot rule out (csp_recover_analog).  The result is the exhaustive exact
-scan's, bit for bit.
+A piecewise-polynomial codec of several breakpoint layouts is screened
+first: every layout's operator is built cheaply from prefix sums of the
+increments, and every codeword is scored from its layout's n_coef x n_coef
+Gram matrix, keeping each layout's minimum.  The scan then runs with exact
+operators for only the layouts that a certified rounding margin cannot rule
+out (csp_recover_analog).  The result is the exhaustive exact scan's, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _check(ys: np.ndarray, ensemble, codec, analog: bool = False,
                          f"expected ({len(ys)}, {ensemble.n})")
 
 
-def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int, minima=None):
+def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
     """The one tiled scan behind every solver.
 
     Group g is the codewords [g * size, (g + 1) * size), whose measurements
@@ -127,10 +128,7 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int, minima=None):
     the minimum per signal, and the smallest index among the tiles that
     reach it, so the order in which tiles are visited cannot pick the
     index.  Returns the minimum squared residual and its codeword index per
-    signal; a minimum that is not finite is a ValueError.  Given minima, an
-    (n_groups,) array for one signal (p = 1), the scan lowers each entry to
-    its group's minimum instead, over every block of the group, and returns
-    minima without a fold or a check.
+    signal; a minimum that is not finite is a ValueError.
 
     Tiling moves no bits: numpy's matmul runs one gemm per stacked slice,
     the same (rows x n) @ (n x d) call as the group's own product, into the
@@ -153,17 +151,11 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int, minima=None):
                 buf = np.empty(cells)
             R = np.matmul(rows, B, out=buf[:cells].reshape(count, len(rows), d))
             sq = kernel(R.reshape(-1, d))
-            if minima is not None:
-                group = minima[g:g + count]
-                np.minimum(group, sq.reshape(count, -1).min(axis=1), out=group)
-                continue
             j = sq.argmin(axis=0)    # first occurrence per signal
             mins.append(sq[j, cols])
             # row j of the tile is codeword g * size + offset + j, whether
             # the tile holds many groups (offset 0) or one block of one group
             at.append(j + (g * size + offset))
-    if minima is not None:
-        return minima
     mins, at = np.array(mins), np.array(at)
     best = mins.min(axis=0)
     # a nan minimum matches no tile, so no index could be returned for it
@@ -331,6 +323,9 @@ def _analog_operators(codec: PiecewisePolyCodec, layouts: np.ndarray,
 
 
 _U = np.finfo(float).eps / 2    # unit roundoff
+# a margin's factor for the rounding of its own arithmetic, whose terms are
+# all nonnegative
+_SLACK = 1 + 2.0 ** -20
 
 
 def _gamma(n: int) -> float:
@@ -390,11 +385,19 @@ def _basis_terms(degree: int):
 
 def _screen(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray,
             inc: np.ndarray, y: np.ndarray):
-    """Screened operators (n_layouts, n_coef, d) of every layout, from prefix
-    sums, and each layout's margin (n_layouts,): for every codeword of the
-    layout, the squared residual that the scan computes with the screened
-    operator is within the margin of the one it computes with the exact
-    operator of _analog_operators (csp_recover_analog derives it).
+    """Screened operators B~ (n_layouts, n_coef, d) of every layout, from
+    prefix sums, their Gram-form weights (n_layouts, F) and three margins
+    (n_layouts,) of each layout (csp_recover_analog derives them).
+
+    With G~ = B~ B~^T and b~ = B~ y, a layout's weights are 2 G~_ij for
+    i < j, G~_ii and -2 b~, in _features' order, so weights @ _features(c)
+    scores a codeword c as c G~ c^T - 2 c . b~.  With G~ and b~ exact, that
+    is ||y - c B~||^2 - ||y||^2: the squared residual r on the screened
+    operator less a shift that every layout shares.  For every codeword of
+    the layout, the margins bound |s~ - s^|, |score + ||y||^2 - r| and
+    |s~ - r|, where s~ is the direct kernel's value on c @ B~ and s^ the
+    squared residual that the scan computes with the exact operator of
+    _analog_operators.
 
     inc is the ensemble's (d, m) increments.  S[j] holds, for each
     j <= degree, the prefix sums of t^j inc at every cut of the table, zero
@@ -442,10 +445,50 @@ def _screen(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray,
     E = _gamma(P + 1) * (absC @ np.abs(diff)) + w[..., None] * A
     Bs, Es = np.abs(ops).sum(axis=1), E.reshape(n, K, d).sum(axis=1)
     amp, g_K = codec.amp, _gamma(K)
-    Y = np.abs(y) + amp * (1 + g_K) * Bs
+    aB = amp * Bs
+    Y = np.abs(y) + (1 + g_K) * aB
     dD = (1 + _U) * amp * (g_K * (2 * Bs + Es) + Es) + 2 * _U * Y
     D = (1 + _U) * Y + dD
-    return ops, 2 * (D * (_gamma(d) * D + dD)).sum(axis=1) * (1 + 2.0 ** -20)
+    exact = 2 * (D * (_gamma(d) * D + dD)).sum(axis=1)
+
+    i, j = _pairs(K)
+    G = np.einsum("nfd,nfd->nf", ops[:, i], ops[:, j])
+    b = (ops.reshape(-1, d) @ y).reshape(n, K)
+    weights = np.hstack((np.where(i < j, 2.0, 1.0) * G, -2.0 * b))
+    gram = _gamma(weights.shape[1] + d + 1) * (aB * (aB + 2 * np.abs(y))).sum(axis=1)
+    direct = (Y * (_gamma(d + 2) * Y + (2 + _U) * (g_K * aB + _U * Y))).sum(axis=1)
+    return ops, weights, (exact * _SLACK, gram * _SLACK, direct * _SLACK)
+
+
+def _pairs(K: int):
+    """Row and column indices (i, j) of the pairs i <= j of K coefficients,
+    in np.triu_indices order (row-major)."""
+    return np.nonzero(np.arange(K)[:, None] <= np.arange(K))
+
+
+def _features(rows: np.ndarray) -> np.ndarray:
+    """Feature columns (F, count) of coefficient rows (count, n_coef): the
+    products c_i c_j of the pairs i <= j (_pairs), then c itself."""
+    i, j = _pairs(rows.shape[1])
+    return np.vstack((rows.T[i] * rows.T[j], rows.T))
+
+
+def _gram_minima(weights: np.ndarray, size: int, coefs) -> np.ndarray:
+    """Each layout's minimum score over its size codewords, from the
+    (n_layouts, F) weights of _screen.
+
+    The scan walks _scan's block grid and builds each block's features
+    once.  A tile is one product of the weights of _BLOCK // rows layouts
+    (one when a block is larger) with them, so it holds at most _BLOCK
+    scores, and its row minima lower the layouts' entries."""
+    low = np.full(len(weights), np.inf)
+    for offset in range(0, size, _BLOCK):
+        X = _features(coefs(offset, min(_BLOCK, size - offset)))
+        step = max(1, _BLOCK // X.shape[1])
+        for g in range(0, len(low), step):
+            tile = low[g:g + step]
+            np.minimum(tile, (weights[g:g + step] @ X).min(axis=1), out=tile)
+    return low
 
 
 def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
@@ -473,30 +516,36 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     a codec of several layouts is scanned as a floating-point filter
     (Shewchuk, Discrete Comput. Geom. 18, 1997): a cheap evaluation with an
     error bound, and exact work only where the bound cannot decide.
-    1. Screen: _screen builds every layout's operator from prefix sums, and
-       _scan scans them with the direct kernel, keeping each layout's
-       minimum squared residual s~_min.
+    1. Screen: _screen builds every layout's operator B~ from prefix sums
+       and its Gram-form weights, and _gram_minima scores every codeword of
+       every layout with them, keeping each layout's minimum score q_min.
+       A score q is the codeword's squared residual on B~ less ||y||^2, a
+       shift that every layout shares, so it is left out.
     2. Margin: _screen also gives each layout a margin mu, with
-       |s~ - s^| <= mu for every codeword of the layout, where s~ is the
-       screened squared residual and s^ the one the exact scan computes.
+       |q + ||y||^2 - s^| <= mu for every codeword of the layout, where s^
+       is the squared residual that the exact scan computes.
     3. Rebuild: the candidates are the layouts with
-       s~_min - mu <= min over all layouts of (s~_min + mu), and a layout
+       q_min - mu <= min over all layouts of (q_min + mu), and a layout
        whose minimum or margin is not finite.  Only they get exact operators.
     4. Rescan: _scan scans the candidates' exact operators as a run of
-       groups, on the same block grid with the same kernel and the same
-       (residual, index) fold, and its index is mapped back to the layout.
+       groups, on the same block grid with the same direct kernel and the
+       same (residual, index) fold, and its index is mapped back to the
+       layout.
     The global minimum is at most the exact minimum of the layout that
-    attains min (s~_min + mu), so it is at most that bound, and its own
-    layout has s~_min - mu below it: every layout holding a minimizer, ties
-    included, is rescanned.  A codeword's exact squared residual does not
-    depend on which layouts share its tile (numpy's matmul runs one gemm per
-    stacked slice, and the kernel works row by row), so the result is the
+    attains min (q_min + mu), so at most that bound plus ||y||^2, and its
+    own layout has q_min + ||y||^2 - mu below it: every layout holding a
+    minimizer, ties included, is rescanned.  Rounding is monotone, so a
+    layout that the float comparison rules out is ruled out in real
+    arithmetic too.  A codeword's exact squared residual does not depend on
+    which layouts share its tile (numpy's matmul runs one gemm per stacked
+    slice, and the kernel works row by row), so the result is the
     exhaustive scan's, bit for bit.  A codec of one layout has nothing to
-    screen and is scanned exactly.  The screen and the rescan share the
-    kernel and, through a one-entry cache, the block of coefficient rows:
-    a grid of one block (coef_space <= _BLOCK) is built once per recovery,
-    and a larger one once per block per scan, so memory stays at
-    O(block * (n_coef + d)) beside the operators.
+    screen and is scanned exactly.  The screen and the rescan share,
+    through a one-entry cache, the block of coefficient rows: a grid of one
+    block (coef_space <= _BLOCK) is built once per recovery, and a larger
+    one once per block per scan.  Memory stays at one block of coefficient
+    rows and its features, one tile of _BLOCK scores and one tile of the
+    rescan, beside the operators and weights.
 
     The margin (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
     ed., 2002, sections 3.1 and 4.2; u is the unit roundoff and gamma_n =
@@ -523,10 +572,26 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     subtraction |D^ - D~| <= dD = (1 + u) dR + 2 u Y, with |D^|, |D~| <=
     D = (1 + u) Y + dD.  The kernel's sum of d squares is within gamma_d of
     its exact value on both sides, and |D^^2 - D~^2| <= dD (|D^| + |D~|), so
-    mu = 2 sum over columns of D (gamma_d D + dD), times 1 + 2^-20 for the
-    rounding of the margin's own arithmetic, whose terms are all
-    nonnegative.  The bounds hold for any summation order and with FMA, so
-    under every BLAS kernel.
+    mu~ = 2 sum over columns of D (gamma_d D + dD) bounds |s~ - s^|, where
+    s~ is the direct kernel's value on B~.
+
+    The Gram form adds two terms against r = ||y - c B~||^2, the real
+    squared residual on the screened operator.  Let a = amp sum_k |B~_k|
+    per column, so |c @ B~| <= a.  G~ = B~ B~^T and b~ = B~ y are d-term
+    dot products, within gamma_d |B~| |B~|^T and gamma_d |B~| |y| of exact;
+    doubling and negating them is exact, and a feature c_i c_j is one
+    rounding.  A score is a dot product of F = n_coef (n_coef + 3) / 2
+    terms, so |q + ||y||^2 - r| <= gamma_(F+d+1) sum over columns of
+    a (a + 2 |y|) (Higham's lemma 3.3 merges the gammas).  On the direct
+    side, R~ = c @ B~ is within gamma_n_coef a of the real product, so the
+    rounded R~ - y is within e = gamma_n_coef a + u Y of R - y, with
+    |R - y| <= Y and the rounded value at most (1 + u) Y in size; its sum of
+    d squares adds gamma_d, so |s~ - r| <= sum over columns of
+    Y (gamma_(d+2) Y + (2 + u) e).  Since |q + ||y||^2 - s^| <=
+    |q + ||y||^2 - r| + |r - s~| + |s~ - s^|, mu is the sum of the three
+    terms, each times 1 + 2^-20 for the rounding of the margin's own
+    arithmetic, whose terms are all nonnegative.  The bounds hold for any
+    summation order and with FMA, so under every BLAS kernel.
     """
     t0 = time.perf_counter()
     ys = np.asarray(y, dtype=float)[None]
@@ -534,18 +599,21 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     inc_t = np.ascontiguousarray(ensemble.increments.T)
     layouts, times, size = codec.break_layouts, ensemble.times, codec.coef_space
     coefs = functools.lru_cache(maxsize=1)(codec.coef_block)
-    kernel = _direct(ys[0])
     cand = np.arange(len(layouts))
     if len(layouts) > 1:    # one layout: nothing to screen
-        screen, margin = _screen(codec, layouts, times, ensemble.increments, ys[0])
-        low = _scan(lambda g, count: screen[g:g + count], len(screen), size, coefs,
-                    kernel, 1, minima=np.full(len(screen), np.inf))
-        # a layout whose minimum or margin is not finite is kept
-        cand = cand[~(low - margin > np.min(low + margin)) | ~np.isfinite(low + margin)]
+        # every value of the screen reaches the rule below through a layout's
+        # minimum or margin, and a layout whose minimum or margin is not
+        # finite is kept, so the exact rescan decides; its overflow is no error
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, weights, margins = _screen(codec, layouts, times, ensemble.increments, ys[0])
+            low = _gram_minima(weights, size, coefs)
+            margin = sum(margins)
+            cand = cand[~(low - margin > np.min(low + margin)) | ~np.isfinite(low + margin)]
     # operators are built before the scan starts: built between its blocks
     # they cost the analog-groups benchmark about 4% more time per trial
     ops = _analog_operators(codec, layouts[cand], times, inc_t)
-    sq, idx = _scan(lambda g, count: ops[g:g + count], len(ops), size, coefs, kernel, 1)
+    sq, idx = _scan(lambda g, count: ops[g:g + count], len(ops), size, coefs,
+                    _direct(ys[0]), 1)
     # codeword i of the rescan is codeword i % size of layout cand[i // size]
     idx = cand[idx // size] * size + idx % size
     return _result(codec, sq, idx, t0, truth, lambda recon, f: f.l2_distance(recon))

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -461,6 +462,13 @@ def analog_signal(codec, d, seed, noise):
     return ens, measure_analog(ens, f) + noise * gen.standard_normal(d)
 
 
+def off_grid_layouts(codec, gen, count):
+    """count sorted breakpoint layouts of the codec's n_breaks on the
+    half-grid, between the grid's times as well as on them."""
+    halves = np.sort(gen.integers(1, 2 * codec.grid, size=(count, codec.n_breaks)), axis=1)
+    return halves / (2 * codec.grid)
+
+
 def rebuilt_layouts(monkeypatch):
     """The layout count of every _analog_operators call the solver makes."""
     counts = []
@@ -499,6 +507,9 @@ class TestAnalogScreen:
     @example(case=((2, 0, 0.7, 16), 2, 8, 0.0, 7))
     @example(case=((2, 1, 0.9, 16), 3, 9, 0.3, None))    # one block per layout
     @example(case=((2, 1, 0.9, 16), 1, 10, 0.05, 64))    # 64 blocks per layout
+    @example(case=((0, 1, 0.9, 16), 8, 11, 0.0, None))   # noiseless codeword: scores cancel ||y||^2
+    @example(case=((0, 2, 0.9, 32), 1, 12, 0.0, None))   # d = 1: near-ties across layouts
+    @example(case=((1, 1, 0.9, 16), 3, 13, 0.05, 7))     # 37 blocks of 7 rows, a layout per tile
     def test_matches_exhaustive_scan(self, case):
         params, d, seed, noise, block_size = case
         codec = ppoly_codec(*params)
@@ -529,23 +540,28 @@ class TestAnalogScreen:
 
     @pytest.mark.parametrize("params", SCREEN_CODECS[1:] + [(0, 1, 0.2, 256)])
     def test_margin_bounds_every_codeword(self, params):
-        # |screened - exact| <= the layout's margin, for every codeword of
-        # every layout, the codec's own and layouts off the grid's times
+        # for every codeword of every layout, the codec's own and layouts off
+        # the grid's times: |screened - exact| <= the layout's first margin,
+        # and |Gram score + ||y||^2 - exact| <= the sum of all three
         codec = ppoly_codec(*params)
         gen = derive_stream(65, sum(params[:2]))
-        halves = np.sort(gen.integers(1, 2 * codec.grid, size=(6, codec.n_breaks)), axis=1)
-        layouts = np.vstack((codec.break_layouts, halves / (2 * codec.grid)))
+        layouts = np.vstack((codec.break_layouts, off_grid_layouts(codec, gen, 6)))
         rows = codec.coef_block(0, codec.coef_space)
         for seed, noise in ((0, 0.0), (1, 0.05), (2, 3.0)):
             ens, y = analog_signal(codec, 3 + seed, 70 + seed, noise)
             inc_t = np.ascontiguousarray(ens.increments.T)
-            screen, margin = solver._screen(codec, layouts, ens.times, ens.increments, y)
+            screen, weights, terms = solver._screen(codec, layouts, ens.times,
+                                                    ens.increments, y)
             exact = _analog_operators(codec, layouts, ens.times, inc_t)
-            assert np.all(margin > 0) and np.all(np.isfinite(margin))
+            for t in terms:
+                assert np.all(t > 0) and np.all(np.isfinite(t))
+            margin = sum(terms)
+            scores = weights @ solver._features(rows)
             kernel = direct_kernel(y)
-            for B, C, mu in zip(exact, screen, margin):
-                gap = np.abs(kernel(rows @ C)[:, 0] - kernel(rows @ B)[:, 0])
-                assert gap.max() <= mu
+            for B, C, score, mu, total in zip(exact, screen, scores, terms[0], margin):
+                s_hat = kernel(rows @ B)[:, 0]
+                assert np.abs(kernel(rows @ C)[:, 0] - s_hat).max() <= mu
+                assert np.abs(score + y @ y - s_hat).max() <= total
 
     def test_screen_rebuilds_one_layout(self, monkeypatch):
         # the 128-layout codec of the analog-groups benchmark, on a smaller
@@ -556,6 +572,51 @@ class TestAnalogScreen:
             ens, y = analog_signal(codec, 8, 80 + seed, 0.05)
             csp_recover_analog(y, ens, codec)
         assert counts == [1] * 5
+
+
+def exact(a):
+    """An array of floats as an object array of Fractions, each the float's
+    exact value, so that sums and products of them are exact."""
+    return np.vectorize(Fraction, otypes=[object])(a)
+
+
+class TestGramOracle:
+    """The two margins of the Gram-form screen against exact arithmetic.
+
+    For every codeword c of a layout, r = ||y - c B~||^2 is computed in
+    Fractions from the float screened operator B~ and the float y, and the
+    screen's second and third margins must bound |Gram score + ||y||^2 - r|
+    and |s~ - r|, where s~ is the direct kernel's float value on c B~.  A
+    float comparison of two float paths would hide a term missing from
+    either bound wherever both paths happen to round little."""
+
+    @pytest.mark.parametrize("params,d,noise", [
+        ((0, 1, 0.9, 16), 4, 0.0),
+        ((0, 1, 0.9, 16), 1, 3.0),
+        ((0, 1, 0.9, 16), 2, 1000.0),    # |y| dominates: the b~ part of the Gram margin
+        ((1, 0, 0.7, 16), 3, 0.05),
+        ((2, 0, 0.7, 16), 2, 3.0),
+        ((1, 1, 0.9, 16), 2, 0.05),
+        ((1, 1, 0.9, 16), 4, 3.0),
+        ((0, 2, 0.9, 32), 4, 0.05),
+    ])
+    def test_terms_bound_the_real_residual(self, params, d, noise):
+        codec = ppoly_codec(*params)
+        gen = derive_stream(66, sum(params[:2]) + d)
+        layouts = np.vstack((codec.break_layouts, off_grid_layouts(codec, gen, 2)))
+        rows = codec.coef_block(0, codec.coef_space)
+        ens, y = analog_signal(codec, d, 90 + d, noise)
+        screen, weights, (_, gram, direct) = solver._screen(
+            codec, layouts, ens.times, ens.increments, y)
+        scores = weights @ solver._features(rows)
+        kernel = direct_kernel(y)
+        Y, C = exact(y), exact(rows)
+        yy = (Y * Y).sum()
+        for B, score, g, dk in zip(screen, scores, gram, direct):
+            D = C @ exact(B) - Y
+            real = (D * D).sum(axis=1)
+            assert np.all(abs(exact(score) + yy - real) <= Fraction(g))
+            assert np.all(abs(exact(kernel(rows @ B)[:, 0]) - real) <= Fraction(dk))
 
 
 class TestValidation:
@@ -639,6 +700,12 @@ class TestValidation:
             with np.errstate(invalid="ignore"), \
                     pytest.raises(ValueError, match="minimum residual is not finite"):
                 csp_recover_panel(np.ones((2, 4)), ens, codec)
+        # the analog screen's margins overflow, with no errstate here: their
+        # layouts are rescanned exactly, and that minimum overflows too
+        ppoly = ppoly_codec(0, 1, 0.2, 256)
+        wiener, y = analog_signal(ppoly, 8, 80, 0.05)
+        with pytest.raises(ValueError, match="minimum residual is not finite"):
+            csp_recover_analog(y * 1e300, wiener, ppoly)
 
     def test_non_finite_increments_rejected(self):
         # an inf minimum matched itself, so the scan returned an inf residual;
