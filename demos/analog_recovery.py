@@ -27,8 +27,8 @@ for d in (4, 8, 16):
     ensemble = sample_wiener_ensemble(d, GRID, MASTER_SEED, 1000 * d)
     y = measure_analog(ensemble, truth)
     result = csp_recover_analog(y, ensemble, codec, truth=truth)
-    recon = result.reconstruction
-    print(f"d={d:2d}: L2 error {result.error_l2:.4f}, residual "
-          f"{result.residual:.4f}, recovered breakpoint "
+    recon = result.reconstruction[0]    # one row per signal
+    print(f"d={d:2d}: L2 error {result.error_l2[0]:.4f}, residual "
+          f"{result.residual[0]:.4f}, recovered breakpoint "
           f"{recon.breakpoints[0]:.4f}, levels "
           f"{recon(np.array([0.1]))[0]:+.4f} / {recon(np.array([0.9]))[0]:+.4f}")

@@ -38,9 +38,11 @@ for trial in range(20):
     ensemble = sample_ensemble(d, codec.n, derive_stream(MASTER_SEED, 100 + trial))
     x = codec.sample_member(signals)
     result = csp_recover(measure(ensemble, x), ensemble, codec, truth=x)
-    errors.append(result.error_l2)
-    print(f"{trial:5d}  {np.linalg.norm(x):.3f}  {result.error_l2:.6f}  "
-          f"{result.residual:.6f}  {result.error_l2 <= bound.error_bound}")
+    # one row per signal: this recovery's is row 0
+    error, residual = result.error_l2[0], result.residual[0]
+    errors.append(error)
+    print(f"{trial:5d}  {np.linalg.norm(x):.3f}  {error:.6f}  "
+          f"{residual:.6f}  {error <= bound.error_bound}")
 
 print()
 print(f"mean error {np.mean(errors):.5f}, max {np.max(errors):.5f}, "

@@ -25,8 +25,8 @@ from .measurement import (MeasurementEnsemble, NoiseModel, WienerEnsemble,
 from .piecewise import (PiecewisePolynomial, constant_function,
                         piecewise_constant)
 from .rng import derive_stream, gaussian_matrix, gaussian_vector
-from .solver import (PanelResult, RecoveryResult, csp_recover,
-                     csp_recover_analog, csp_recover_panel)
+from .solver import (RecoveryResult, csp_recover, csp_recover_analog,
+                     csp_recover_panel)
 from .svgplot import render_svg
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "BoundEvaluation", "BoundInputs", "CapacityError", "Codec", "DomainError",
     "ExperimentConfig", "ExplicitCodec", "FiniteDimRate", "GridCodec",
     "IndistinguishablePair", "MeasurementEnsemble", "NoiseModel",
-    "OptimizationResult", "PanelResult", "ParameterError", "PiecewisePolyCodec",
+    "OptimizationResult", "ParameterError", "PiecewisePolyCodec",
     "PiecewisePolynomial", "PolylogRate", "PowerlawRate", "RateDistortionPoint",
     "RecoveryResult", "SparseCodec", "SweepPoint", "SweepResult", "TrialRecord",
     "WienerEnsemble",

@@ -361,14 +361,12 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
     if strong:
         result = csp_recover_panel(np.asarray(ys), ensemble, codec,
                                    truths=panel.truths)
-        worst = int(np.argmax(result.error_l2))  # the first of equal maxima
-        error, residual = result.error_l2[worst], result.residual[worst]
-        desc = f"panel-max[{descs[worst]}]"
     else:
         recover = csp_recover_analog if analog else csp_recover
         result = recover(ys[0], ensemble, codec, truth=signals[0])
-        error, residual, desc = result.error_l2, result.residual, descs[0]
-    error, residual = float(error), float(residual)
+    worst = int(np.argmax(result.error_l2))  # the first of equal maxima
+    error, residual = float(result.error_l2[worst]), float(result.residual[worst])
+    desc = f"panel-max[{descs[worst]}]" if strong else descs[0]
 
     return TrialRecord(
         trial=trial_index, axis_value=axis_value,

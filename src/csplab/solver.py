@@ -11,7 +11,9 @@ fit in one block are scanned many to a tile of at most _BLOCK rows.  The
 tile minima are reduced once by (residual, index), so the smallest index
 wins a tie whatever order the tiles are visited in.  The three solvers are
 front ends that differ only in their plan (the groups, their operators and
-coefficient rows) and their residual kernel.  No codeword is decoded to scan
+coefficient rows) and their residual kernel, and each returns one
+RecoveryResult with a row per signal: csp_recover is csp_recover_panel's
+body run on one signal with the direct kernel.  No codeword is decoded to scan
 it: memory stays at one block of coefficient rows, one tile of operators and
 one buffer of measurements, allocated once per scan and reused by every
 tile, beside the analog operators and one minimum per tile.
@@ -45,30 +47,18 @@ _BLOCK = 4096
 
 @dataclass
 class RecoveryResult:
-    """Outcome of one exhaustive scan.
+    """Outcome of one exhaustive scan of p signals, one row per signal.
 
-    residual is ||y - A c||_2 at the chosen codeword and is a global minimum
-    over the codebook; error_l2 is the distance to the supplied ground truth
-    (None when no truth is given); candidates_scanned equals the codebook
-    size.
+    chosen_index (p,) holds the chosen codewords' indices; reconstruction
+    their codewords, a (p, n) array, or a list of p PiecewisePolynomials
+    for analog recovery; residual (p,) is ||y - A c||_2 at each chosen
+    codeword, a global minimum over the codebook; error_l2 (p,) is the
+    distance to each supplied ground truth (None when no truth is given);
+    candidates_scanned equals the codebook size.
     """
 
-    chosen_index: int
-    reconstruction: object
-    residual: float
-    error_l2: float | None
-    candidates_scanned: int
-    wall_time: float
-
-
-@dataclass
-class PanelResult:
-    """Outcome of one panel scan, one row per signal: chosen_index (p,),
-    reconstruction (p, n), residual (p,) and error_l2 (p,), or None when no
-    truths are given; candidates_scanned equals the codebook size."""
-
     chosen_index: np.ndarray
-    reconstruction: np.ndarray
+    reconstruction: object
     residual: np.ndarray
     error_l2: np.ndarray | None
     candidates_scanned: int
@@ -78,7 +68,8 @@ class PanelResult:
 def _check(ys: np.ndarray, ensemble, codec, analog: bool = False,
            truths=None) -> None:
     """Validate a scan of codec against ensemble for (p, d) measurements
-    and, if given, (p, n) ground truths."""
+    and, if given, their ground truths: a (p, n) array, or for analog
+    recovery a sequence of p PiecewisePolynomials."""
     kind = WienerEnsemble if analog else MeasurementEnsemble
     if not isinstance(ensemble, kind):
         raise ValueError(f"needs a {kind.__name__}, got a {type(ensemble).__name__}")
@@ -95,12 +86,25 @@ def _check(ys: np.ndarray, ensemble, codec, analog: bool = False,
         if codec.grid != ensemble.m:
             raise ValueError(
                 f"grid mismatch: codec grid {codec.grid}, ensemble m={ensemble.m}")
+        if truths is not None and not all(isinstance(f, PiecewisePolynomial) for f in truths):
+            raise ValueError("an analog ground truth must be a PiecewisePolynomial")
     elif getattr(codec, "n", None) != ensemble.n:
         raise ValueError(
             f"codec dimension {getattr(codec, 'n', None)} != ensemble n={ensemble.n}")
-    if truths is not None and truths.shape != (len(ys), ensemble.n):
+    elif truths is not None and truths.shape != (len(ys), ensemble.n):
         raise ValueError(f"ground truths have shape {truths.shape}; "
                          f"expected ({len(ys)}, {ensemble.n})")
+
+
+def _aligned(*shape) -> np.ndarray:
+    """An uninitialized float array of the given shape whose data starts on
+    a 64-byte boundary.  np.empty aligns to 16 bytes only, so where a buffer
+    starts within a cache line would vary with the heap; that moves the
+    scan's speed by several percent, though not its bits."""
+    size = math.prod(shape)
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size].reshape(shape)
 
 
 def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
@@ -112,7 +116,7 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
     g + count (fewer at the end) as one (count, rows of B, d) stack, and
     kernel maps measurements R (count, d) to squared residuals (count, p)
     against the p signals.  Every tile's R is a prefix of one buffer
-    allocated per scan, sized by the first tile, which is the largest; the
+    allocated per scan (_aligned), sized by the first tile, the largest; the
     scan reads R no more once the kernel returns, so the kernel may
     overwrite it.  A kernel may also return its squares in memory that its
     next call overwrites, so the scan reads and copies each tile's minima
@@ -148,7 +152,7 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
             count, d = len(B), B.shape[-1]
             cells = count * len(rows) * d
             if buf is None:    # the first tile is the largest
-                buf = np.empty(cells)
+                buf = _aligned(cells)
             R = np.matmul(rows, B, out=buf[:cells].reshape(count, len(rows), d))
             sq = kernel(R.reshape(-1, d))
             j = sq.argmin(axis=0)    # first occurrence per signal
@@ -164,18 +168,6 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
                          "residuals overflow, or the ensemble was changed to "
                          "hold nan or inf entries")
     return best, np.where(mins == best, at, np.iinfo(np.int64).max).min(axis=0)
-
-
-def _result(codec, sq, idx, t0, truth, distance) -> RecoveryResult:
-    """The RecoveryResult of a one-signal scan; distance(recon, truth) is
-    its error_l2 when a truth is given."""
-    i = int(idx[0])
-    recon = codec.decode(i)
-    return RecoveryResult(
-        chosen_index=i, reconstruction=recon, residual=float(np.sqrt(sq[0])),
-        error_l2=None if truth is None else distance(recon, truth),
-        candidates_scanned=codec.size, wall_time=time.perf_counter() - t0,
-    )
 
 
 def _finite_plan(ensemble: MeasurementEnsemble, codec: Codec):
@@ -196,10 +188,6 @@ def _finite_plan(ensemble: MeasurementEnsemble, codec: Codec):
             lambda start, count: codec.decode_many(np.arange(start, start + count)))
 
 
-def _l2(recon, truth) -> float:
-    return float(np.linalg.norm(recon - truth))
-
-
 def _row_norms(D: np.ndarray) -> np.ndarray:
     """||D[i]||_2 of every row of D (p, n), each with np.linalg.norm's bits:
     the stacked (1 x n) @ (n x 1) products are one BLAS dot per row, the
@@ -207,24 +195,54 @@ def _row_norms(D: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(D[:, None, :], D[:, :, None]).reshape(len(D)))
 
 
-def _direct(y):
-    """Kernel ||R - y||^2 for one signal, as a (count, 1) column, for one
-    scan.  Its first call, on the scan's largest tile, tiles y to that
-    tile's row count and allocates one output of as many rows; every call
-    then subtracts a prefix of the tiled y in one contiguous pass, writing
-    the residuals R - y over R, which _scan allows, and returns a prefix of
-    that output, which the next call overwrites (_scan reads it first).
-    Subtraction is elementwise and the einsum sums each row as it would
-    into a fresh array, so the bits are those of R - y and its row sums."""
+def _direct(ys):
+    """Kernel ||R - y||^2 for one signal ys (1, d), as a (count, 1) column,
+    for one scan.  Its first call, on the scan's largest tile, tiles y to
+    that tile's row count (_aligned) and allocates one output of as many
+    rows; every call then subtracts a prefix of the tiled y in one
+    contiguous pass, writing the residuals R - y over R, which _scan allows,
+    and returns a prefix of that output, which the next call overwrites
+    (_scan reads it first).  Subtraction is elementwise and the einsum sums
+    each row as it would into a fresh array, so the bits are those of R - y
+    and its row sums."""
     Y = out = None
 
     def kernel(R):
         nonlocal Y, out
         if Y is None:
-            Y, out = np.tile(y, (len(R), 1)), np.empty(len(R))
+            Y, out = _aligned(*R.shape), np.empty(len(R))
+            Y[:] = ys
         np.subtract(R, Y[:len(R)], out=R)
         return np.einsum("ij,ij->i", R, R, out=out[:len(R)])[:, None]
     return kernel
+
+
+def _expanded(ys):
+    """Kernel ||R||^2 + ||y||^2 - 2<R, y>, clipped at 0, for the p signals
+    ys (p, d), as a (count, p) array: one product R @ ys.T measures the
+    tile against the whole panel."""
+    yn = np.einsum("ij,ij->i", ys, ys)
+
+    def kernel(R):
+        rn = np.einsum("ij,ij->i", R, R)
+        return np.maximum(rn[:, None] + yn[None, :] - 2.0 * (R @ ys.T), 0.0)
+    return kernel
+
+
+def _recover(ys, ensemble: MeasurementEnsemble, codec: Codec, truths, kernel,
+             t0: float) -> RecoveryResult:
+    """The scan of csp_recover and csp_recover_panel: the p signals ys
+    (p, d) against every codeword with the residuals of kernel(ys).  The
+    chosen codewords are decoded in one decode_many call and their errors
+    against truths (p, n) are _row_norms, so each row has the bits of
+    decode and of np.linalg.norm."""
+    _check(ys, ensemble, codec, truths=truths)
+    sq, idx = _scan(*_finite_plan(ensemble, codec), kernel(ys), len(ys))
+    recon = codec.decode_many(idx)
+    return RecoveryResult(
+        chosen_index=idx, reconstruction=recon, residual=np.sqrt(sq),
+        error_l2=None if truths is None else _row_norms(recon - truths),
+        candidates_scanned=codec.size, wall_time=time.perf_counter() - t0)
 
 
 def csp_recover(y, ensemble: MeasurementEnsemble, codec: Codec,
@@ -236,25 +254,23 @@ def csp_recover(y, ensemble: MeasurementEnsemble, codec: Codec,
     inspects the signal itself: measurements of signals outside the codec's
     class still get the global residual minimizer, though the error
     guarantees only cover class members.  truth, if given, has shape (n,).
+    The result is csp_recover_panel's for a panel of one signal, one row
+    per field, but with the direct kernel ||y - R c||^2.
     """
     t0 = time.perf_counter()
     ys = np.asarray(y, dtype=float)[None]
     truths = None if truth is None else np.asarray(truth, dtype=float)[None]
-    _check(ys, ensemble, codec, truths=truths)
-    sq, idx = _scan(*_finite_plan(ensemble, codec), _direct(ys[0]), 1)
-    return _result(codec, sq, idx, t0, None if truths is None else truths[0], _l2)
+    return _recover(ys, ensemble, codec, truths, _direct, t0)
 
 
 def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
-                      truths=None) -> PanelResult:
+                      truths=None) -> RecoveryResult:
     """Recover a panel of signals against one shared ensemble in one pass.
 
     The codebook is measured once per tile for the whole panel, which is
     what the uniform-guarantee (one matrix, all signals) experiments need.
     ys has shape (p, d); truths, if given, (p, n).  The result holds one
-    array row per signal: the chosen codewords are decoded in one call of
-    the codec's decode_many and their errors are computed by _row_norms, so
-    each row has the bits of decode and of np.linalg.norm.
+    row per signal.
 
     Residuals come from the expanded form ||R c||^2 + ||y||^2 - 2<R c, y>
     (clipped at 0), which rounds differently from csp_recover's direct
@@ -270,20 +286,7 @@ def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
     t0 = time.perf_counter()
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     truths = None if truths is None else np.asarray(truths, dtype=float)
-    _check(ys, ensemble, codec, truths=truths)
-    yn = np.einsum("ij,ij->i", ys, ys)
-
-    def expanded(R):
-        rn = np.einsum("ij,ij->i", R, R)
-        return np.maximum(rn[:, None] + yn[None, :] - 2.0 * (R @ ys.T), 0.0)
-
-    sq, idx = _scan(*_finite_plan(ensemble, codec), expanded, len(ys))
-    recon = codec.decode_many(idx)
-    return PanelResult(
-        chosen_index=idx, reconstruction=recon, residual=np.sqrt(sq),
-        error_l2=None if truths is None else _row_norms(recon - truths),
-        candidates_scanned=codec.size, wall_time=time.perf_counter() - t0,
-    )
+    return _recover(ys, ensemble, codec, truths, _expanded, t0)
 
 
 def _pieces(layouts: np.ndarray, times: np.ndarray, m: int):
@@ -595,7 +598,7 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     """
     t0 = time.perf_counter()
     ys = np.asarray(y, dtype=float)[None]
-    _check(ys, ensemble, codec, analog=True)
+    _check(ys, ensemble, codec, analog=True, truths=None if truth is None else (truth,))
     inc_t = np.ascontiguousarray(ensemble.increments.T)
     layouts, times, size = codec.break_layouts, ensemble.times, codec.coef_space
     coefs = functools.lru_cache(maxsize=1)(codec.coef_block)
@@ -613,7 +616,11 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     # they cost the analog-groups benchmark about 4% more time per trial
     ops = _analog_operators(codec, layouts[cand], times, inc_t)
     sq, idx = _scan(lambda g, count: ops[g:g + count], len(ops), size, coefs,
-                    _direct(ys[0]), 1)
+                    _direct(ys), 1)
     # codeword i of the rescan is codeword i % size of layout cand[i // size]
     idx = cand[idx // size] * size + idx % size
-    return _result(codec, sq, idx, t0, truth, lambda recon, f: f.l2_distance(recon))
+    recon = [codec.decode(int(i)) for i in idx]
+    return RecoveryResult(
+        chosen_index=idx, reconstruction=recon, residual=np.sqrt(sq),
+        error_l2=None if truth is None else np.array([truth.l2_distance(recon[0])]),
+        candidates_scanned=codec.size, wall_time=time.perf_counter() - t0)

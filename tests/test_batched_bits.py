@@ -1,10 +1,13 @@
-"""The panel's batched decode and error pass, bit for bit.
+"""Every solver front end's one-row-per-signal result, bit for bit.
 
-csp_recover_panel decodes its chosen codewords with one decode_many call
-and computes their errors with one stacked product (solver._row_norms).
-Both must have the bits of the per-signal path they replaced: decode per
-index, and np.linalg.norm per row.  Every comparison is on int64 views, so
-a last-bit difference (or a -0.0 for a 0.0) fails.  The norms are BLAS dots,
+csp_recover and csp_recover_panel share one body: the chosen codewords are
+decoded with one decode_many call and their errors are one stacked product
+(solver._row_norms), for the weak regime's panel of one as for the strong
+regime's panel.  Both must have the bits of the per-signal path they
+replaced: decode per index, and np.linalg.norm per row.  The analog front
+end decodes its one row with decode and measures its error with
+PiecewisePolynomial.l2_distance.  Every comparison is on int64 views, so a
+last-bit difference (or a -0.0 for a 0.0) fails.  The norms are BLAS dots,
 so these tests are worth running under every OpenBLAS kernel, e.g. with
 OPENBLAS_CORETYPE=Nehalem.
 """
@@ -12,10 +15,12 @@ OPENBLAS_CORETYPE=Nehalem.
 import numpy as np
 import pytest
 
-from csplab.codecs import ExplicitCodec, GridCodec, SparseCodec
-from csplab.measurement import measure, sample_ensemble
+from csplab.codecs import ExplicitCodec, GridCodec, PiecewisePolyCodec, SparseCodec
+from csplab.measurement import (measure, measure_analog, sample_ensemble,
+                                sample_wiener_ensemble)
 from csplab.rng import derive_stream
-from csplab.solver import _row_norms, csp_recover_panel
+from csplab.solver import (_row_norms, csp_recover, csp_recover_analog,
+                           csp_recover_panel)
 
 
 def bits(a) -> np.ndarray:
@@ -84,8 +89,57 @@ def test_panel_errors_have_norm_bits(d, n, k):
     truths = np.array([codec.sample_member(gen) for _ in range(23)])
     ys = np.array([measure(ens, x) for x in truths])
     panel = csp_recover_panel(ys, ens, codec, truths=truths)
+    assert panel.chosen_index.shape == panel.residual.shape == panel.error_l2.shape == (23,)
+    assert panel.reconstruction.shape == (23, n)
+    assert csp_recover_panel(ys, ens, codec).error_l2 is None
     want = [np.linalg.norm(codec.decode(int(i)) - x)
             for i, x in zip(panel.chosen_index, truths)]
     assert np.array_equal(bits(panel.error_l2), bits(want))
     assert np.array_equal(bits(panel.reconstruction),
                           bits(np.stack([codec.decode(int(i)) for i in panel.chosen_index])))
+
+
+FINITE_CODECS = {
+    "sparse-k2": SparseCodec(7, 2, 1.0, 0.35),
+    "grid": GridCodec(3, 1.0, 0.4),
+    "explicit": ExplicitCodec(CODEWORDS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_CODECS))
+@pytest.mark.parametrize("d", [1, 4])
+def test_single_result_is_one_row(name, d):
+    # the weak regime's CSV reads row 0: its codeword from decode_many and
+    # its error from _row_norms must keep decode's and norm's bits
+    codec = FINITE_CODECS[name]
+    ens = sample_ensemble(d, codec.n, derive_stream(75, d))
+    gen = derive_stream(76, d)
+    for _ in range(8):
+        x = (gen.standard_normal(codec.n) if isinstance(codec, ExplicitCodec)
+             else codec.sample_member(gen))
+        res = csp_recover(measure(ens, x), ens, codec, truth=x)
+        assert res.chosen_index.shape == res.residual.shape == res.error_l2.shape == (1,)
+        assert res.reconstruction.shape == (1, codec.n)
+        assert res.candidates_scanned == codec.size
+        i = int(res.chosen_index[0])
+        assert np.array_equal(bits(res.reconstruction[0]), bits(codec.decode(i)))
+        assert np.array_equal(bits(res.error_l2), bits([np.linalg.norm(codec.decode(i) - x)]))
+    assert csp_recover(measure(ens, x), ens, codec).error_l2 is None
+
+
+@pytest.mark.parametrize("n_breaks", [0, 1])
+def test_analog_result_is_one_row(n_breaks):
+    codec = PiecewisePolyCodec(1, n_breaks, 1.0, 0.5, grid=64, cap=None)
+    ens = sample_wiener_ensemble(4, codec.grid, 79, n_breaks)
+    gen = derive_stream(80, n_breaks)
+    for _ in range(4):
+        f = codec.sample_member(gen)
+        res = csp_recover_analog(measure_analog(ens, f), ens, codec, truth=f)
+        assert res.chosen_index.shape == res.residual.shape == res.error_l2.shape == (1,)
+        assert len(res.reconstruction) == 1
+        assert res.candidates_scanned == codec.size
+        want = codec.decode(int(res.chosen_index[0]))
+        got = res.reconstruction[0]
+        assert np.array_equal(bits(got.breakpoints), bits(want.breakpoints))
+        assert np.array_equal(bits(got.coeffs), bits(want.coeffs))
+        assert np.array_equal(bits(res.error_l2), bits([f.l2_distance(want)]))
