@@ -68,8 +68,8 @@ class RecoveryResult:
 def _check(ys: np.ndarray, ensemble, codec, analog: bool = False,
            truths=None) -> None:
     """Validate a scan of codec against ensemble for (p, d) measurements
-    and, if given, their ground truths: a (p, n) array, or for analog
-    recovery a sequence of p PiecewisePolynomials."""
+    and, if given, their ground truths: a finite (p, n) array, or for analog
+    recovery a sequence of p PiecewisePolynomials (finite when built)."""
     kind = WienerEnsemble if analog else MeasurementEnsemble
     if not isinstance(ensemble, kind):
         raise ValueError(f"needs a {kind.__name__}, got a {type(ensemble).__name__}")
@@ -94,6 +94,9 @@ def _check(ys: np.ndarray, ensemble, codec, analog: bool = False,
     elif truths is not None and truths.shape != (len(ys), ensemble.n):
         raise ValueError(f"ground truths have shape {truths.shape}; "
                          f"expected ({len(ys)}, {ensemble.n})")
+    elif truths is not None and not np.isfinite(truths).all():
+        # its error_l2 could only be nan or inf, and only after the whole scan
+        raise ValueError("ground truths must be finite")
 
 
 def _aligned(*shape) -> np.ndarray:
@@ -389,18 +392,19 @@ def _basis_terms(degree: int):
 def _screen(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray,
             inc: np.ndarray, y: np.ndarray):
     """Screened operators B~ (n_layouts, n_coef, d) of every layout, from
-    prefix sums, their Gram-form weights (n_layouts, F) and three margins
-    (n_layouts,) of each layout (csp_recover_analog derives them).
+    prefix sums, their Gram-form weights (n_layouts, F) and two margins
+    (operator, gram), each (n_layouts,), of each layout (csp_recover_analog
+    derives them).
 
     With G~ = B~ B~^T and b~ = B~ y, a layout's weights are 2 G~_ij for
     i < j, G~_ii and -2 b~, in _features' order, so weights @ _features(c)
     scores a codeword c as c G~ c^T - 2 c . b~.  With G~ and b~ exact, that
-    is ||y - c B~||^2 - ||y||^2: the squared residual r on the screened
-    operator less a shift that every layout shares.  For every codeword of
-    the layout, the margins bound |s~ - s^|, |score + ||y||^2 - r| and
-    |s~ - r|, where s~ is the direct kernel's value on c @ B~ and s^ the
-    squared residual that the scan computes with the exact operator of
-    _analog_operators.
+    is ||y - c B~||^2 - ||y||^2: the real squared residual r on the screened
+    operator less a shift that every layout shares.  Both margins are
+    measured against r, one chain q -> r -> s^: for every codeword of the
+    layout, gram bounds |score + ||y||^2 - r| and operator bounds |s^ - r|,
+    where s^ is the squared residual that the scan computes, the direct
+    kernel on c @ B^ with B^ the exact operator of _analog_operators.
 
     inc is the ensemble's (d, m) increments.  S[j] holds, for each
     j <= degree, the prefix sums of t^j inc at every cut of the table, zero
@@ -447,20 +451,17 @@ def _screen(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray,
          + s * ((1 + _gamma(2)) * (g_m * (1 + kappa) + kappa))) * live[..., None]
     E = _gamma(P + 1) * (absC @ np.abs(diff)) + w[..., None] * A
     Bs, Es = np.abs(ops).sum(axis=1), E.reshape(n, K, d).sum(axis=1)
-    amp, g_K = codec.amp, _gamma(K)
-    aB = amp * Bs
-    Y = np.abs(y) + (1 + g_K) * aB
-    dD = (1 + _U) * amp * (g_K * (2 * Bs + Es) + Es) + 2 * _U * Y
-    D = (1 + _U) * Y + dD
-    exact = 2 * (D * (_gamma(d) * D + dD)).sum(axis=1)
+    aB = codec.amp * Bs
+    Y = np.abs(y) + aB
+    e = (1 + _U) * codec.amp * (_gamma(K) * (Bs + Es) + Es) + _U * Y
+    operator = (_gamma(d) * (Y + e) ** 2 + e * (2 * Y + e)).sum(axis=1)
 
     i, j = _pairs(K)
     G = np.einsum("nfd,nfd->nf", ops[:, i], ops[:, j])
     b = (ops.reshape(-1, d) @ y).reshape(n, K)
     weights = np.hstack((np.where(i < j, 2.0, 1.0) * G, -2.0 * b))
     gram = _gamma(weights.shape[1] + d + 1) * (aB * (aB + 2 * np.abs(y))).sum(axis=1)
-    direct = (Y * (_gamma(d + 2) * Y + (2 + _U) * (g_K * aB + _U * Y))).sum(axis=1)
-    return ops, weights, (exact * _SLACK, gram * _SLACK, direct * _SLACK)
+    return ops, weights, (operator * _SLACK, gram * _SLACK)
 
 
 def _pairs(K: int):
@@ -568,32 +569,30 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
       term by term, t^j within gamma_N, phi^_k within s_k kappa_k of phi_k.
     So |B~ - B^| <= E = gamma_(N+2) |C| @ |diff| + (2 gamma_m sum_j |C_kj| +
     gamma_m s_k (1 + gamma_2)(1 + kappa_k) + Delta_k) A per row, zero for a
-    piece without cells.  With |c| <= amp for every coefficient, a codeword's
-    measurements R = c @ B (n_coef terms) differ by dR <= amp (gamma_n_coef
-    (2 |B~| + E) + E) per column, summed over rows; R - y is within
-    Y = |y| + amp (1 + gamma_n_coef) |B~| on the screen, and after the
-    subtraction |D^ - D~| <= dD = (1 + u) dR + 2 u Y, with |D^|, |D~| <=
-    D = (1 + u) Y + dD.  The kernel's sum of d squares is within gamma_d of
-    its exact value on both sides, and |D^^2 - D~^2| <= dD (|D^| + |D~|), so
-    mu~ = 2 sum over columns of D (gamma_d D + dD) bounds |s~ - s^|, where
-    s~ is the direct kernel's value on B~.
+    piece without cells.
 
-    The Gram form adds two terms against r = ||y - c B~||^2, the real
-    squared residual on the screened operator.  Let a = amp sum_k |B~_k|
-    per column, so |c @ B~| <= a.  G~ = B~ B~^T and b~ = B~ y are d-term
-    dot products, within gamma_d |B~| |B~|^T and gamma_d |B~| |y| of exact;
-    doubling and negating them is exact, and a feature c_i c_j is one
-    rounding.  A score is a dot product of F = n_coef (n_coef + 3) / 2
-    terms, so |q + ||y||^2 - r| <= gamma_(F+d+1) sum over columns of
-    a (a + 2 |y|) (Higham's lemma 3.3 merges the gammas).  On the direct
-    side, R~ = c @ B~ is within gamma_n_coef a of the real product, so the
-    rounded R~ - y is within e = gamma_n_coef a + u Y of R - y, with
-    |R - y| <= Y and the rounded value at most (1 + u) Y in size; its sum of
-    d squares adds gamma_d, so |s~ - r| <= sum over columns of
-    Y (gamma_(d+2) Y + (2 + u) e).  Since |q + ||y||^2 - s^| <=
-    |q + ||y||^2 - r| + |r - s~| + |s~ - s^|, mu is the sum of the three
-    terms, each times 1 + 2^-20 for the rounding of the margin's own
-    arithmetic, whose terms are all nonnegative.  The bounds hold for any
+    Both terms of mu are measured against r = ||y - c B~||^2, the real
+    squared residual on the screened operator: one chain q -> r -> s^.
+    With |c| <= amp for every coefficient, let a = amp sum_k |B~_k| per
+    column, so |c @ B~| <= a and the real R - y = c @ B~ - y is within
+    Y = |y| + a.
+    - Gram term, |q + ||y||^2 - r|: G~ = B~ B~^T and b~ = B~ y are d-term
+      dot products, within gamma_d |B~| |B~|^T and gamma_d |B~| |y| of
+      exact; doubling and negating them is exact, and a feature c_i c_j is
+      one rounding.  A score is a dot product of F = n_coef (n_coef + 3) / 2
+      terms, so |q + ||y||^2 - r| <= gamma_(F+d+1) sum over columns of
+      a (a + 2 |y|) (Higham's lemma 3.3 merges the gammas).
+    - Operator term, |s^ - r|: the rescan's R^ = c @ B^ (n_coef terms) is
+      within gamma_n_coef amp sum_k (|B~_k| + E_k) of the real c @ B^,
+      which is within amp sum_k E_k of c @ B~.  So the rounded R^ - y is
+      within e = (1 + u) amp (gamma_n_coef sum_k (|B~_k| + E_k) +
+      sum_k E_k) + u Y of R - y, and at most Y + e in size.  The kernel's
+      sum of its d squares is within gamma_d of its exact value, and each
+      square is within e (2 Y + e) of the real one, so |s^ - r| <= sum over
+      columns of gamma_d (Y + e)^2 + e (2 Y + e).
+    Since |q + ||y||^2 - s^| <= |q + ||y||^2 - r| + |r - s^|, mu is the sum
+    of the two terms, each times 1 + 2^-20 for the rounding of the margin's
+    own arithmetic, whose terms are all nonnegative.  The bounds hold for any
     summation order and with FMA, so under every BLAS kernel.
     """
     t0 = time.perf_counter()

@@ -541,8 +541,8 @@ class TestAnalogScreen:
     @pytest.mark.parametrize("params", SCREEN_CODECS[1:] + [(0, 1, 0.2, 256)])
     def test_margin_bounds_every_codeword(self, params):
         # for every codeword of every layout, the codec's own and layouts off
-        # the grid's times: |screened - exact| <= the layout's first margin,
-        # and |Gram score + ||y||^2 - exact| <= the sum of all three
+        # the grid's times: |Gram score + ||y||^2 - exact| <= the sum of both
+        # margins (TestGramOracle checks each against exact arithmetic)
         codec = ppoly_codec(*params)
         gen = derive_stream(65, sum(params[:2]))
         layouts = np.vstack((codec.break_layouts, off_grid_layouts(codec, gen, 6)))
@@ -550,18 +550,17 @@ class TestAnalogScreen:
         for seed, noise in ((0, 0.0), (1, 0.05), (2, 3.0)):
             ens, y = analog_signal(codec, 3 + seed, 70 + seed, noise)
             inc_t = np.ascontiguousarray(ens.increments.T)
-            screen, weights, terms = solver._screen(codec, layouts, ens.times,
-                                                    ens.increments, y)
+            _, weights, terms = solver._screen(codec, layouts, ens.times,
+                                               ens.increments, y)
             exact = _analog_operators(codec, layouts, ens.times, inc_t)
+            assert len(terms) == 2
             for t in terms:
                 assert np.all(t > 0) and np.all(np.isfinite(t))
             margin = sum(terms)
             scores = weights @ solver._features(rows)
             kernel = direct_kernel(y)
-            for B, C, score, mu, total in zip(exact, screen, scores, terms[0], margin):
-                s_hat = kernel(rows @ B)[:, 0]
-                assert np.abs(kernel(rows @ C)[:, 0] - s_hat).max() <= mu
-                assert np.abs(score + y @ y - s_hat).max() <= total
+            for B, score, total in zip(exact, scores, margin):
+                assert np.abs(score + y @ y - kernel(rows @ B)[:, 0]).max() <= total
 
     def test_screen_rebuilds_one_layout(self, monkeypatch):
         # the 128-layout codec of the analog-groups benchmark, on a smaller
@@ -581,42 +580,52 @@ def exact(a):
 
 
 class TestGramOracle:
-    """The two margins of the Gram-form screen against exact arithmetic.
+    """The two margins of the screen against exact arithmetic.
 
     For every codeword c of a layout, r = ||y - c B~||^2 is computed in
-    Fractions from the float screened operator B~ and the float y, and the
-    screen's second and third margins must bound |Gram score + ||y||^2 - r|
-    and |s~ - r|, where s~ is the direct kernel's float value on c B~.  A
-    float comparison of two float paths would hide a term missing from
-    either bound wherever both paths happen to round little."""
+    Fractions from the float screened operator B~ and the float y.  The
+    screen's Gram margin must bound |Gram score + ||y||^2 - r|, and its
+    operator margin |s^ - r|, where s^ is the rescan's float value: the
+    exact operator of _analog_operators, then the direct kernel.  A float
+    comparison of two float paths would hide a term missing from either
+    bound wherever both paths happen to round little."""
 
-    @pytest.mark.parametrize("params,d,noise", [
-        ((0, 1, 0.9, 16), 4, 0.0),
-        ((0, 1, 0.9, 16), 1, 3.0),
-        ((0, 1, 0.9, 16), 2, 1000.0),    # |y| dominates: the b~ part of the Gram margin
-        ((1, 0, 0.7, 16), 3, 0.05),
-        ((2, 0, 0.7, 16), 2, 3.0),
-        ((1, 1, 0.9, 16), 2, 0.05),
-        ((1, 1, 0.9, 16), 4, 3.0),
-        ((0, 2, 0.9, 32), 4, 0.05),
+    @pytest.mark.parametrize("params,d,noise,sample", [
+        ((0, 1, 0.9, 16), 4, 0.0, None),
+        ((0, 1, 0.9, 16), 1, 3.0, None),
+        ((0, 1, 0.9, 16), 2, 1000.0, None),    # |y| dominates: the b~ part of the Gram margin
+        ((1, 0, 0.7, 16), 3, 0.05, None),
+        ((2, 0, 0.7, 16), 2, 3.0, None),
+        ((1, 1, 0.9, 16), 2, 0.05, None),
+        ((1, 1, 0.9, 16), 4, 3.0, None),
+        ((0, 2, 0.9, 32), 4, 0.05, None),
+        # degree 2, two pieces: 4,096 codewords per layout, of which a fixed
+        # subsample is checked in Fractions
+        ((2, 1, 0.9, 16), 3, 0.05, 384),
     ])
-    def test_terms_bound_the_real_residual(self, params, d, noise):
+    def test_terms_bound_the_real_residual(self, params, d, noise, sample):
         codec = ppoly_codec(*params)
         gen = derive_stream(66, sum(params[:2]) + d)
         layouts = np.vstack((codec.break_layouts, off_grid_layouts(codec, gen, 2)))
         rows = codec.coef_block(0, codec.coef_space)
         ens, y = analog_signal(codec, d, 90 + d, noise)
-        screen, weights, (_, gram, direct) = solver._screen(
+        screen, weights, (operator, gram) = solver._screen(
             codec, layouts, ens.times, ens.increments, y)
-        scores = weights @ solver._features(rows)
+        inc_t = np.ascontiguousarray(ens.increments.T)
+        rescan = _analog_operators(codec, layouts, ens.times, inc_t)
+        # the float values come from whole blocks, as in the scan, and are
+        # subsampled after
+        pick = (np.arange(len(rows)) if sample is None
+                else np.sort(gen.choice(len(rows), sample, replace=False)))
+        scores = (weights @ solver._features(rows))[:, pick]
         kernel = direct_kernel(y)
-        Y, C = exact(y), exact(rows)
+        Y, C = exact(y), exact(rows[pick])
         yy = (Y * Y).sum()
-        for B, score, g, dk in zip(screen, scores, gram, direct):
+        for B, Bx, score, op, g in zip(screen, rescan, scores, operator, gram):
             D = C @ exact(B) - Y
             real = (D * D).sum(axis=1)
             assert np.all(abs(exact(score) + yy - real) <= Fraction(g))
-            assert np.all(abs(exact(kernel(rows @ B)[:, 0]) - real) <= Fraction(dk))
+            assert np.all(abs(exact(kernel(rows @ Bx)[pick, 0]) - real) <= Fraction(op))
 
 
 class TestValidation:
@@ -676,7 +685,7 @@ class TestValidation:
                 csp_recover_analog(y, wiener, ppoly, truth=bad)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_measurements_rejected(self, bad):
+    def test_non_finite_measurements_rejected(self, monkeypatch, bad):
         # no residual could win the fold; fail loudly instead
         codec = GridCodec(3, 1.0, 0.5)
         ens = sample_ensemble(4, 3, derive_stream(55, 0))
@@ -685,6 +694,16 @@ class TestValidation:
             csp_recover(y, ens, codec)
         with pytest.raises(ValueError, match="finite"):
             csp_recover_panel(np.stack([np.zeros(4), y]), ens, codec)
+        # a ground truth that is not finite gave a nan or inf error_l2 once
+        # the whole scan had run: it is refused before the scan
+        truth = np.array([0.0, bad, 0.5])
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_scan", None)
+            with pytest.raises(ValueError, match="ground truths must be finite"):
+                csp_recover(np.zeros(4), ens, codec, truth=truth)
+            with pytest.raises(ValueError, match="ground truths must be finite"):
+                csp_recover_panel(np.zeros((2, 4)), ens, codec,
+                                  truths=np.stack([codec.decode(0), truth]))
         ppoly = PiecewisePolyCodec(0, 0, 1.0, 0.05, grid=512)
         with pytest.raises(ValueError, match="finite"):
             csp_recover_analog(y, sample_wiener_ensemble(4, 512, 55, 0), ppoly)
