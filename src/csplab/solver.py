@@ -450,10 +450,9 @@ def _screen(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray,
     w = (2 * g_m * absC.sum(axis=-1) + _gamma(7 * N + 9) * terms
          + s * ((1 + _gamma(2)) * (g_m * (1 + kappa) + kappa))) * live[..., None]
     E = _gamma(P + 1) * (absC @ np.abs(diff)) + w[..., None] * A
-    Bs, Es = np.abs(ops).sum(axis=1), E.reshape(n, K, d).sum(axis=1)
-    aB = codec.amp * Bs
+    aB, aE = codec.amp * np.abs(ops).sum(axis=1), codec.amp * E.reshape(n, K, d).sum(axis=1)
     Y = np.abs(y) + aB
-    e = (1 + _U) * codec.amp * (_gamma(K) * (Bs + Es) + Es) + _U * Y
+    e = (1 + _U) * (_gamma(K) * (aB + aE) + aE) + _U * Y
     operator = (_gamma(d) * (Y + e) ** 2 + e * (2 * Y + e)).sum(axis=1)
 
     i, j = _pairs(K)

@@ -590,20 +590,22 @@ class TestGramOracle:
     comparison of two float paths would hide a term missing from either
     bound wherever both paths happen to round little."""
 
-    @pytest.mark.parametrize("params,d,noise,sample", [
-        ((0, 1, 0.9, 16), 4, 0.0, None),
-        ((0, 1, 0.9, 16), 1, 3.0, None),
-        ((0, 1, 0.9, 16), 2, 1000.0, None),    # |y| dominates: the b~ part of the Gram margin
-        ((1, 0, 0.7, 16), 3, 0.05, None),
-        ((2, 0, 0.7, 16), 2, 3.0, None),
-        ((1, 1, 0.9, 16), 2, 0.05, None),
-        ((1, 1, 0.9, 16), 4, 3.0, None),
-        ((0, 2, 0.9, 32), 4, 0.05, None),
-        # degree 2, two pieces: 4,096 codewords per layout, of which a fixed
-        # subsample is checked in Fractions
-        ((2, 1, 0.9, 16), 3, 0.05, 384),
+    # a codec of more codewords per layout than this is checked on a fixed
+    # subsample of them
+    SAMPLE = 384
+
+    @pytest.mark.parametrize("params,d,noise", [
+        ((0, 1, 0.9, 16), 4, 0.0),
+        ((0, 1, 0.9, 16), 1, 3.0),
+        ((0, 1, 0.9, 16), 2, 1000.0),    # |y| dominates: the b~ part of the Gram margin
+        ((1, 0, 0.7, 16), 3, 0.05),
+        ((2, 0, 0.7, 16), 2, 3.0),
+        ((1, 1, 0.9, 16), 2, 0.05),
+        ((1, 1, 0.9, 16), 4, 3.0),
+        ((0, 2, 0.9, 32), 4, 0.05),
+        ((2, 1, 0.9, 16), 3, 0.05),      # degree 2, two pieces: 4,096 per layout
     ])
-    def test_terms_bound_the_real_residual(self, params, d, noise, sample):
+    def test_terms_bound_the_real_residual(self, params, d, noise):
         codec = ppoly_codec(*params)
         gen = derive_stream(66, sum(params[:2]) + d)
         layouts = np.vstack((codec.break_layouts, off_grid_layouts(codec, gen, 2)))
@@ -615,8 +617,8 @@ class TestGramOracle:
         rescan = _analog_operators(codec, layouts, ens.times, inc_t)
         # the float values come from whole blocks, as in the scan, and are
         # subsampled after
-        pick = (np.arange(len(rows)) if sample is None
-                else np.sort(gen.choice(len(rows), sample, replace=False)))
+        pick = (np.arange(len(rows)) if len(rows) <= self.SAMPLE
+                else np.sort(gen.choice(len(rows), self.SAMPLE, replace=False)))
         scores = (weights @ solver._features(rows))[:, pick]
         kernel = direct_kernel(y)
         Y, C = exact(y), exact(rows[pick])
