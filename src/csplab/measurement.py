@@ -10,6 +10,7 @@ a trial records the keys it used in its CSV row.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -185,8 +186,18 @@ class WienerEnsemble:
 
     @property
     def times(self) -> np.ndarray:
-        """Left endpoints k/m of the integration cells."""
-        return np.arange(self.m) / self.m
+        """Left endpoints k/m of the integration cells, read-only
+        (_grid_times)."""
+        return _grid_times(self.m)
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_times(m: int) -> np.ndarray:
+    """The read-only grid np.arange(m) / m, computed once per grid size and
+    shared by every ensemble and codec of that grid."""
+    times = np.arange(m) / m
+    times.flags.writeable = False
+    return times
 
 
 def sample_wiener_ensemble(d: int, m: int, master_seed: int,
@@ -203,7 +214,7 @@ def sample_wiener_ensemble(d: int, m: int, master_seed: int,
     scale = np.sqrt(1.0 / m)
     for i in range(d):
         stream = derive_stream(master_seed, base_stream_id + i)
-        inc[i] = gaussian_vector(stream, m) * scale
+        np.multiply(gaussian_vector(stream, m), scale, out=inc[i])
     return WienerEnsemble(inc)
 
 

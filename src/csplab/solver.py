@@ -16,7 +16,10 @@ RecoveryResult with a row per signal: csp_recover is csp_recover_panel's
 body run on one signal with the direct kernel.  No codeword is decoded to scan
 it: memory stays at one block of coefficient rows, one tile of operators and
 one buffer of measurements, allocated once per scan and reused by every
-tile, beside the analog operators and one minimum per tile.
+tile, beside the analog operators and one minimum per tile.  An analog scan
+adds no array of the Wiener increments' size: their transpose goes into one
+(m, d) array kept per thread and reused while the shape repeats, and what
+its screen needs of the layouts alone is built once per codec.
 
 A piecewise-polynomial codec of several breakpoint layouts is screened
 first: every layout's operator is built cheaply from prefix sums of the
@@ -31,13 +34,16 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
+import threading
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codecs import Codec, PiecewisePolyCodec, SparseCodec
-from .measurement import MeasurementEnsemble, WienerEnsemble
+from .measurement import MeasurementEnsemble, WienerEnsemble, _grid_times
 from .piecewise import PiecewisePolynomial, orthonormal_basis_matrix
 
 # rows per block of the scan grid and most rows per tile; part of the output,
@@ -108,6 +114,28 @@ def _aligned(*shape) -> np.ndarray:
     raw = np.empty(size + 7)
     start = -raw.ctypes.data % 64 // 8
     return raw[start:start + size].reshape(shape)
+
+
+_LOCAL = threading.local()
+
+
+def _workspace(*shape) -> np.ndarray:
+    """A float array of the given shape, kept per thread and handed out
+    again, as it was left, while the shape repeats.  A fresh array of an
+    analog trial's increments' size (256 KiB) sits at glibc's mmap and trim
+    thresholds, so whether it is page-faulted afresh every trial would flip
+    with unrelated allocations; one kept array is faulted in once.  It is a
+    private anonymous mapping of its own (page-aligned, copied on fork),
+    released before the next is made: once glibc's thresholds rise, an
+    np.empty array of this size is placed in the malloc heap, and kept
+    there it held the heap at a larger size (analog-sweep read about 1.9 MiB
+    more peak RSS)."""
+    work = getattr(_LOCAL, "work", None)
+    if work is None or work.shape != shape:
+        _LOCAL.work = None
+        pages = mmap.mmap(-1, 8 * math.prod(shape), access=mmap.ACCESS_COPY)
+        work = _LOCAL.work = np.frombuffer(pages).reshape(shape)
+    return work
 
 
 def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
@@ -389,47 +417,27 @@ def _basis_terms(degree: int):
     return M, kappa
 
 
-def _screen(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray,
-            inc: np.ndarray, y: np.ndarray):
-    """Screened operators B~ (n_layouts, n_coef, d) of every layout, from
-    prefix sums, their Gram-form weights (n_layouts, F) and two margins
-    (operator, gram), each (n_layouts,), of each layout (csp_recover_analog
-    derives them).
+def _geometry(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray):
+    """The part of _screen that depends only on the layouts (n_layouts,
+    n_breaks) and the sorted grid times, built once per codec
+    (_codec_geometry): the read-only arrays (at, k, powers, C, absC, w).
 
-    With G~ = B~ B~^T and b~ = B~ y, a layout's weights are 2 G~_ij for
-    i < j, G~_ii and -2 b~, in _features' order, so weights @ _features(c)
-    scores a codeword c as c G~ c^T - 2 c . b~.  With G~ and b~ exact, that
-    is ||y - c B~||^2 - ||y||^2: the real squared residual r on the screened
-    operator less a shift that every layout shares.  Both margins are
-    measured against r, one chain q -> r -> s^: for every codeword of the
-    layout, gram bounds |score + ||y||^2 - r| and operator bounds |s^ - r|,
-    where s^ is the squared residual that the scan computes, the direct
-    kernel on c @ B^ with B^ the exact operator of _analog_operators.
-
-    inc is the ensemble's (d, m) increments.  S[j] holds, for each
-    j <= degree, the prefix sums of t^j inc at every cut of the table, zero
-    first, with t^j a running product of the times: the cells between
-    consecutive cuts are summed, then those sums accumulated.  A piece of a
-    layout with cells [lo, hi) gets the differences S[j, hi] - S[j, lo] and
-    its coefficients C[k, j] = s_k sum_l M[k, l, j] (-a)^(l-j) h^-l
-    (_basis_terms); its operator rows are C @ those differences.  A piece
-    without cells gets zero rows, as in _analog_operators."""
-    d, m = inc.shape
-    n, N, K = len(layouts), codec.degree, codec.n_coef
+    at holds the distinct cuts of the table, sorted, and k (n_layouts,
+    n_breaks + 2) each cut's position in at; powers (degree, m) the powers
+    t^j of the times for 1 <= j <= degree, each the running product of the
+    one before and the times.  A piece with cells [lo, hi) starts at a and
+    is h long, and its coefficients are C[k, j] = s_k sum_l M[k, l, j]
+    (-a)^(l-j) h^-l (_basis_terms), zero for a piece without cells; C is
+    (n_layouts, pieces, P, P), absC their absolute values, and w
+    (n_layouts, pieces, P) the weight of A = sum |inc| in the operator
+    term's bound E."""
+    m, N = len(times), codec.degree
     P = N + 1
     edges, cuts = _pieces(layouts, times, m)
     live = cuts[:, 1:] > cuts[:, :-1]
     a = edges[:, :-1]
     h = np.where(live, np.diff(edges, axis=1), 1.0)    # finite for dead pieces too
     at = np.unique(cuts)
-    S = np.zeros((P, d, len(at)))
-    tj = np.ones(m)
-    for j in range(P):
-        np.cumsum(np.add.reduceat(inc * tj if j else inc, at[:-1], axis=1), axis=1,
-                  out=S[j, :, 1:])
-        tj = tj * times
-    k = np.searchsorted(at, cuts)
-    diff = (S[..., k[:, 1:]] - S[..., k[:, :-1]]).transpose(2, 3, 0, 1)  # (n, pieces, P, d)
 
     M, kappa = _basis_terms(N)
     X = np.zeros(h.shape + (P, P))                     # (-a)^(l-j) h^-l
@@ -443,14 +451,69 @@ def _screen(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray,
     s = np.sqrt((2 * np.arange(P) + 1) / h[..., None])
     C = s[..., None] * np.einsum("klj,...lj->...kj", M, X) * live[..., None, None]
     terms = s * np.einsum("klj,...lj->...k", np.abs(M), np.abs(X))  # |C|_k summed over j
-    ops = (C @ diff).reshape(n, K, d)
-
     g_m, absC = _gamma(m), np.abs(C)
-    A = np.abs(inc).sum(axis=1) * (1 + g_m)
     w = (2 * g_m * absC.sum(axis=-1) + _gamma(7 * N + 9) * terms
          + s * ((1 + _gamma(2)) * (g_m * (1 + kappa) + kappa))) * live[..., None]
+    geometry = (at, np.searchsorted(at, cuts),
+                np.cumprod(np.broadcast_to(times, (N, m)), axis=0), C, absC, w)
+    for v in geometry:
+        v.flags.writeable = False
+    return geometry
+
+
+# each screened codec's _geometry, kept for the codec's lifetime
+_GEOMETRIES = weakref.WeakKeyDictionary()
+
+
+def _codec_geometry(codec: PiecewisePolyCodec):
+    """The _geometry of the codec's breakpoint layouts on its own grid times,
+    built on first use.  Those times are the ensemble's whenever _check
+    passes (codec.grid == ensemble.m), so every value is the one a per-scan
+    build would compute."""
+    if codec not in _GEOMETRIES:
+        _GEOMETRIES[codec] = _geometry(codec, codec.break_layouts, _grid_times(codec.grid))
+    return _GEOMETRIES[codec]
+
+
+def _screen(geometry, amp: float, inc: np.ndarray, y: np.ndarray, work: np.ndarray):
+    """Screened operators B~ (n_layouts, n_coef, d) of every layout of a
+    _geometry, from prefix sums, their Gram-form weights (n_layouts, F) and
+    two margins (operator, gram), each (n_layouts,), of each layout
+    (csp_recover_analog derives them; amp bounds every coefficient).
+
+    With G~ = B~ B~^T and b~ = B~ y, a layout's weights are 2 G~_ij for
+    i < j, G~_ii and -2 b~, in _features' order, so weights @ _features(c)
+    scores a codeword c as c G~ c^T - 2 c . b~.  With G~ and b~ exact, that
+    is ||y - c B~||^2 - ||y||^2: the real squared residual r on the screened
+    operator less a shift that every layout shares.  Both margins are
+    measured against r, one chain q -> r -> s^: for every codeword of the
+    layout, gram bounds |score + ||y||^2 - r| and operator bounds |s^ - r|,
+    where s^ is the squared residual that the scan computes, the direct
+    kernel on c @ B^ with B^ the exact operator of _analog_operators.
+
+    inc is the ensemble's (d, m) increments and work a C-contiguous (d, m)
+    scratch array, which takes t^j inc and |inc| in turn, so the screen
+    allocates nothing of the increments' size.  S[j] holds, for each
+    j <= degree, the prefix sums of t^j inc at every cut of the table, zero
+    first: the cells between consecutive cuts are summed, then those sums
+    accumulated.  A piece of a layout with cells [lo, hi) gets the
+    differences S[j, hi] - S[j, lo], and its operator rows are C @ those
+    differences.  A piece without cells gets zero rows, as in
+    _analog_operators."""
+    d, m = inc.shape
+    at, k, powers, C, absC, w = geometry
+    n, pieces, P = C.shape[:3]
+    K = pieces * P
+    S = np.zeros((P, d, len(at)))
+    for j in range(P):
+        tj_inc = np.multiply(inc, powers[j - 1], out=work) if j else inc
+        np.cumsum(np.add.reduceat(tj_inc, at[:-1], axis=1), axis=1, out=S[j, :, 1:])
+    diff = (S[..., k[:, 1:]] - S[..., k[:, :-1]]).transpose(2, 3, 0, 1)  # (n, pieces, P, d)
+    ops = (C @ diff).reshape(n, K, d)
+
+    A = np.abs(inc, out=work).sum(axis=1) * (1 + _gamma(m))
     E = _gamma(P + 1) * (absC @ np.abs(diff)) + w[..., None] * A
-    aB, aE = codec.amp * np.abs(ops).sum(axis=1), codec.amp * E.reshape(n, K, d).sum(axis=1)
+    aB, aE = amp * np.abs(ops).sum(axis=1), amp * E.reshape(n, K, d).sum(axis=1)
     Y = np.abs(y) + aB
     e = (1 + _U) * (_gamma(K) * (aB + aE) + aE) + _U * Y
     operator = (_gamma(d) * (Y + e) ** 2 + e * (2 * Y + e)).sum(axis=1)
@@ -507,13 +570,17 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     of _analog_operators.
 
     The increments are transposed once per scan into a C-contiguous (m, d)
-    array.  The grid times are sorted, so each piece of a breakpoint layout
-    covers a contiguous run of cells and its exact operator rows are one
-    product of its basis values (row 0 a constant, see
-    orthonormal_basis_matrix) with a row slice of that transpose.  Row
-    slices reproduce the bits of a masked copy of increments[:, cells];
-    column slices of the increments (views or copies) take another BLAS path
-    and can differ in the last bits, which would change reported residuals.
+    array, the thread's _workspace, which is reused while d and m repeat
+    (np.copyto, the bytes of np.ascontiguousarray(increments.T)); before
+    that, the screen uses the same memory as its (d, m) scratch.  Beside
+    the increments, a recovery allocates no array of their size.  The grid
+    times are sorted, so each piece of a breakpoint layout covers a
+    contiguous run of cells and its exact operator rows are one product of
+    its basis values (row 0 a constant, see orthonormal_basis_matrix) with a
+    row slice of that transpose.  Row slices reproduce the bits of a masked
+    copy of increments[:, cells]; column slices of the increments (views or
+    copies) take another BLAS path and can differ in the last bits, which
+    would change reported residuals.
 
     Building every layout's exact operator is a Python loop over pieces, so
     a codec of several layouts is scanned as a floating-point filter
@@ -522,6 +589,9 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     1. Screen: _screen builds every layout's operator B~ from prefix sums
        and its Gram-form weights, and _gram_minima scores every codeword of
        every layout with them, keeping each layout's minimum score q_min.
+       What depends only on the layouts and the grid (cuts, basis
+       coefficients, the weight of sum |inc| in the margin) is the codec's
+       _geometry, built once per codec (_codec_geometry).
        A score q is the codeword's squared residual on B~ less ||y||^2, a
        shift that every layout shares, so it is left out.
     2. Margin: _screen also gives each layout a margin mu, with
@@ -597,7 +667,8 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     t0 = time.perf_counter()
     ys = np.asarray(y, dtype=float)[None]
     _check(ys, ensemble, codec, analog=True, truths=None if truth is None else (truth,))
-    inc_t = np.ascontiguousarray(ensemble.increments.T)
+    inc = ensemble.increments
+    inc_t = _workspace(ensemble.m, ensemble.d)
     layouts, times, size = codec.break_layouts, ensemble.times, codec.coef_space
     coefs = functools.lru_cache(maxsize=1)(codec.coef_block)
     cand = np.arange(len(layouts))
@@ -606,10 +677,12 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
         # minimum or margin, and a layout whose minimum or margin is not
         # finite is kept, so the exact rescan decides; its overflow is no error
         with np.errstate(over="ignore", invalid="ignore"):
-            _, weights, margins = _screen(codec, layouts, times, ensemble.increments, ys[0])
+            _, weights, margins = _screen(_codec_geometry(codec), codec.amp, inc, ys[0],
+                                          inc_t.reshape(inc.shape))
             low = _gram_minima(weights, size, coefs)
             margin = sum(margins)
             cand = cand[~(low - margin > np.min(low + margin)) | ~np.isfinite(low + margin)]
+    np.copyto(inc_t, inc.T)
     # operators are built before the scan starts: built between its blocks
     # they cost the analog-groups benchmark about 4% more time per trial
     ops = _analog_operators(codec, layouts[cand], times, inc_t)

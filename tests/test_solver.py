@@ -2,8 +2,11 @@
 
 import contextlib
 import copy
+import decimal
 import functools
 import math
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -469,6 +472,13 @@ def off_grid_layouts(codec, gen, count):
     return halves / (2 * codec.grid)
 
 
+def screen(codec, layouts, ens, y):
+    """solver._screen of any layouts of the codec on the ensemble's grid,
+    with their geometry built for this call."""
+    return solver._screen(solver._geometry(codec, layouts, ens.times), codec.amp,
+                          ens.increments, y, np.empty_like(ens.increments))
+
+
 def rebuilt_layouts(monkeypatch):
     """The layout count of every _analog_operators call the solver makes."""
     counts = []
@@ -550,8 +560,7 @@ class TestAnalogScreen:
         for seed, noise in ((0, 0.0), (1, 0.05), (2, 3.0)):
             ens, y = analog_signal(codec, 3 + seed, 70 + seed, noise)
             inc_t = np.ascontiguousarray(ens.increments.T)
-            _, weights, terms = solver._screen(codec, layouts, ens.times,
-                                               ens.increments, y)
+            _, weights, terms = screen(codec, layouts, ens, y)
             exact = _analog_operators(codec, layouts, ens.times, inc_t)
             assert len(terms) == 2
             for t in terms:
@@ -611,8 +620,7 @@ class TestGramOracle:
         layouts = np.vstack((codec.break_layouts, off_grid_layouts(codec, gen, 2)))
         rows = codec.coef_block(0, codec.coef_space)
         ens, y = analog_signal(codec, d, 90 + d, noise)
-        screen, weights, (operator, gram) = solver._screen(
-            codec, layouts, ens.times, ens.increments, y)
+        screened, weights, (operator, gram) = screen(codec, layouts, ens, y)
         inc_t = np.ascontiguousarray(ens.increments.T)
         rescan = _analog_operators(codec, layouts, ens.times, inc_t)
         # the float values come from whole blocks, as in the scan, and are
@@ -623,11 +631,104 @@ class TestGramOracle:
         kernel = direct_kernel(y)
         Y, C = exact(y), exact(rows[pick])
         yy = (Y * Y).sum()
-        for B, Bx, score, op, g in zip(screen, rescan, scores, operator, gram):
+        for B, Bx, score, op, g in zip(screened, rescan, scores, operator, gram):
             D = C @ exact(B) - Y
             real = (D * D).sum(axis=1)
             assert np.all(abs(exact(score) + yy - real) <= Fraction(g))
             assert np.all(abs(exact(kernel(rows @ Bx)[pick, 0]) - real) <= Fraction(op))
+
+
+def legendre(k, u):
+    """P_k(u) in exact arithmetic, by Bonnet's recurrence."""
+    p, q = Fraction(1), u
+    for n in range(1, k):
+        p, q = q, ((2 * n + 1) * u * q - n * p) / (n + 1)
+    return q if k else p
+
+
+class TestBasisRounding:
+    """kappa of _basis_terms against exact arithmetic.  At every grid time t
+    of a piece [a, b], the value phi^_k(t) of orthonormal_basis_matrix must
+    be within s_k kappa_k of phi_k(t) = s_k P_k(2 (t - a) / (b - a) - 1),
+    with s_k = sqrt((2k + 1) / (b - a)): P_k in Fractions, s_k in decimal
+    at 60 digits.  The screen reads kappa only through the weight w of the
+    codec's geometry, which no margin test can separate from its larger
+    terms."""
+
+    GRID = 64
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    @pytest.mark.parametrize("a,b", [
+        (0.0, 1.0), (0.0, 0.5), (3 / 64, 17 / 64), (0.75, 1.0),   # ends on the grid
+        (5 / 128, 77 / 128), (65 / 128, 1.0), (63 / 128, 65 / 128),  # on the half-grid
+        (0.1, 0.7), (0.0, 1 / 3),                                   # neither
+    ])
+    def test_kappa_bounds_the_basis_rounding(self, degree, a, b):
+        times = np.arange(self.GRID) / self.GRID
+        t = times[(times >= a) & (times < b)]
+        got = orthonormal_basis_matrix(a, b, degree, t)
+        _, kappa = solver._basis_terms(degree)
+        h = Fraction(b) - Fraction(a)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for k in range(degree + 1):
+                s = (Decimal(2 * k + 1) * h.denominator / h.numerator).sqrt()
+                bound = s * Decimal(kappa[k])
+                for value, ti in zip(got[k], t):
+                    p = legendre(k, 2 * (Fraction(ti) - Fraction(a)) / h - 1)
+                    real = s * (Decimal(p.numerator) / p.denominator)
+                    assert abs(Decimal(value) - real) <= bound
+
+
+class TestAnalogCaches:
+    """What a recovery keeps between calls: each codec's screen geometry,
+    the thread's transpose workspace and the grid times.  Reusing them must
+    keep every bit, and none of them may be written."""
+
+    def test_reuse_keeps_the_bytes(self):
+        # d changes the workspace's shape, a second codec the geometry and
+        # the grid
+        first, second = ppoly_codec(0, 1, 0.2, 256), ppoly_codec(1, 1, 0.9, 16)
+        calls = [(first, 8), (first, 3), (first, 8), (second, 8), (first, 8),
+                 (second, 3), (first, 3), (second, 3)]
+        for seed, (codec, d) in enumerate(calls):
+            ens, y = analog_signal(codec, d, 100 + seed, 0.05)
+            res = csp_recover_analog(y, ens, codec)
+            assert (res.chosen_index[0], res.residual[0]) == reference_analog_scan(y, ens, codec)
+        for codec in (first, second):
+            geometry = solver._codec_geometry(codec)
+            assert geometry is solver._codec_geometry(codec)
+            times = np.arange(codec.grid) / codec.grid
+            fresh = solver._geometry(codec, codec.break_layouts, times)
+            for cached, built in zip(geometry, fresh, strict=True):
+                assert cached.shape == built.shape and cached.tobytes() == built.tobytes()
+
+    def test_caches_are_read_only(self):
+        codec = ppoly_codec(1, 1, 0.9, 16)
+        ens, y = analog_signal(codec, 3, 110, 0.05)
+        csp_recover_analog(y, ens, codec)
+        for array in solver._codec_geometry(codec):
+            assert array.size
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            ens.times[0] = 0.5
+
+    def test_recovery_allocates_less_than_the_increments(self):
+        # the analog-groups codec: once warm, a recovery makes no array of
+        # the increments' size, so its peak stays below them (fresh
+        # 256 KiB arrays sit at glibc's mmap threshold, and were
+        # page-faulted afresh in some runs)
+        codec = ppoly_codec(0, 1, 0.2, 4096)
+        ens, y = analog_signal(codec, 8, 111, 0.05)
+        csp_recover_analog(y, ens, codec)
+        tracemalloc.start()
+        try:
+            csp_recover_analog(y, ens, codec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ens.increments.nbytes
 
 
 class TestValidation:
