@@ -14,9 +14,11 @@ front ends that differ only in their plan (the groups, their operators and
 coefficient rows) and their residual kernel, and each returns one
 RecoveryResult with a row per signal: csp_recover is csp_recover_panel's
 body run on one signal with the direct kernel.  No codeword is decoded to scan
-it: memory stays at one block of coefficient rows, one tile of operators and
-one buffer of measurements, allocated once per scan and reused by every
-tile, beside the analog operators and one minimum per tile.  An analog scan
+it: memory stays at one block of coefficient rows, one tile of operators,
+one buffer of measurements and, for a panel, one buffer of its squared
+residuals, allocated once per scan and reused by every tile, beside the
+analog operators, the panel kernel's arrays of one band of rows and its two
+boolean arrays of the tile's shape, and one minimum per tile.  An analog scan
 adds no array of the Wiener increments' size: their transpose goes into one
 (m, d) array kept per thread and reused while the shape repeats, and what
 its screen needs of the layouts alone is built once per codec.
@@ -138,28 +140,27 @@ def _workspace(*shape) -> np.ndarray:
     return work
 
 
-def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
+def _scan(ops, n_groups: int, size: int, coefs, kernel):
     """The one tiled scan behind every solver.
 
     Group g is the codewords [g * size, (g + 1) * size), whose measurements
     are coefs(offset, count) @ B_g for offsets inside the group.
     ops(g, count) returns the operators B of the groups from g up to
     g + count (fewer at the end) as one (count, rows of B, d) stack, and
-    kernel maps measurements R (count, d) to squared residuals (count, p)
-    against the p signals.  Every tile's R is a prefix of one buffer
-    allocated per scan (_aligned), sized by the first tile, the largest; the
-    scan reads R no more once the kernel returns, so the kernel may
-    overwrite it.  A kernel may also return its squares in memory that its
-    next call overwrites, so the scan reads and copies each tile's minima
-    (sq[j, cols]) before it takes the next tile.
+    kernel maps measurements R (count, d) to the tile's minimum squared
+    residual against each of the p signals and the first row that reaches
+    it, two fresh (p,) arrays (a nan minimum may come with any row).  Every
+    tile's R is a prefix of one buffer allocated per scan (_aligned), sized
+    by the first tile, the largest; the scan reads R no more once the kernel
+    returns, so the kernel may overwrite it.
 
     Every group is cut into the same grid of _BLOCK-row blocks, one block
     when size <= _BLOCK.  The outer loop walks that grid and builds each
     block's coefficient rows once per scan; the inner loop walks the groups
     _BLOCK // size to a tile (one when size > _BLOCK): one stacked product of
-    the block's rows with the tile's operators, one kernel call on its rows
-    and one first-occurrence argmin, which is the tile's smallest index at
-    its minimum.  The tile minima are reduced once, by (residual, index):
+    the block's rows with the tile's operators and one kernel call on its
+    rows, whose first row at the minimum is the tile's smallest index there.
+    The tile minima are reduced once, by (residual, index):
     the minimum per signal, and the smallest index among the tiles that
     reach it, so the order in which tiles are visited cannot pick the
     index.  Returns the minimum squared residual and its codeword index per
@@ -173,7 +174,6 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
     grid could move residuals in the last bits, and the argmin at ties.
     """
     step = max(1, _BLOCK // size)
-    cols = np.arange(p)
     mins, at = [], []
     buf = None
     for offset in range(0, size, _BLOCK):
@@ -185,9 +185,8 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel, p: int):
             if buf is None:    # the first tile is the largest
                 buf = _aligned(cells)
             R = np.matmul(rows, B, out=buf[:cells].reshape(count, len(rows), d))
-            sq = kernel(R.reshape(-1, d))
-            j = sq.argmin(axis=0)    # first occurrence per signal
-            mins.append(sq[j, cols])
+            low, j = kernel(R.reshape(-1, d))
+            mins.append(low)
             # row j of the tile is codeword g * size + offset + j, whether
             # the tile holds many groups (offset 0) or one block of one group
             at.append(j + (g * size + offset))
@@ -227,15 +226,15 @@ def _row_norms(D: np.ndarray) -> np.ndarray:
 
 
 def _direct(ys):
-    """Kernel ||R - y||^2 for one signal ys (1, d), as a (count, 1) column,
-    for one scan.  Its first call, on the scan's largest tile, tiles y to
-    that tile's row count (_aligned) and allocates one output of as many
-    rows; every call then subtracts a prefix of the tiled y in one
-    contiguous pass, writing the residuals R - y over R, which _scan allows,
-    and returns a prefix of that output, which the next call overwrites
-    (_scan reads it first).  Subtraction is elementwise and the einsum sums
-    each row as it would into a fresh array, so the bits are those of R - y
-    and its row sums."""
+    """Kernel ||R - y||^2 for one signal ys (1, d), reduced to the tile's
+    minimum and its first row, for one scan.  Its first call, on the scan's
+    largest tile, tiles y to that tile's row count (_aligned) and allocates
+    one output of as many rows; every call then subtracts a prefix of the
+    tiled y in one contiguous pass, writing the residuals R - y over R,
+    which _scan allows, sums their squares into a prefix of that output and
+    takes its argmin.  Subtraction is elementwise and the einsum sums each
+    row as it would into a fresh array, so the bits are those of R - y and
+    its row sums."""
     Y = out = None
 
     def kernel(R):
@@ -244,19 +243,45 @@ def _direct(ys):
             Y, out = _aligned(*R.shape), np.empty(len(R))
             Y[:] = ys
         np.subtract(R, Y[:len(R)], out=R)
-        return np.einsum("ij,ij->i", R, R, out=out[:len(R)])[:, None]
+        sq = np.einsum("ij,ij->i", R, R, out=out[:len(R)])
+        j = sq.argmin(keepdims=True)
+        return sq[j], j
     return kernel
+
+
+# rows of the panel kernel's tile per elementwise pass: one band of rows of
+# its buffer, with the band's ||R||^2 + ||y||^2, stays in cache
+_BAND = 64
 
 
 def _expanded(ys):
     """Kernel ||R||^2 + ||y||^2 - 2<R, y>, clipped at 0, for the p signals
-    ys (p, d), as a (count, p) array: one product R @ ys.T measures the
-    tile against the whole panel."""
+    ys (p, d), reduced to the tile's minimum and its first row per signal,
+    for one scan.  One product R @ ys.T measures the tile against the whole
+    panel, into one (rows, p) buffer allocated by the first call, on the
+    scan's largest tile (_aligned), and reused by every call.  The rest is
+    done in place, one band of _BAND rows at a time: the products doubled,
+    subtracted from the band's ||R||^2 + ||y||^2 and clipped at 0, the bits
+    of the expression above, since every step is elementwise and in its
+    order.  The minimum over the rows comes next, then the first row equal
+    to it, which is argmin's first occurrence without its transposed copy
+    of the tile; a nan minimum equals no row and goes to _scan's check."""
     yn = np.einsum("ij,ij->i", ys, ys)
+    buf = None
 
     def kernel(R):
+        nonlocal buf
+        if buf is None:
+            buf = _aligned(len(R), len(ys))
+        sq = np.matmul(R, ys.T, out=buf[:len(R)])
         rn = np.einsum("ij,ij->i", R, R)
-        return np.maximum(rn[:, None] + yn[None, :] - 2.0 * (R @ ys.T), 0.0)
+        for r in range(0, len(sq), _BAND):
+            band = sq[r:r + _BAND]
+            np.multiply(band, 2.0, out=band)
+            np.subtract(rn[r:r + _BAND, None] + yn, band, out=band)
+            np.maximum(band, 0.0, out=band)
+        low = sq.min(axis=0)
+        return low, (sq == low).argmax(axis=0)
     return kernel
 
 
@@ -268,7 +293,7 @@ def _recover(ys, ensemble: MeasurementEnsemble, codec: Codec, truths, kernel,
     against truths (p, n) are _row_norms, so each row has the bits of
     decode and of np.linalg.norm."""
     _check(ys, ensemble, codec, truths=truths)
-    sq, idx = _scan(*_finite_plan(ensemble, codec), kernel(ys), len(ys))
+    sq, idx = _scan(*_finite_plan(ensemble, codec), kernel(ys))
     recon = codec.decode_many(idx)
     return RecoveryResult(
         chosen_index=idx, reconstruction=recon, residual=np.sqrt(sq),
@@ -687,7 +712,7 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     # they cost the analog-groups benchmark about 4% more time per trial
     ops = _analog_operators(codec, layouts[cand], times, inc_t)
     sq, idx = _scan(lambda g, count: ops[g:g + count], len(ops), size, coefs,
-                    _direct(ys), 1)
+                    _direct(ys))
     # codeword i of the rescan is codeword i % size of layout cand[i // size]
     idx = cand[idx // size] * size + idx % size
     recon = [codec.decode(int(i)) for i in idx]

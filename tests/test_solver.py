@@ -731,6 +731,88 @@ class TestAnalogCaches:
         assert peak < ens.increments.nbytes
 
 
+class TestPanelBuffer:
+    """The panel kernel's memory: one (rows, p) buffer per scan, written in
+    place, beside arrays of one band of rows and two boolean arrays of the
+    tile's shape."""
+
+    def test_recovery_allocates_one_tile(self):
+        # the strong-panel codec and panel: 576 codewords in one tile; the
+        # kernel's fresh temporaries and argmin's transposed copy held 2.28
+        # tiles at once
+        codec = SparseCodec(64, 1, 1.0, 0.25)
+        ens = sample_ensemble(48, 64, derive_stream(120, 0))
+        xs = codec.decode_many(derive_stream(120, 1).integers(0, codec.size, size=200))
+        ys = xs @ ens.matrix.T
+        csp_recover_panel(ys, ens, codec)
+        tracemalloc.start()
+        try:
+            csp_recover_panel(ys, ens, codec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codec.size == 576
+        assert peak < 1.75 * codec.size * len(ys) * 8
+
+
+@st.composite
+def panel_cases(draw):
+    band = solver._BAND
+    return (draw(st.sampled_from([1, band - 1, band, band + 1, 2 * band + 3])),
+            draw(st.sampled_from([1, band - 1, band, band + 1, 200])),
+            draw(st.sampled_from([4096, 5, band])), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestPanelReduction:
+    """The panel kernel's in-place bands of _BAND rows and its reduction (the
+    minimum over the rows, then the first row equal to it) against the
+    expression they replace: expanded_kernel with argmin(axis=0), folded
+    strictly over the same block grid (reference_block_scan).  The index
+    and the residual's bits agree, on tiles with every band remainder, one
+    tile or many.  Integer codewords and matrix entries make every product
+    exact, so copies of a codeword in one tile, across bands, tie exactly."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(case=panel_cases())
+    @example(case=(solver._BAND + 1, 200, 4096, True, 0))  # copies in both bands
+    @example(case=(2 * solver._BAND + 3, solver._BAND, 4096, True, 1))
+    @example(case=(2 * solver._BAND + 3, 1, 5, True, 2))  # ties across tiles too
+    @example(case=(solver._BAND - 1, solver._BAND + 1, solver._BAND, False, 3))
+    def test_matches_expression(self, case):
+        rows, p, block, integer, seed = case
+        gen = derive_stream(seed, 2)
+        d, n = 4, 3
+        if integer:
+            base = gen.integers(-2, 3, size=(min(rows, 7), n)).astype(float)
+            codec = ExplicitCodec(np.resize(base, (rows, n)))
+            ens = MeasurementEnsemble(gen.integers(-3, 4, size=(d, n)).astype(float))
+            ys = codec.decode_many(gen.integers(0, rows, size=p)) @ ens.matrix.T
+        else:
+            codec = ExplicitCodec(gen.standard_normal((rows, n)))
+            ens = MeasurementEnsemble(gen.standard_normal((d, n)))
+            ys = gen.standard_normal((p, d))
+        with scan_block(block):
+            got = csp_recover_panel(ys, ens, codec)
+            at, best, _ = reference_block_scan(ys, ens, codec, expanded_kernel(ys))
+        assert got.chosen_index.tolist() == at.tolist()
+        assert got.residual.view(np.int64).tolist() == np.sqrt(best).view(np.int64).tolist()
+        if integer:    # every signal is a codeword: its first copy, at 0
+            assert (got.residual == 0).all()
+            assert (got.chosen_index < len(base)).all()
+
+    def test_overflow_is_an_error(self):
+        # a tile of three bands: residuals overflow to inf in the first two
+        # and to nan (inf - inf) in the third, so the minimum is nan
+        gen = derive_stream(121, 2)
+        codec = ExplicitCodec(np.vstack((gen.standard_normal((2 * solver._BAND, 3)),
+                                         np.full((3, 3), 1e200))))
+        ens = MeasurementEnsemble(np.full((4, 3), 1e200))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="minimum residual is not finite"):
+            csp_recover_panel(np.ones((2, 4)), ens, codec)
+
+
 class TestValidation:
     def test_dimension_mismatches(self):
         codec = GridCodec(3, 1.0, 0.5)
@@ -905,7 +987,9 @@ class TestTileAlignment:
 
         def kernel(R):
             starts.append(R.ctypes.data % 64)
-            return np.einsum("ij,ij->i", R, R)[:, None]
+            sq = np.einsum("ij,ij->i", R, R)
+            j = sq.argmin(keepdims=True)
+            return sq[j], j
 
         if name == "ppoly16":
             ens = sample_wiener_ensemble(3, codec.grid, 63, 0)
@@ -917,7 +1001,7 @@ class TestTileAlignment:
             plan = solver._finite_plan(sample_ensemble(3, codec.n, derive_stream(63, 0)),
                                        codec)
         with scan_block(rows):
-            solver._scan(*plan, kernel, 1)
+            solver._scan(*plan, kernel)
         assert starts and set(starts) == {0}
 
     @pytest.mark.parametrize("shape", [(1,), (3,), (7, 5), (4096, 12), (2, 3, 5)])
