@@ -139,8 +139,6 @@ class PiecewisePolynomial:
         nodes, weights = _gauss_legendre(deg + 1)
         total = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            if b <= a:
-                continue
             t = 0.5 * (b - a) * nodes + 0.5 * (a + b)
             diff = self(t) - other(t)
             total += 0.5 * (b - a) * np.sum(weights * diff * diff)
@@ -177,8 +175,6 @@ class PiecewisePolynomial:
         nodes, weights = _gauss_legendre(deg + 1)
         out = np.zeros(degree + 1)
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi <= lo:
-                continue
             t = 0.5 * (hi - lo) * nodes + 0.5 * (lo + hi)
             phi = orthonormal_basis_matrix(a, b, degree, t)
             out += 0.5 * (hi - lo) * (phi * (weights * self(t))).sum(axis=1)

@@ -1,7 +1,15 @@
 """Compressible signal pursuit: exhaustive residual minimization.
 
-The recovery rule is argmin over all codewords c of ||y - A c||_2^2, with
-ties broken by the smallest codeword index.  One tiled scan implements it:
+The recovery rule is the smallest codeword index at the minimum, over all
+codewords c, of the computed squared residual ||y - A c||_2^2.  Computed:
+where two codewords' real residuals are closer than the rounding, the
+computation decides, and each front end names its own.  csp_recover takes
+the direct kernel ||R - y||^2 (_direct) on the block grid's products
+R = coefs @ B; csp_recover_panel the expanded kernel ||R||^2 + ||y||^2 -
+2<R, y>, clipped at 0 (_expanded), on the same products; csp_recover_analog
+the direct kernel on the products with the exact operators of
+_analog_operators, rescanning only the layouts that its certified screen
+cannot rule out.  One tiled scan implements the rule:
 the codebook is a run of equal-size groups of codewords, each sharing one
 linear operator (one support for sparse and grid codecs, one breakpoint
 layout for piecewise polynomials, the whole codebook for an explicit one).
@@ -13,15 +21,8 @@ wins a tie whatever order the tiles are visited in.  The three solvers are
 front ends that differ only in their plan (the groups, their operators and
 coefficient rows) and their residual kernel, and each returns one
 RecoveryResult with a row per signal: csp_recover is csp_recover_panel's
-body run on one signal with the direct kernel.  No codeword is decoded to scan
-it: memory stays at one block of coefficient rows, one tile of operators,
-one buffer of measurements and, for a panel, one buffer of its squared
-residuals, allocated once per scan and reused by every tile, beside the
-analog operators, the panel kernel's arrays of one band of rows and its two
-boolean arrays of the tile's shape, and one minimum per tile.  An analog scan
-adds no array of the Wiener increments' size: their transpose goes into one
-(m, d) array kept per thread and reused while the shape repeats, and what
-its screen needs of the layouts alone is built once per codec.
+body run on one signal with the direct kernel.  No codeword is decoded to
+scan it, and every buffer of the scan is a _workspace.
 
 A piecewise-polynomial codec of several breakpoint layouts is screened
 first: every layout's operator is built cheaply from prefix sums of the
@@ -57,10 +58,12 @@ _BLOCK = 4096
 class RecoveryResult:
     """Outcome of one exhaustive scan of p signals, one row per signal.
 
-    chosen_index (p,) holds the chosen codewords' indices; reconstruction
-    their codewords, a (p, n) array, or a list of p PiecewisePolynomials
-    for analog recovery; residual (p,) is ||y - A c||_2 at each chosen
-    codeword, a global minimum over the codebook; error_l2 (p,) is the
+    chosen_index (p,) holds the chosen codewords' indices, each the
+    smallest index at the minimum of the front end's computed residuals
+    (see the module docstring); reconstruction their codewords, a (p, n)
+    array, or a list of p PiecewisePolynomials for analog recovery;
+    residual (p,) is the square root of that minimum, ||y - A c||_2 as
+    computed at each chosen codeword; error_l2 (p,) is the
     distance to each supplied ground truth (None when no truth is given);
     candidates_scanned equals the codebook size.
     """
@@ -107,52 +110,49 @@ def _check(ys: np.ndarray, ensemble, codec, analog: bool = False,
         raise ValueError("ground truths must be finite")
 
 
-def _aligned(*shape) -> np.ndarray:
-    """An uninitialized float array of the given shape whose data starts on
-    a 64-byte boundary.  np.empty aligns to 16 bytes only, so where a buffer
-    starts within a cache line would vary with the heap; that moves the
-    scan's speed by several percent, though not its bits."""
-    size = math.prod(shape)
-    raw = np.empty(size + 7)
-    start = -raw.ctypes.data % 64 // 8
-    return raw[start:start + size].reshape(shape)
-
-
 _LOCAL = threading.local()
 
 
-def _workspace(*shape) -> np.ndarray:
-    """A float array of the given shape, kept per thread and handed out
-    again, as it was left, while the shape repeats.  A fresh array of an
-    analog trial's increments' size (256 KiB) sits at glibc's mmap and trim
-    thresholds, so whether it is page-faulted afresh every trial would flip
-    with unrelated allocations; one kept array is faulted in once.  It is a
-    private anonymous mapping of its own (page-aligned, copied on fork),
-    released before the next is made: once glibc's thresholds rise, an
-    np.empty array of this size is placed in the malloc heap, and kept
-    there it held the heap at a larger size (analog-sweep read about 1.9 MiB
-    more peak RSS)."""
-    work = getattr(_LOCAL, "work", None)
+def _workspace(role: str, *shape) -> np.ndarray:
+    """The thread's float array for role (the scan's "tile", tiled "y" and
+    kernel "out", the analog transpose "inc"), handed out again, as it was
+    left, while the role's shape repeats.
+
+    It is the only allocator of the scan's buffers.  Each is a private
+    anonymous mapping of its own (page-aligned, so every tile starts on a
+    cache line, and copied on fork), made when the role's shape changes,
+    after the old one is released.  So between calls a thread holds one
+    mapping per role, of the last scan's shape, and a warm scan of a
+    repeated shape page-faults nothing in.  Fresh arrays of these sizes sit
+    at glibc's mmap and trim thresholds, so whether they were faulted in
+    afresh every scan, or held the malloc heap at a larger size, flipped
+    with unrelated allocations; and where a buffer starts within a cache
+    line moves the scan's speed by several percent, though not its bits.
+    No result holds a view of a workspace."""
+    work = getattr(_LOCAL, role, None)
     if work is None or work.shape != shape:
-        _LOCAL.work = None
-        pages = mmap.mmap(-1, 8 * math.prod(shape), access=mmap.ACCESS_COPY)
-        work = _LOCAL.work = np.frombuffer(pages).reshape(shape)
+        setattr(_LOCAL, role, None)
+        size = math.prod(shape)
+        # mmap refuses length 0, which an empty panel's (rows, 0) output asks for
+        pages = mmap.mmap(-1, 8 * max(size, 1), access=mmap.ACCESS_COPY)
+        work = np.frombuffer(pages, count=size).reshape(shape)
+        setattr(_LOCAL, role, work)
     return work
 
 
-def _scan(ops, n_groups: int, size: int, coefs, kernel):
-    """The one tiled scan behind every solver.
+def _scan(ops, n_groups: int, size: int, coefs, ys: np.ndarray, kernel):
+    """The one tiled scan behind every solver, of the p signals ys (p, d).
 
     Group g is the codewords [g * size, (g + 1) * size), whose measurements
     are coefs(offset, count) @ B_g for offsets inside the group.
     ops(g, count) returns the operators B of the groups from g up to
     g + count (fewer at the end) as one (count, rows of B, d) stack, and
-    kernel maps measurements R (count, d) to the tile's minimum squared
-    residual against each of the p signals and the first row that reaches
+    kernel(ys, rows) makes the kernel of a scan whose tiles have at most
+    rows rows: it maps measurements R (count, d) to the tile's minimum
+    squared residual against each signal and the first row that reaches
     it, two fresh (p,) arrays (a nan minimum may come with any row).  Every
-    tile's R is a prefix of one buffer allocated per scan (_aligned), sized
-    by the first tile, the largest; the scan reads R no more once the kernel
-    returns, so the kernel may overwrite it.
+    tile's R is a prefix of the (rows, d) "tile" _workspace; the scan reads
+    R no more once the kernel returns, so the kernel may overwrite it.
 
     Every group is cut into the same grid of _BLOCK-row blocks, one block
     when size <= _BLOCK.  The outer loop walks that grid and builds each
@@ -174,18 +174,16 @@ def _scan(ops, n_groups: int, size: int, coefs, kernel):
     grid could move residuals in the last bits, and the argmin at ties.
     """
     step = max(1, _BLOCK // size)
+    rows = min(step, n_groups) * min(_BLOCK, size)    # the first tile's, the largest
+    buf, kernel = _workspace("tile", rows, ys.shape[1]), kernel(ys, rows)
     mins, at = [], []
-    buf = None
     for offset in range(0, size, _BLOCK):
-        rows = coefs(offset, min(_BLOCK, size - offset))
+        block = coefs(offset, min(_BLOCK, size - offset))
         for g in range(0, n_groups, step):
             B = ops(g, step)
-            count, d = len(B), B.shape[-1]
-            cells = count * len(rows) * d
-            if buf is None:    # the first tile is the largest
-                buf = _aligned(cells)
-            R = np.matmul(rows, B, out=buf[:cells].reshape(count, len(rows), d))
-            low, j = kernel(R.reshape(-1, d))
+            R = buf[:len(B) * len(block)]
+            np.matmul(block, B, out=R.reshape(len(B), len(block), -1))
+            low, j = kernel(R)
             mins.append(low)
             # row j of the tile is codeword g * size + offset + j, whether
             # the tile holds many groups (offset 0) or one block of one group
@@ -225,23 +223,19 @@ def _row_norms(D: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(D[:, None, :], D[:, :, None]).reshape(len(D)))
 
 
-def _direct(ys):
+def _direct(ys, rows: int):
     """Kernel ||R - y||^2 for one signal ys (1, d), reduced to the tile's
-    minimum and its first row, for one scan.  Its first call, on the scan's
-    largest tile, tiles y to that tile's row count (_aligned) and allocates
-    one output of as many rows; every call then subtracts a prefix of the
-    tiled y in one contiguous pass, writing the residuals R - y over R,
-    which _scan allows, sums their squares into a prefix of that output and
-    takes its argmin.  Subtraction is elementwise and the einsum sums each
-    row as it would into a fresh array, so the bits are those of R - y and
-    its row sums."""
-    Y = out = None
+    minimum and its first row, for a scan of tiles of at most rows rows.
+    It tiles y to that row count once per scan; every call subtracts a
+    prefix of the tiled y in one contiguous pass, writing the residuals
+    R - y over R, which _scan allows, sums their squares into a prefix of
+    its output and takes its argmin.  Subtraction is elementwise and the
+    einsum sums each row as it would into a fresh array, so the bits are
+    those of R - y and its row sums."""
+    Y, out = _workspace("y", rows, ys.shape[1]), _workspace("out", rows)
+    Y[:] = ys
 
     def kernel(R):
-        nonlocal Y, out
-        if Y is None:
-            Y, out = _aligned(*R.shape), np.empty(len(R))
-            Y[:] = ys
         np.subtract(R, Y[:len(R)], out=R)
         sq = np.einsum("ij,ij->i", R, R, out=out[:len(R)])
         j = sq.argmin(keepdims=True)
@@ -254,26 +248,23 @@ def _direct(ys):
 _BAND = 64
 
 
-def _expanded(ys):
+def _expanded(ys, rows: int):
     """Kernel ||R||^2 + ||y||^2 - 2<R, y>, clipped at 0, for the p signals
     ys (p, d), reduced to the tile's minimum and its first row per signal,
-    for one scan.  One product R @ ys.T measures the tile against the whole
-    panel, into one (rows, p) buffer allocated by the first call, on the
-    scan's largest tile (_aligned), and reused by every call.  The rest is
-    done in place, one band of _BAND rows at a time: the products doubled,
-    subtracted from the band's ||R||^2 + ||y||^2 and clipped at 0, the bits
-    of the expression above, since every step is elementwise and in its
-    order.  The minimum over the rows comes next, then the first row equal
-    to it, which is argmin's first occurrence without its transposed copy
-    of the tile; a nan minimum equals no row and goes to _scan's check."""
+    for a scan of tiles of at most rows rows.  One product R @ ys.T
+    measures the tile against the whole panel, into a prefix of its
+    (rows, p) output.  The rest is done in place, one band of _BAND rows at
+    a time: the products doubled, subtracted from the band's ||R||^2 +
+    ||y||^2 and clipped at 0, the bits of the expression above, since every
+    step is elementwise and in its order.  The minimum over the rows comes
+    next, then the first row equal to it, which is argmin's first
+    occurrence without its transposed copy of the tile; a nan minimum
+    equals no row and goes to _scan's check."""
     yn = np.einsum("ij,ij->i", ys, ys)
-    buf = None
+    out = _workspace("out", rows, len(ys))
 
     def kernel(R):
-        nonlocal buf
-        if buf is None:
-            buf = _aligned(len(R), len(ys))
-        sq = np.matmul(R, ys.T, out=buf[:len(R)])
+        sq = np.matmul(R, ys.T, out=out[:len(R)])
         rn = np.einsum("ij,ij->i", R, R)
         for r in range(0, len(sq), _BAND):
             band = sq[r:r + _BAND]
@@ -288,12 +279,12 @@ def _expanded(ys):
 def _recover(ys, ensemble: MeasurementEnsemble, codec: Codec, truths, kernel,
              t0: float) -> RecoveryResult:
     """The scan of csp_recover and csp_recover_panel: the p signals ys
-    (p, d) against every codeword with the residuals of kernel(ys).  The
+    (p, d) against every codeword with the residuals of kernel.  The
     chosen codewords are decoded in one decode_many call and their errors
     against truths (p, n) are _row_norms, so each row has the bits of
     decode and of np.linalg.norm."""
     _check(ys, ensemble, codec, truths=truths)
-    sq, idx = _scan(*_finite_plan(ensemble, codec), kernel(ys))
+    sq, idx = _scan(*_finite_plan(ensemble, codec), ys, kernel)
     recon = codec.decode_many(idx)
     return RecoveryResult(
         chosen_index=idx, reconstruction=recon, residual=np.sqrt(sq),
@@ -305,13 +296,15 @@ def csp_recover(y, ensemble: MeasurementEnsemble, codec: Codec,
                 truth=None) -> RecoveryResult:
     """Recover a finite-dimensional signal from y = A x (+ noise).
 
-    Scans every codeword, computing ||y - A c||_2^2 group by group, and
-    returns the global minimizer (smallest index on ties).  The scan never
-    inspects the signal itself: measurements of signals outside the codec's
-    class still get the global residual minimizer, though the error
-    guarantees only cover class members.  truth, if given, has shape (n,).
-    The result is csp_recover_panel's for a panel of one signal, one row
-    per field, but with the direct kernel ||y - R c||^2.
+    Scans every codeword, computing ||y - A c||_2^2 as the direct kernel
+    ||R - y||^2 on the block grid's products R (_direct), and returns the
+    smallest index at the minimum of those computed residuals: where two
+    real residuals are closer than the rounding, the computation decides.
+    The scan never inspects the signal itself: measurements of signals
+    outside the codec's class still get the residual minimizer, though the
+    error guarantees only cover class members.  truth, if given, has shape
+    (n,).  The result is csp_recover_panel's for a panel of one signal, one
+    row per field, but with the direct kernel.
     """
     t0 = time.perf_counter()
     ys = np.asarray(y, dtype=float)[None]
@@ -594,15 +587,14 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     the codewords [r * coef_space, (r + 1) * coef_space), with the operator
     of _analog_operators.
 
-    The increments are transposed once per scan into a C-contiguous (m, d)
-    array, the thread's _workspace, which is reused while d and m repeat
-    (np.copyto, the bytes of np.ascontiguousarray(increments.T)); before
-    that, the screen uses the same memory as its (d, m) scratch.  Beside
-    the increments, a recovery allocates no array of their size.  The grid
-    times are sorted, so each piece of a breakpoint layout covers a
-    contiguous run of cells and its exact operator rows are one product of
-    its basis values (row 0 a constant, see orthonormal_basis_matrix) with a
-    row slice of that transpose.  Row slices reproduce the bits of a masked
+    The increments are transposed once per scan into the C-contiguous (m, d)
+    "inc" _workspace (np.copyto, the bytes of
+    np.ascontiguousarray(increments.T)); before that, the screen uses the
+    same memory as its (d, m) scratch.  The grid times are sorted, so each
+    piece of a breakpoint layout covers a contiguous run of cells and its
+    exact operator rows are one product of its basis values (row 0 a
+    constant, see orthonormal_basis_matrix) with a row slice of that
+    transpose.  Row slices reproduce the bits of a masked
     copy of increments[:, cells]; column slices of the increments (views or
     copies) take another BLAS path and can differ in the last bits, which
     would change reported residuals.
@@ -641,9 +633,7 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     screen and is scanned exactly.  The screen and the rescan share,
     through a one-entry cache, the block of coefficient rows: a grid of one
     block (coef_space <= _BLOCK) is built once per recovery, and a larger
-    one once per block per scan.  Memory stays at one block of coefficient
-    rows and its features, one tile of _BLOCK scores and one tile of the
-    rescan, beside the operators and weights.
+    one once per block per scan.
 
     The margin (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
     ed., 2002, sections 3.1 and 4.2; u is the unit roundoff and gamma_n =
@@ -693,7 +683,7 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     ys = np.asarray(y, dtype=float)[None]
     _check(ys, ensemble, codec, analog=True, truths=None if truth is None else (truth,))
     inc = ensemble.increments
-    inc_t = _workspace(ensemble.m, ensemble.d)
+    inc_t = _workspace("inc", ensemble.m, ensemble.d)
     layouts, times, size = codec.break_layouts, ensemble.times, codec.coef_space
     coefs = functools.lru_cache(maxsize=1)(codec.coef_block)
     cand = np.arange(len(layouts))
@@ -711,8 +701,8 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     # operators are built before the scan starts: built between its blocks
     # they cost the analog-groups benchmark about 4% more time per trial
     ops = _analog_operators(codec, layouts[cand], times, inc_t)
-    sq, idx = _scan(lambda g, count: ops[g:g + count], len(ops), size, coefs,
-                    _direct(ys))
+    sq, idx = _scan(lambda g, count: ops[g:g + count], len(ops), size, coefs, ys,
+                    _direct)
     # codeword i of the rescan is codeword i % size of layout cand[i // size]
     idx = cand[idx // size] * size + idx % size
     recon = [codec.decode(int(i)) for i in idx]

@@ -26,16 +26,19 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
     return [lo + i * (hi - lo) / 4 for i in range(5)]
 
 
 def _span(values) -> tuple[float, float]:
-    """An axis range: the values' min and max, widened by 0.5 each way when
-    they are equal."""
+    """An axis range lo < hi: the values' min and max, widened by 0.5 each
+    way when they are equal, or by one float each way where 0.5 is below
+    their rounding (1e16 - 0.5 == 1e16)."""
     lo, hi = min(values), max(values)
-    return (lo - 0.5, hi + 0.5) if hi == lo else (lo, hi)
+    if hi == lo:
+        lo, hi = lo - 0.5, hi + 0.5
+    if hi == lo:
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return lo, hi
 
 
 def _element(tag: str, text: str | None = None, **attrs) -> str:

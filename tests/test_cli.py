@@ -177,6 +177,20 @@ def test_sweep_outputs(tmp_path):
     assert (tmp_path / "sweep.svg").read_bytes() == svg_a
 
 
+def test_sweep_over_one_huge_axis_value_draws_its_chart(tmp_path):
+    # 1e16 - 0.5 == 1e16: the one-point x range once had width 0, and the
+    # chart ended in a ZeroDivisionError traceback
+    cfg = {
+        "codec": {"class": "sparse", "n": 8, "k": 1, "rho": 1.0, "delta": 0.2},
+        "d": 5, "trials": 2, "noise": {"kind": "gaussian", "sigma": 0.1},
+        "axis": {"name": "sigma", "values": [1e16]},
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep.svg").read_bytes().startswith(b"<svg")
+
+
 @pytest.mark.parametrize("change,argv,message,lines", [
     # every point's codebook is over the cap
     (dict(axis={"name": "delta", "values": [1e-9, 2e-9]}), [],

@@ -665,6 +665,26 @@ class TestSvg:
         assert not [v for v in values if "nan" in v or "inf" in v]
         assert ">bound</text>" in text
 
+    @pytest.mark.parametrize("axis,value", [("x", 1e16), ("y", 3e16)])
+    def test_a_range_collapsed_by_rounding_renders(self, axis, value):
+        # v - 0.5 == v + 0.5 at these magnitudes, so widening the range of
+        # equal values by 0.5 each way left it empty, and the chart divided
+        # by its width of 0
+        sweep = self.make_sweep(values=(2, 4))
+        if axis == "x":
+            points = [replace(sweep.points[0], axis_value=value)]
+        else:
+            points = [replace(p, mean_error=value, max_error=value, bound_error=value)
+                      for p in sweep.points]
+        dom = minidom.parseString(render_svg(replace(sweep, points=points)))
+        circles = dom.getElementsByTagName("circle")
+        # the equal values sit in the middle of their axis
+        mid = {"x": ("cx", "344"), "y": ("cy", "204")}[axis]
+        assert circles and {c.getAttribute(mid[0]) for c in circles} == {mid[1]}
+        values = [a.value for node in dom.getElementsByTagName("*")
+                  for a in node.attributes.values()]
+        assert not [v for v in values if "nan" in v or "inf" in v]
+
     def test_log_scale(self):
         text = render_svg(self.make_sweep(), log_y=True)
         assert text.startswith("<svg")

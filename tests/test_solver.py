@@ -4,8 +4,12 @@ import contextlib
 import copy
 import decimal
 import functools
+import gc
 import math
+import mmap
+import threading
 import tracemalloc
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 
@@ -732,14 +736,14 @@ class TestAnalogCaches:
 
 
 class TestPanelBuffer:
-    """The panel kernel's memory: one (rows, p) buffer per scan, written in
-    place, beside arrays of one band of rows and two boolean arrays of the
-    tile's shape."""
+    """The panel kernel's memory: one (rows, p) workspace, written in place,
+    beside arrays of one band of rows and two boolean arrays of the tile's
+    shape."""
 
     def test_recovery_allocates_one_tile(self):
         # the strong-panel codec and panel: 576 codewords in one tile; the
         # kernel's fresh temporaries and argmin's transposed copy held 2.28
-        # tiles at once
+        # tiles at once, a per-scan output 1.53, its workspace 0.29
         codec = SparseCodec(64, 1, 1.0, 0.25)
         ens = sample_ensemble(48, 64, derive_stream(120, 0))
         xs = codec.decode_many(derive_stream(120, 1).integers(0, codec.size, size=200))
@@ -752,7 +756,7 @@ class TestPanelBuffer:
         finally:
             tracemalloc.stop()
         assert codec.size == 576
-        assert peak < 1.75 * codec.size * len(ys) * 8
+        assert peak < 0.5 * codec.size * len(ys) * 8
 
 
 @st.composite
@@ -981,7 +985,7 @@ class TestTileAlignment:
     @pytest.mark.parametrize("rows", [1, 7, 4096])
     def test_every_tile_starts_on_a_cache_line(self, name, rows):
         # where a buffer starts within a cache line moved the scan's speed;
-        # every tile's product is a prefix of one 64-byte aligned buffer
+        # every tile's product is a prefix of the page-aligned tile workspace
         codec = scan_codec(name)
         starts = []
 
@@ -1001,15 +1005,150 @@ class TestTileAlignment:
             plan = solver._finite_plan(sample_ensemble(3, codec.n, derive_stream(63, 0)),
                                        codec)
         with scan_block(rows):
-            solver._scan(*plan, kernel)
+            solver._scan(*plan, np.zeros((1, 3)), lambda ys, tile_rows: kernel)
         assert starts and set(starts) == {0}
 
-    @pytest.mark.parametrize("shape", [(1,), (3,), (7, 5), (4096, 12), (2, 3, 5)])
-    def test_aligned_buffers(self, shape):
-        for _ in range(20):
-            buf = solver._aligned(*shape)
-            assert buf.shape == shape and buf.ctypes.data % 64 == 0
-            assert buf.flags.c_contiguous and buf.flags.writeable
+
+def in_thread(task):
+    """task() run in a fresh thread, which starts with no workspace; its
+    result, or its exception raised here."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = task()
+        except BaseException as exc:    # re-raised in the calling thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def mapping(work):
+    """The mmap under a _workspace array."""
+    while not isinstance(work, memoryview):
+        work = work.base
+    return work.obj
+
+
+def held():
+    """The calling thread's workspaces, by role."""
+    return dict(vars(solver._LOCAL))
+
+
+class TestWorkspace:
+    """The scan's only allocator: one page-aligned private mapping per role
+    per thread, handed out again while the role's shape repeats and
+    replaced, not added to, when it changes."""
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (3,), (7, 5), (4096, 12), (2, 3, 5)])
+    def test_reused_while_the_shape_repeats(self, shape):
+        def task():
+            work = solver._workspace("tile", *shape)
+            assert work.shape == shape and work.ctypes.data % mmap.PAGESIZE == 0
+            assert work.flags.c_contiguous and work.flags.writeable
+            work[...] = 7.0
+            again = solver._workspace("tile", *shape)
+            assert again is work and (again == 7.0).all()
+            return held()
+        assert list(in_thread(task)) == ["tile"]
+
+    def test_an_empty_panel_recovers_nothing(self):
+        # its kernel output has no cells, a mapping of length 0 to mmap
+        codec = SparseCodec(8, 2, 1.0, 0.4)
+        ens = sample_ensemble(5, 8, derive_stream(135, 0))
+        result = csp_recover_panel(np.zeros((0, 5)), ens, codec, truths=np.zeros((0, 8)))
+        assert result.chosen_index.shape == result.residual.shape == (0,)
+        assert result.reconstruction.shape == (0, 8) and result.error_l2.shape == (0,)
+
+    def test_a_shape_change_replaces_the_mapping(self):
+        def task():
+            old = weakref.ref(mapping(solver._workspace("y", 4, 3)))
+            new = solver._workspace("y", 5, 3)
+            gc.collect()
+            assert old() is None and new.shape == (5, 3)
+            return held()
+        assert list(in_thread(task)) == ["y"]
+
+    def test_one_mapping_per_role_per_thread(self):
+        codec = SparseCodec(8, 2, 1.0, 0.4)
+        ens = sample_ensemble(5, 8, derive_stream(130, 0))
+        ys = codec.decode_many(np.arange(3)) @ ens.matrix.T
+        analog = ppoly_codec(1, 1, 0.9, 16)
+        wiener, y = analog_signal(analog, 4, 131, 0.05)
+
+        def task():
+            csp_recover(ys[0], ens, codec)
+            csp_recover_panel(ys, ens, codec)
+            csp_recover_analog(y, wiener, analog)
+            csp_recover(ys[1], ens, codec)
+            return held()
+
+        mine, theirs = in_thread(task), in_thread(task)
+        assert sorted(mine) == sorted(theirs) == ["inc", "out", "tile", "y"]
+        maps = [mapping(w) for w in (*mine.values(), *theirs.values())]
+        assert len({id(m) for m in maps}) == 8
+        # the last scan's shapes: the direct kernel's, on one tile
+        assert mine["tile"].shape == mine["y"].shape == (codec.size, 5)
+        assert mine["out"].shape == (codec.size,)
+        assert mine["inc"].shape == (analog.grid, 4)
+        assert all(w.ctypes.data % mmap.PAGESIZE == 0 for w in mine.values())
+
+    def test_warm_recovery_allocates_less_than_a_tile(self):
+        # the weak-scan codec: 476,656 codewords in tiles of 4,096 x 12
+        codec = SparseCodec(32, 2, 1.0, 0.1)
+        ens = sample_ensemble(12, 32, derive_stream(132, 0))
+        x = codec.decode(12345)
+        y = ens.matrix @ x + 0.05 * derive_stream(132, 1).standard_normal(12)
+        first = csp_recover(y, ens, codec, truth=x)
+        maps = {role: mapping(work) for role, work in held().items()}
+        tracemalloc.start()
+        try:
+            again = csp_recover(y, ens, codec, truth=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codec.size == 476_656
+        assert again.chosen_index == first.chosen_index
+        # the workspaces, which tracemalloc does not see, are the same
+        # mappings: a warm scan makes none
+        assert {role: mapping(work) for role, work in held().items()} == maps
+        assert peak < solver._BLOCK * 12 * 8
+
+    def test_results_hold_no_workspace(self):
+        codec = SparseCodec(8, 2, 1.0, 0.4)
+        ens = sample_ensemble(5, 8, derive_stream(133, 0))
+        xs = codec.decode_many(np.arange(40, 44))
+        ys = xs @ ens.matrix.T
+        analog = ppoly_codec(1, 1, 0.9, 16)
+
+        def analog_call(i):
+            wiener, y = analog_signal(analog, 4, 134 + i, 0.05)
+            return csp_recover_analog(y, wiener, analog)
+
+        calls = [lambda i: csp_recover(ys[i], ens, codec, truth=xs[i]),
+                 lambda i: csp_recover_panel(ys[2 * i:2 * i + 2], ens, codec,
+                                             truths=xs[2 * i:2 * i + 2]),
+                 analog_call]
+        for call in calls:
+            first = call(0)
+            kept = copy.deepcopy(first)
+            call(1)
+            for name in ("chosen_index", "residual", "error_l2"):
+                got, want = getattr(first, name), getattr(kept, name)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.tobytes() == want.tobytes()
+            fields = [first.chosen_index, first.residual]
+            if isinstance(first.reconstruction, np.ndarray):
+                assert first.reconstruction.tobytes() == kept.reconstruction.tobytes()
+                fields.append(first.reconstruction)
+            assert not any(np.shares_memory(f, w) for f in fields for w in held().values())
 
 
 @st.composite
