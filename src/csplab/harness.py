@@ -279,20 +279,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 class _Panel:
-    """One strong-regime panel with its read-only members, their stacked
-    truths and, on first use by worst_aligned noise, their quantization
-    residuals."""
+    """One strong-regime panel: its members, the rows of one read-only
+    (p, n) array, their descriptions and, on first use by worst_aligned
+    noise, their quantization residuals, the rows of another."""
 
     def __init__(self, codec: Codec, panel: list):
         self.codec = codec
-        self.members = tuple(_frozen(x) for x, _ in panel)
+        self.members = _frozen(np.array([x for x, _ in panel]))
         self.descs = tuple(desc for _, desc in panel)
-        self.truths = _frozen(np.asarray(self.members))
 
     @functools.cached_property
-    def residuals(self) -> tuple:
-        return tuple(_frozen(_quantization_residual(self.codec, x))
-                     for x in self.members)
+    def residuals(self) -> np.ndarray:
+        return _frozen(np.array([_quantization_residual(self.codec, x)
+                                 for x in self.members]))
 
 
 # One entry: consecutive trials of one sweep point share it.  The key holds
@@ -343,24 +342,27 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
     else:
         signal_seed = stream_id(point, trial_index, CH_SIGNAL)
         x, desc = _draw_signal(config, codec, _rng.derive_stream(seed, signal_seed))
-        signals, descs = (x,), (desc,)
+        signals, descs = ((x,) if analog else x[None]), (desc,)
 
     # worst_aligned noise points along the measured quantization residual,
-    # the stress stand-in for noise aligned against recovery
-    def aligned(i: int, y) -> np.ndarray:
-        if analog:
-            return y - measure_analog(ensemble, codec.decode(codec.encode(signals[i])))
-        r = panel.residuals[i] if strong else _quantization_residual(codec, signals[i])
-        return ensemble.matrix @ r
-
-    ys = []
-    for i, x in enumerate(signals):
-        y = measure_analog(ensemble, x) if analog else measure(ensemble, x)
-        ys.append(apply_noise(y, model, noise_stream,
-                              context=aligned(i, y) if model.worst_aligned else None))
+    # the stress stand-in for noise aligned against recovery; a finite
+    # regime measures all its signals, and their residuals, in one call
+    contexts = None
+    if analog:
+        ys = measure_analog(ensemble, x)[None]
+        if model.worst_aligned:
+            contexts = ys - measure_analog(ensemble, codec.decode(codec.encode(x)))
+    else:
+        ys = measure(ensemble, signals)
+        if model.worst_aligned:
+            contexts = measure(ensemble, panel.residuals if strong
+                               else _quantization_residual(codec, x)[None])
+    # noise signal by signal, so every kind draws from its stream in panel order
+    ys = np.array([apply_noise(y, model, noise_stream,
+                               context=None if contexts is None else contexts[i])
+                   for i, y in enumerate(ys)])
     if strong:
-        result = csp_recover_panel(np.asarray(ys), ensemble, codec,
-                                   truths=panel.truths)
+        result = csp_recover_panel(ys, ensemble, codec, truths=signals)
     else:
         recover = csp_recover_analog if analog else csp_recover
         result = recover(ys[0], ensemble, codec, truth=signals[0])

@@ -55,11 +55,16 @@ def sample_ensemble(d: int, n: int, stream: np.random.Generator) -> MeasurementE
 
 
 def measure(ensemble: MeasurementEnsemble, x) -> np.ndarray:
-    """Exact matrix-vector product y = A x."""
+    """Measurements y = A x of one signal x (n,), as a (d,) array, or of
+    every row of a stack x (p, n), as a (p, d) array, from one call
+    np.matmul(A, x[..., None]).  Each row is one gemv with the bits of
+    A @ x: the stacked matmul runs the same (d x n) @ (n x 1) product per
+    row as A @ x runs for one signal."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (ensemble.n,):
-        raise ValueError(f"signal shape {x.shape}; ensemble expects ({ensemble.n},)")
-    return ensemble.matrix @ x
+    if x.ndim not in (1, 2) or x.shape[-1] != ensemble.n:
+        raise ValueError(f"signal shape {x.shape}; ensemble expects ({ensemble.n},) "
+                         f"or (p, {ensemble.n})")
+    return np.matmul(ensemble.matrix, x[..., None])[..., 0]
 
 
 # the keys a config's noise block may hold beside "kind", per kind

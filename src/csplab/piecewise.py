@@ -15,7 +15,23 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
+
+
+@functools.cache
+def _legendre():
+    """numpy.polynomial.legendre, imported on first use: a finite-dimensional
+    run never evaluates a polynomial, and importing numpy.polynomial costs
+    every process that loads csplab milliseconds and most of a MiB."""
+    from numpy.polynomial import legendre
+    return legendre
+
+
+def _sorted_distinct(a) -> np.ndarray:
+    """The distinct values of a, flattened and sorted, as np.unique(a)
+    returns them; numpy 2.4's np.unique imports numpy.ma (milliseconds of
+    set-up) to ask whether a is masked."""
+    s = np.sort(a, axis=None)
+    return np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -24,7 +40,7 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     for polynomials up to degree 2 * order - 1.  Computed once per order
     (each leggauss call solves an eigenproblem) and shared, so both arrays
     are read-only."""
-    nodes, weights = npleg.leggauss(order)
+    nodes, weights = _legendre().leggauss(order)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -44,11 +60,12 @@ def orthonormal_basis_matrix(a: float, b: float, degree: int, t: np.ndarray) -> 
     out = np.empty((degree + 1, t.size))
     out[0] = np.sqrt(1.0 / (b - a))
     if degree:
+        legval = _legendre().legval
         u = 2.0 * (t - a) / (b - a) - 1.0
         for k in range(1, degree + 1):
             ck = np.zeros(k + 1)
             ck[k] = 1.0
-            out[k] = np.sqrt((2 * k + 1) / (b - a)) * npleg.legval(u, ck)
+            out[k] = np.sqrt((2 * k + 1) / (b - a)) * legval(u, ck)
     return out
 
 
@@ -115,7 +132,12 @@ class PiecewisePolynomial:
 
     def __call__(self, t) -> np.ndarray:
         """Evaluate with the (a, b] piece convention (value at a breakpoint
-        belongs to the piece ending there)."""
+        belongs to the piece ending there).
+
+        For degree >= 1 a point's value can depend, in the last bits, on
+        which other points are evaluated with it: each piece's values are one
+        gemv coeffs @ phi over the points that fall in it, and BLAS rounds
+        a gemv's sums differently with its length."""
         return self._eval(t, right_limits=False)
 
     def values_for_ito(self, t) -> np.ndarray:
@@ -133,7 +155,7 @@ class PiecewisePolynomial:
 
     def l2_distance(self, other: "PiecewisePolynomial") -> float:
         """Exact L2([0,1]) distance to another piecewise polynomial."""
-        edges = np.unique(np.concatenate([self.edges, other.edges]))
+        edges = _sorted_distinct(np.concatenate([self.edges, other.edges]))
         deg = max(self.degree, other.degree)
         # Gauss-Legendre with deg + 1 nodes is exact up to degree 2*deg + 1
         nodes, weights = _gauss_legendre(deg + 1)
@@ -166,11 +188,8 @@ class PiecewisePolynomial:
         """
         if b <= a:
             raise ValueError(f"degenerate interval [{a}, {b}]")
-        cuts = np.unique(
-            np.concatenate(
-                ([a, b], self.breakpoints[(self.breakpoints > a) & (self.breakpoints < b)])
-            )
-        )
+        cuts = _sorted_distinct(np.concatenate(
+            ([a, b], self.breakpoints[(self.breakpoints > a) & (self.breakpoints < b)])))
         deg = max(self.degree, degree)
         nodes, weights = _gauss_legendre(deg + 1)
         out = np.zeros(degree + 1)

@@ -47,7 +47,8 @@ import numpy as np
 
 from .codecs import Codec, PiecewisePolyCodec, SparseCodec
 from .measurement import MeasurementEnsemble, WienerEnsemble, _grid_times
-from .piecewise import PiecewisePolynomial, orthonormal_basis_matrix
+from .piecewise import (PiecewisePolynomial, orthonormal_basis_matrix,
+                        _sorted_distinct)
 
 # rows per block of the scan grid and most rows per tile; part of the output,
 # see _scan
@@ -111,6 +112,9 @@ def _check(ys: np.ndarray, ensemble, codec, analog: bool = False,
 
 
 _LOCAL = threading.local()
+# bytes of the largest workspace a thread keeps once its scan returns; every
+# benchmark workload's buffers are at most about 1 MiB
+_KEEP_BYTES = 4 << 20
 
 
 def _workspace(role: str, *shape) -> np.ndarray:
@@ -121,7 +125,9 @@ def _workspace(role: str, *shape) -> np.ndarray:
     It is the only allocator of the scan's buffers.  Each is a private
     anonymous mapping of its own (page-aligned, so every tile starts on a
     cache line, and copied on fork), made when the role's shape changes,
-    after the old one is released.  So between calls a thread holds one
+    after the old one is released.  One larger than _KEEP_BYTES is not
+    kept: it is released when its scan returns, so a large panel's output
+    does not outlive the call.  So between calls a thread holds at most one
     mapping per role, of the last scan's shape, and a warm scan of a
     repeated shape page-faults nothing in.  Fresh arrays of these sizes sit
     at glibc's mmap and trim thresholds, so whether they were faulted in
@@ -131,12 +137,13 @@ def _workspace(role: str, *shape) -> np.ndarray:
     No result holds a view of a workspace."""
     work = getattr(_LOCAL, role, None)
     if work is None or work.shape != shape:
-        setattr(_LOCAL, role, None)
+        vars(_LOCAL).pop(role, None)
         size = math.prod(shape)
         # mmap refuses length 0, which an empty panel's (rows, 0) output asks for
         pages = mmap.mmap(-1, 8 * max(size, 1), access=mmap.ACCESS_COPY)
         work = np.frombuffer(pages, count=size).reshape(shape)
-        setattr(_LOCAL, role, work)
+        if work.nbytes <= _KEEP_BYTES:
+            setattr(_LOCAL, role, work)
     return work
 
 
@@ -455,7 +462,7 @@ def _geometry(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray)
     live = cuts[:, 1:] > cuts[:, :-1]
     a = edges[:, :-1]
     h = np.where(live, np.diff(edges, axis=1), 1.0)    # finite for dead pieces too
-    at = np.unique(cuts)
+    at = _sorted_distinct(cuts)
 
     M, kappa = _basis_terms(N)
     X = np.zeros(h.shape + (P, P))                     # (-a)^(l-j) h^-l

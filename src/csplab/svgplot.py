@@ -26,7 +26,12 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    return [lo + i * (hi - lo) / 4 for i in range(5)]
+    """Five evenly spaced values from lo to hi, lo + i (hi - lo) / 4, computed
+    in halves so that a range wider than the largest float stays finite;
+    halving is exact above the subnormals, so any other range keeps the
+    direct formula's bits."""
+    step = (hi / 2 - lo / 2) / 4
+    return [2 * (lo / 2 + i * step) for i in range(5)]
 
 
 def _span(values) -> tuple[float, float]:
@@ -89,11 +94,12 @@ def render_svg(sweep, log_y: bool = False, title: str | None = None) -> str:
     pw = _WIDTH - _ML - _MR
     ph = _HEIGHT - _MT - _MB
 
+    # offsets and widths in halves, as in _ticks
     def px(x: float) -> str:
-        return _fmt(_ML + (x - x_lo) / (x_hi - x_lo) * pw)
+        return _fmt(_ML + (x / 2 - x_lo / 2) / (x_hi / 2 - x_lo / 2) * pw)
 
     def py(v: float) -> str:
-        return _fmt(_MT + (y_hi - v) / (y_hi - y_lo) * ph)
+        return _fmt(_MT + (y_hi / 2 - v / 2) / (y_hi / 2 - y_lo / 2) * ph)
 
     out = [
         _element("rect", width=_WIDTH, height=_HEIGHT, fill="white"),

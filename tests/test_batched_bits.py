@@ -6,15 +6,18 @@ decoded with one decode_many call and their errors are one stacked product
 regime's panel.  Both must have the bits of the per-signal path they
 replaced: decode per index, and np.linalg.norm per row.  The analog front
 end decodes its one row with decode and measures its error with
-PiecewisePolynomial.l2_distance.  Every comparison is on int64 views, so a
-last-bit difference (or a -0.0 for a 0.0) fails.  The norms are BLAS dots,
-so these tests are worth running under every OpenBLAS kernel, e.g. with
+PiecewisePolynomial.l2_distance.  The measurements of a finite regime are
+one stacked measure call, each row with the bits of the gemv A @ x.  Every
+comparison is on int64 views, so a last-bit difference (or a -0.0 for a
+0.0) fails.  The norms are BLAS dots and the measurements BLAS gemvs, so
+these tests are worth running under every OpenBLAS kernel, e.g. with
 OPENBLAS_CORETYPE=Nehalem.
 """
 
 import numpy as np
 import pytest
 
+from csplab import harness
 from csplab.codecs import ExplicitCodec, GridCodec, PiecewisePolyCodec, SparseCodec
 from csplab.measurement import (measure, measure_analog, sample_ensemble,
                                 sample_wiener_ensemble)
@@ -87,7 +90,8 @@ def test_panel_errors_have_norm_bits(d, n, k):
     ens = sample_ensemble(d, n, derive_stream(73, d * 10 + n))
     gen = derive_stream(74, n)
     truths = np.array([codec.sample_member(gen) for _ in range(23)])
-    ys = np.array([measure(ens, x) for x in truths])
+    ys = measure(ens, truths)
+    assert np.array_equal(bits(ys), bits(np.stack([ens.matrix @ x for x in truths])))
     panel = csp_recover_panel(ys, ens, codec, truths=truths)
     assert panel.chosen_index.shape == panel.residual.shape == panel.error_l2.shape == (23,)
     assert panel.reconstruction.shape == (23, n)
@@ -97,6 +101,35 @@ def test_panel_errors_have_norm_bits(d, n, k):
     assert np.array_equal(bits(panel.error_l2), bits(want))
     assert np.array_equal(bits(panel.reconstruction),
                           bits(np.stack([codec.decode(int(i)) for i in panel.chosen_index])))
+
+
+@pytest.mark.parametrize("p, d, n", [(1, 1, 1), (1, 7, 9), (6, 1, 9), (6, 7, 1),
+                                     (23, 5, 8), (3, 80, 79), (200, 48, 64)])
+def test_stacked_measure_has_gemv_bits(p, d, n):
+    # one np.matmul(A, X[..., None]) for the stack runs the gemv of A @ x
+    # per row; a one-row product (d = 1) is a dot, and n = 1 takes no BLAS
+    ens = sample_ensemble(d, n, derive_stream(81, p))
+    gen = derive_stream(82, d * 100 + n)
+    for scale in (1e-150, 1e-3, 1.0, 1e150):
+        X = scale * gen.standard_normal((p, n))
+        want = np.stack([ens.matrix @ x for x in X])
+        got = measure(ens, X)
+        assert got.shape == (p, d)
+        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(measure(ens, X[-1])), bits(want[-1]))
+
+
+@pytest.mark.parametrize("codec", [SparseCodec(64, 1, 1.0, 0.25), GridCodec(2, 1.0, 0.5)],
+                         ids=["sparse", "grid"])
+def test_frozen_panel_rows_measure_with_gemv_bits(codec):
+    # the strong regime measures its cached panel's read-only (p, n) members,
+    # and for worst_aligned noise their residuals, in one call each
+    panel = harness._Panel(codec, harness.build_panel(codec, 200, derive_stream(83, 0)))
+    ens = sample_ensemble(48, codec.n, derive_stream(84, codec.n))
+    for rows in (panel.members, panel.residuals):
+        assert rows.shape == (200, codec.n) and not rows.flags.writeable
+        want = np.stack([ens.matrix @ x for x in rows])
+        assert np.array_equal(bits(measure(ens, rows)), bits(want))
 
 
 FINITE_CODECS = {

@@ -1,8 +1,12 @@
 """Experiment runner: determinism, CSV contract, sweeps, panels, SVG."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
@@ -362,6 +366,34 @@ class TestStrongRegime:
         assert len({r.signal_seed for r in recs}) == 1
         assert all(r.signal_desc.startswith("panel-max[") for r in recs)
 
+    @pytest.mark.parametrize("regime, p", [("weak", 1), ("strong", 25)])
+    @pytest.mark.parametrize("noise, calls", [
+        ({"kind": "none"}, 1),
+        ({"kind": "gaussian", "sigma": 0.1}, 1),
+        ({"kind": "bounded", "zeta": 0.05, "shape": "worst_aligned"}, 2),
+    ])
+    def test_finite_regimes_measure_in_one_call(self, regime, p, noise, calls,
+                                                monkeypatch):
+        # one stacked measure of the signals (and one of their residuals
+        # for worst_aligned noise), then noise signal by signal
+        measured, noised = [], []
+        real_measure, real_noise = harness.measure, harness.apply_noise
+
+        def measure(ensemble, x):
+            measured.append(np.shape(x))
+            return real_measure(ensemble, x)
+
+        def apply_noise(y, *args, **kwargs):
+            noised.append(np.shape(y))
+            return real_noise(y, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "measure", measure)
+        monkeypatch.setattr(harness, "apply_noise", apply_noise)
+        harness._cached_panel.cache_clear()
+        run_trial(strong_config(regime=regime, noise=noise), 0)
+        assert measured == [(p, 8)] * calls
+        assert noised == [(6,)] * p
+
     def test_strong_rejects_function_codecs(self):
         cfg = ExperimentConfig(
             codec={"class": "ppoly", "n": 256, "N": 0, "Q": 0, "rho": 1.0,
@@ -427,7 +459,7 @@ class TestPanelCache:
         entry = harness._cached_panel(codec, cfg.master_seed,
                                       stream_id(0, 0, harness.CH_PANEL), cfg.panel_size)
         assert harness._cached_panel.cache_info().hits == 1  # the trial's own entry
-        for arr in (entry.members[0], entry.truths, entry.residuals[0]):
+        for arr in (entry.members, entry.members[0], entry.residuals, entry.residuals[0]):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1.0
 
@@ -471,6 +503,30 @@ class TestWienerStreams:
         assert sweep.points[1].reason.startswith(
             "ParameterError: analog d=65521 exceeds 65520: ")
         assert all(r.axis_value == 4.0 for r in sweep.records)
+
+
+class TestImports:
+    @pytest.mark.parametrize("codec, regime, absent", [
+        ({"class": "sparse", "n": 8, "k": 1, "rho": 1.0, "delta": 0.4}, "weak",
+         ["numpy.polynomial", "numpy.ma"]),
+        ({"class": "ppoly", "N": 0, "Q": 1, "rho": 1.0, "delta": 0.2, "n": 4096},
+         "analog", ["numpy.ma"]),
+    ], ids=["sparse", "ppoly"])
+    def test_a_trial_loads_no_unused_numpy_module(self, codec, regime, absent):
+        # a fresh interpreter: numpy.polynomial is loaded on first use by a
+        # polynomial, and numpy.ma (which np.unique loads) never
+        script = (
+            "import sys\n"
+            "from csplab.harness import ExperimentConfig, run_trial\n"
+            f"run_trial(ExperimentConfig(codec={codec!r}, regime={regime!r}, d=4), 0)\n"
+            "print(' '.join(sorted(sys.modules)))\n")
+        src = str(Path(harness.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert "csplab.solver" in out
+        assert not [name for name in absent if name in out]
 
 
 class TestSweep:
@@ -664,6 +720,28 @@ class TestSvg:
         values += [t.firstChild.data for t in dom.getElementsByTagName("text")]
         assert not [v for v in values if "nan" in v or "inf" in v]
         assert ">bound</text>" in text
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_a_range_wider_than_the_largest_float_renders(self, axis):
+        # 1e308 - -1e308 overflows to inf, which made every coordinate and
+        # tick label of that axis nan or inf; the chart now works in halves
+        sweep = self.make_sweep()
+        ends = (-1e308, 0.0, 1e308)
+        if axis == "x":
+            points = [replace(p, axis_value=v) for p, v in zip(sweep.points, ends)]
+        else:
+            points = [replace(p, mean_error=v, max_error=v, bound_error=v)
+                      for p, v in zip(sweep.points, ends)]
+        dom = minidom.parseString(render_svg(replace(sweep, points=points)))
+        values = [a.value for node in dom.getElementsByTagName("*")
+                  for a in node.attributes.values()]
+        values += [t.firstChild.data for t in dom.getElementsByTagName("text")]
+        assert not [v for v in values if "nan" in v or "inf" in v]
+        # the three values sit at both ends and in the middle of their axis
+        attr, spots = {"x": ("cx", ["64", "344", "624"]),
+                       "y": ("cy", ["36", "204", "372"])}[axis]
+        circles = dom.getElementsByTagName("circle")
+        assert sorted({c.getAttribute(attr) for c in circles}, key=float) == spots
 
     @pytest.mark.parametrize("axis,value", [("x", 1e16), ("y", 3e16)])
     def test_a_range_collapsed_by_rounding_renders(self, axis, value):

@@ -89,6 +89,23 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(ens, np.zeros(9))
 
+    @pytest.mark.parametrize("shape", [(3, 9), (0, 9), (2, 3, 8), (1, 1, 8)])
+    def test_stack_shape_mismatch(self, shape):
+        # a stack is (p, n); a wider row or a third axis is refused by name
+        ens = sample_ensemble(5, 8, derive_stream(23, 3))
+        with pytest.raises(ValueError, match=re.escape(
+                f"signal shape {shape}; ensemble expects (8,) or (p, 8)")):
+            measure(ens, np.zeros(shape))
+
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_a_stack_measures_row_by_row(self, p):
+        ens = sample_ensemble(5, 8, derive_stream(23, 4))
+        X = derive_stream(23, 5).standard_normal((p, 8))
+        got = measure(ens, X)
+        assert got.shape == (p, 5)
+        for x, y in zip(X, got):
+            assert np.array_equal(y, measure(ens, x))
+
     def test_norm_concentration_against_chi2_tails(self):
         # ||Ax||^2 for unit x is chi-square with d dof; the deviation
         # frequencies must respect the Chernoff tail bounds

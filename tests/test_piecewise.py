@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csplab.piecewise import (PiecewisePolynomial, _gauss_legendre,
+from csplab.piecewise import (PiecewisePolynomial, _gauss_legendre, _sorted_distinct,
                               constant_function, orthonormal_basis_matrix,
                               piecewise_constant)
 
@@ -106,3 +106,12 @@ def test_sup_norm_on_linear_piece():
     t = np.linspace(0, 1, 7)
     assert np.allclose(f(t), t, atol=1e-12)
     assert f.sup_norm() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("values", [[], [0.5], [3, 1, 2, 1, 3], [[0.25, 0.0], [1.0, 0.25]],
+                                    [0.0, -0.0, 1e-300, 1e300, -1.0]])
+def test_sorted_distinct_is_np_unique(values):
+    a = np.array(values)
+    want = np.unique(a)
+    got = _sorted_distinct(a)
+    assert got.dtype == want.dtype and np.array_equal(got, want)

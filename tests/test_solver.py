@@ -1044,7 +1044,8 @@ def held():
 class TestWorkspace:
     """The scan's only allocator: one page-aligned private mapping per role
     per thread, handed out again while the role's shape repeats and
-    replaced, not added to, when it changes."""
+    replaced, not added to, when it changes; one over _KEEP_BYTES is not
+    kept past its scan."""
 
     @pytest.mark.parametrize("shape", [(0,), (1,), (3,), (7, 5), (4096, 12), (2, 3, 5)])
     def test_reused_while_the_shape_repeats(self, shape):
@@ -1098,6 +1099,25 @@ class TestWorkspace:
         assert mine["out"].shape == (codec.size,)
         assert mine["inc"].shape == (analog.grid, 4)
         assert all(w.ctypes.data % mmap.PAGESIZE == 0 for w in mine.values())
+
+    @pytest.mark.parametrize("p, kept", [(200, True), (2_000, False)])
+    def test_a_large_workspace_is_released_with_its_scan(self, p, kept):
+        # the strong-panel workload's shape: 576 codewords in one tile, whose
+        # (576, 200) kernel output (0.9 MB) the thread keeps; 2,000 signals
+        # make it 9.2 MB, over _KEEP_BYTES, and it goes when the scan returns
+        codec = SparseCodec(64, 1, 1.0, 0.25)
+        ens = sample_ensemble(48, 64, derive_stream(136, 0))
+        ys = derive_stream(136, 1).standard_normal((p, 48))
+
+        def task():
+            csp_recover_panel(ys, ens, codec)
+            return held()
+
+        roles = in_thread(task)
+        assert ("out" in roles) == kept == (576 * p * 8 <= solver._KEEP_BYTES)
+        assert roles["tile"].shape == (576, 48)
+        if kept:
+            assert roles["out"].shape == (576, p)
 
     def test_warm_recovery_allocates_less_than_a_tile(self):
         # the weak-scan codec: 476,656 codewords in tiles of 4,096 x 12
