@@ -14,7 +14,11 @@ Three signal classes are covered:
 Every codec declares a target distortion delta, exposes its exact codebook
 size and rate_bits = log2(size), and enumerates codewords lazily by index.
 Encoding maps a class member to a codeword index with reconstruction error
-at most delta; decoding is the inverse enumeration.
+at most delta; decoding is the inverse enumeration.  The scan sees a codec
+as a run of equal-size groups of codewords that share one operator, and
+reads their coefficient rows through one method, coef_block(offset,
+count): level values (sparse, grid), basis coefficients (ppoly) or the
+codewords themselves (explicit).
 
 Constructors check every parameter first, else ValueError: counts (n, k,
 degree, n_breaks, grid, a cap other than None) are integers or integer-valued
@@ -29,7 +33,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -113,11 +117,11 @@ def _integer(name: str, value) -> int:
     raise IndexError(f"{name} {value!r} must be an integer")
 
 
-def ceil_snap(x: float, eps: float = 1e-9) -> int:
-    """Ceiling that forgives float fuzz: values within eps (relative) of an
+def ceil_snap(x: float) -> int:
+    """Ceiling that forgives float fuzz: values within 1e-9 (relative) of an
     integer snap to it instead of being pushed up."""
     r = round(x)
-    if abs(x - r) <= eps * max(1.0, abs(x)):
+    if abs(x - r) <= 1e-9 * max(1.0, abs(x)):
         return int(r)
     return int(math.ceil(x))
 
@@ -135,8 +139,10 @@ def _comb_rank(support, n: int, k: int) -> int:
 
 @functools.lru_cache(maxsize=4096)
 def _comb_unrank(rank: int, n: int, k: int) -> tuple:
-    """Inverse of _comb_rank.  Memoized: decoders unrank the same few
-    supports and breakpoint layouts over and over."""
+    """Inverse of _comb_rank, for one index at a time: SparseCodec.decode
+    and stress_member unrank a support, PiecewisePolyCodec.decode a
+    breakpoint layout (the tables of every support and layout are built from
+    itertools instead).  Memoized: they unrank the same few over and over."""
     out = []
     j = 0
     for i in range(k):
@@ -150,6 +156,13 @@ def _comb_unrank(rank: int, n: int, k: int) -> tuple:
         out.append(j)
         j += 1
     return tuple(out)
+
+
+def _digit_rows(indices: np.ndarray, base: int, width: int) -> np.ndarray:
+    """The width base-`base` digits of each index, most significant first:
+    shape (len(indices), width), the row-major order of both codebook
+    layouts."""
+    return np.stack(np.unravel_index(indices, (base,) * width), axis=1)
 
 
 @dataclass
@@ -232,7 +245,7 @@ class SparseCodec(Codec):
     support are the level values of its grid index, which depend only on
     the grid index.  The scan takes each support as one group of grid_size
     codewords, with the columns of the support as its operator and
-    level_block as its coefficient rows, and decodes no codeword.  Level
+    coef_block as its coefficient rows, and decodes no codeword.  Level
     rows are computed from their grid digits on request; the scan asks for
     each block of them once.  decode and decode_many return fresh arrays.
     """
@@ -302,7 +315,7 @@ class SparseCodec(Codec):
         support_rank, rem = divmod(self._index(index), self.grid_size)
         out = np.zeros(self.n)
         # the last support coordinate holds the least significant grid digit;
-        # (d - steps) * spacing in Python floats has level_block's bits
+        # (d - steps) * spacing in Python floats has coef_block's bits
         for i in reversed(_comb_unrank(support_rank, self.n, self.k)):
             rem, d = divmod(rem, self.levels_per_dim)
             out[i] = (d - self.steps) * self.spacing
@@ -311,15 +324,14 @@ class SparseCodec(Codec):
     def _levels(self, grid_indices: np.ndarray) -> np.ndarray:
         """Level values (count, k) of an array of grid indices, computed from
         their grid digits."""
-        digits = np.stack(np.unravel_index(grid_indices, (self.levels_per_dim,) * self.k),
-                          axis=1)
+        digits = _digit_rows(grid_indices, self.levels_per_dim, self.k)
         return (digits - self.steps) * self.spacing
 
-    def level_block(self, grid_index: int, count: int) -> np.ndarray:
-        """Level values of the grid indices [grid_index, grid_index + count),
-        shape (count, k).  Row i holds the values, on its support, of
-        codeword grid_index + i of every support."""
-        return self._levels(np.arange(grid_index, grid_index + count, dtype=np.int64))
+    def coef_block(self, offset: int, count: int) -> np.ndarray:
+        """Level values of the grid indices [offset, offset + count), shape
+        (count, k): the scan's coefficient rows.  Row i holds the values, on
+        its support, of codeword offset + i of every support."""
+        return self._levels(np.arange(offset, offset + count, dtype=np.int64))
 
     def decode_many(self, indices) -> np.ndarray:
         """Codewords (p, n) of p indices, with decode's bits: row i holds
@@ -424,6 +436,11 @@ class ExplicitCodec(Codec):
 
     def decode_many(self, indices) -> np.ndarray:
         return self._codewords[self._indices(indices)]
+
+    def coef_block(self, offset: int, count: int) -> np.ndarray:
+        """Codewords [offset, offset + count), a read-only view (count, n):
+        the scan's coefficient rows of its one group, the whole codebook."""
+        return self._codewords[offset:offset + count]
 
     def config(self) -> dict:
         raise ValueError("an explicit codebook has no JSON descriptor")
@@ -605,22 +622,21 @@ class PiecewisePolyCodec(Codec):
         index range [r * coef_space, (r + 1) * coef_space), which lets the
         analog scan vectorize over coefficients.  Built on first use and kept
         for the codec's lifetime, never in __init__: rate-only codecs built
-        without a cap can have astronomically many layouts.
+        without a cap can have astronomically many layouts.  The rows are the
+        nondecreasing level tuples in rank order, the order of
+        itertools.combinations_with_replacement.
         """
-        levels = np.array([self._break_unrank(r) for r in range(self.n_break_combos)],
-                          dtype=np.int64).reshape(self.n_break_combos, self.n_breaks)
+        levels = np.array(list(combinations_with_replacement(range(self.break_levels),
+                                                             self.n_breaks)), dtype=np.int64)
         table = self._break_value(levels)
         table.flags.writeable = False
         return table
 
-    def coef_block(self, group_offset: int, count: int) -> np.ndarray:
-        """Coefficient matrices for `count` codewords starting at the given
-        offset inside a breakpoint group; shape (count, n_coef)."""
-        idx = np.arange(group_offset, group_offset + count, dtype=np.int64)
-        digits = np.stack(
-            np.unravel_index(idx, (self.coef_levels,) * self.n_coef), axis=1
-        )
-        return self._coef_value(digits)
+    def coef_block(self, offset: int, count: int) -> np.ndarray:
+        """Coefficients (count, n_coef) of the codewords [offset, offset +
+        count) of every breakpoint layout: the scan's coefficient rows."""
+        idx = np.arange(offset, offset + count, dtype=np.int64)
+        return self._coef_value(_digit_rows(idx, self.coef_levels, self.n_coef))
 
     def _audit_distortion(self) -> float:
         """Measured worst encode/decode L2 error over ties-to-the-quantizer

@@ -18,11 +18,12 @@ when it fits), whose coefficient rows are built once per scan; groups that
 fit in one block are scanned many to a tile of at most _BLOCK rows.  The
 tile minima are reduced once by (residual, index), so the smallest index
 wins a tie whatever order the tiles are visited in.  The three solvers are
-front ends that differ only in their plan (the groups, their operators and
-coefficient rows) and their residual kernel, and each returns one
-RecoveryResult with a row per signal: csp_recover is csp_recover_panel's
-body run on one signal with the direct kernel.  No codeword is decoded to
-scan it, and every buffer of the scan is a _workspace.
+front ends that differ only in their plan (the groups and their operators;
+every codec's coefficient rows come from its coef_block) and their residual
+kernel, and each returns one RecoveryResult with a row per signal:
+csp_recover is csp_recover_panel's body run on one signal with the direct
+kernel.  No codeword is decoded to scan it, and every buffer of the scan is
+a _workspace.
 
 A piecewise-polynomial codec of several breakpoint layouts is screened
 first: every layout's operator is built cheaply from prefix sums of the
@@ -206,21 +207,21 @@ def _scan(ops, n_groups: int, size: int, coefs, ys: np.ndarray, kernel):
 
 
 def _finite_plan(ensemble: MeasurementEnsemble, codec: Codec):
-    """(ops, n_groups, size, coefs) of _scan for a finite-dimensional codec.
+    """(ops, n_groups, size, coefs) of _scan for a finite-dimensional codec;
+    coefs is the codec's coef_block.
 
     A sparse or grid codec has one group per support S, in rank order: its
     grid_size codewords share the operator A[:, S]^T, gathered per tile from
     the codec's support table, and their coefficient rows are the codec's
-    level rows, so the scan multiplies only the k support columns.  Any other
-    codec is one group whose coefficient rows are its codewords, each block
-    read with decode_many, times the transposed matrix, a view: a contiguous
-    copy would round one-row (gemv) products differently."""
+    level rows, so the scan multiplies only the k support columns.  An
+    explicit codec is one group whose coefficient rows are its codewords,
+    row slices of its table, times the transposed matrix, a view: a
+    contiguous copy would round one-row (gemv) products differently."""
     At = ensemble.matrix.T
     if isinstance(codec, SparseCodec):
         return (lambda g, count: At[codec.supports[g:g + count]], codec.n_supports,
-                codec.grid_size, codec.level_block)
-    return (lambda g, count: At[None], 1, codec.size,
-            lambda start, count: codec.decode_many(np.arange(start, start + count)))
+                codec.grid_size, codec.coef_block)
+    return lambda g, count: At[None], 1, codec.size, codec.coef_block
 
 
 def _row_norms(D: np.ndarray) -> np.ndarray:
@@ -345,32 +346,20 @@ def csp_recover_panel(ys, ensemble: MeasurementEnsemble, codec: Codec,
     return _recover(ys, ensemble, codec, truths, _expanded, t0)
 
 
-def _pieces(layouts: np.ndarray, times: np.ndarray, m: int):
-    """Edges and cell cuts (n_layouts, n_breaks + 2) of every row of layouts:
-    piece j of a layout spans [edges[j], edges[j+1]] and covers the grid
-    cells [cuts[j], cuts[j+1]), found by one searchsorted over the table."""
-    n = len(layouts)
-    edges = np.hstack((np.zeros((n, 1)), layouts, np.ones((n, 1))))
-    cuts = np.hstack((np.zeros((n, 1), dtype=np.int64),
-                      np.searchsorted(times, layouts, side="left"),
-                      np.full((n, 1), m)))
-    return edges, cuts
-
-
-def _analog_operators(codec: PiecewisePolyCodec, layouts: np.ndarray,
+def _analog_operators(codec: PiecewisePolyCodec, edges: np.ndarray, cuts: np.ndarray,
                       times: np.ndarray, inc_t: np.ndarray) -> np.ndarray:
-    """Operators (n_layouts, n_coef, d), one matrix B per row of layouts
-    (n_layouts, n_breaks), with y_c = coeffs @ B for every codeword whose
-    pieces are split at that row's breakpoints: B rows are the stochastic
-    integrals of the basis functions of each (piece, degree) slot.
+    """Operators (n_layouts, n_coef, d), one matrix B per layout, with
+    y_c = coeffs @ B for every codeword whose pieces are split at that
+    layout's breakpoints: B rows are the stochastic integrals of the basis
+    functions of each (piece, degree) slot.
 
-    times is the sorted grid of left endpoints and inc_t the (m, d)
-    C-contiguous transpose of the ensemble's increments, so piece j of a
-    layout covers the contiguous cells [cuts[j], cuts[j+1]) and its integrals
-    are one product with a row slice of inc_t."""
-    edges, cuts = _pieces(layouts, times, len(inc_t))
+    edges and cuts are rows of a _geometry's, so piece j of a layout spans
+    [edges[j], edges[j+1]] and covers the contiguous cells [cuts[j],
+    cuts[j+1]) of the sorted grid times; inc_t is the (m, d) C-contiguous
+    transpose of the ensemble's increments, and a piece's integrals are one
+    product with a row slice of it."""
     deg = codec.degree
-    ops = np.zeros((len(layouts), codec.n_coef, inc_t.shape[1]))
+    ops = np.zeros((len(edges), codec.n_coef, inc_t.shape[1]))
     for B, e, c in zip(ops, edges.tolist(), cuts.tolist()):
         for j in range(codec.n_breaks + 1):
             lo, hi = c[j], c[j + 1]
@@ -443,12 +432,15 @@ def _basis_terms(degree: int):
 
 
 def _geometry(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray):
-    """The part of _screen that depends only on the layouts (n_layouts,
-    n_breaks) and the sorted grid times, built once per codec
-    (_codec_geometry): the read-only arrays (at, k, powers, C, absC, w).
+    """What the scan of a codec needs of its breakpoint layouts (n_layouts,
+    n_breaks) on the sorted grid times, built once per codec
+    (_codec_geometry): the read-only arrays (edges, cuts, at, k, powers, C,
+    absC, w).  The exact operators read the first two, the screen the rest.
 
-    at holds the distinct cuts of the table, sorted, and k (n_layouts,
-    n_breaks + 2) each cut's position in at; powers (degree, m) the powers
+    Piece j of a layout spans [edges[j], edges[j+1]] and covers the grid
+    cells [cuts[j], cuts[j+1]), found by one searchsorted over the table;
+    both are (n_layouts, n_breaks + 2).  at holds the distinct cuts, sorted,
+    and k each cut's position in at; powers (degree, m) the powers
     t^j of the times for 1 <= j <= degree, each the running product of the
     one before and the times.  A piece with cells [lo, hi) starts at a and
     is h long, and its coefficients are C[k, j] = s_k sum_l M[k, l, j]
@@ -456,9 +448,11 @@ def _geometry(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray)
     (n_layouts, pieces, P, P), absC their absolute values, and w
     (n_layouts, pieces, P) the weight of A = sum |inc| in the operator
     term's bound E."""
-    m, N = len(times), codec.degree
+    m, N, n = len(times), codec.degree, len(layouts)
     P = N + 1
-    edges, cuts = _pieces(layouts, times, m)
+    edges = np.hstack((np.zeros((n, 1)), layouts, np.ones((n, 1))))
+    cuts = np.hstack((np.zeros((n, 1), dtype=np.int64),
+                      np.searchsorted(times, layouts, side="left"), np.full((n, 1), m)))
     live = cuts[:, 1:] > cuts[:, :-1]
     a = edges[:, :-1]
     h = np.where(live, np.diff(edges, axis=1), 1.0)    # finite for dead pieces too
@@ -479,14 +473,14 @@ def _geometry(codec: PiecewisePolyCodec, layouts: np.ndarray, times: np.ndarray)
     g_m, absC = _gamma(m), np.abs(C)
     w = (2 * g_m * absC.sum(axis=-1) + _gamma(7 * N + 9) * terms
          + s * ((1 + _gamma(2)) * (g_m * (1 + kappa) + kappa))) * live[..., None]
-    geometry = (at, np.searchsorted(at, cuts),
+    geometry = (edges, cuts, at, np.searchsorted(at, cuts),
                 np.cumprod(np.broadcast_to(times, (N, m)), axis=0), C, absC, w)
     for v in geometry:
         v.flags.writeable = False
     return geometry
 
 
-# each screened codec's _geometry, kept for the codec's lifetime
+# each scanned codec's _geometry, kept for the codec's lifetime
 _GEOMETRIES = weakref.WeakKeyDictionary()
 
 
@@ -500,21 +494,11 @@ def _codec_geometry(codec: PiecewisePolyCodec):
     return _GEOMETRIES[codec]
 
 
-def _screen(geometry, amp: float, inc: np.ndarray, y: np.ndarray, work: np.ndarray):
+def _screened_operators(geometry, inc: np.ndarray, work: np.ndarray):
     """Screened operators B~ (n_layouts, n_coef, d) of every layout of a
-    _geometry, from prefix sums, their Gram-form weights (n_layouts, F) and
-    two margins (operator, gram), each (n_layouts,), of each layout
-    (csp_recover_analog derives them; amp bounds every coefficient).
-
-    With G~ = B~ B~^T and b~ = B~ y, a layout's weights are 2 G~_ij for
-    i < j, G~_ii and -2 b~, in _features' order, so weights @ _features(c)
-    scores a codeword c as c G~ c^T - 2 c . b~.  With G~ and b~ exact, that
-    is ||y - c B~||^2 - ||y||^2: the real squared residual r on the screened
-    operator less a shift that every layout shares.  Both margins are
-    measured against r, one chain q -> r -> s^: for every codeword of the
-    layout, gram bounds |score + ||y||^2 - r| and operator bounds |s^ - r|,
-    where s^ is the squared residual that the scan computes, the direct
-    kernel on c @ B^ with B^ the exact operator of _analog_operators.
+    _geometry, from prefix sums, and E of the same shape, which bounds
+    |B~ - B^| element by element, B^ the exact operators that
+    _analog_operators computes (csp_recover_analog derives E).
 
     inc is the ensemble's (d, m) increments and work a C-contiguous (d, m)
     scratch array, which takes t^j inc and |inc| in turn, so the screen
@@ -526,19 +510,36 @@ def _screen(geometry, amp: float, inc: np.ndarray, y: np.ndarray, work: np.ndarr
     differences.  A piece without cells gets zero rows, as in
     _analog_operators."""
     d, m = inc.shape
-    at, k, powers, C, absC, w = geometry
+    _, _, at, k, powers, C, absC, w = geometry
     n, pieces, P = C.shape[:3]
-    K = pieces * P
     S = np.zeros((P, d, len(at)))
     for j in range(P):
         tj_inc = np.multiply(inc, powers[j - 1], out=work) if j else inc
         np.cumsum(np.add.reduceat(tj_inc, at[:-1], axis=1), axis=1, out=S[j, :, 1:])
     diff = (S[..., k[:, 1:]] - S[..., k[:, :-1]]).transpose(2, 3, 0, 1)  # (n, pieces, P, d)
-    ops = (C @ diff).reshape(n, K, d)
-
     A = np.abs(inc, out=work).sum(axis=1) * (1 + _gamma(m))
     E = _gamma(P + 1) * (absC @ np.abs(diff)) + w[..., None] * A
-    aB, aE = amp * np.abs(ops).sum(axis=1), amp * E.reshape(n, K, d).sum(axis=1)
+    return (C @ diff).reshape(n, pieces * P, d), E.reshape(n, pieces * P, d)
+
+
+def _screen(geometry, amp: float, inc: np.ndarray, y: np.ndarray, work: np.ndarray):
+    """The screened operators B~ of _screened_operators, their Gram-form
+    weights (n_layouts, F) and two margins (operator, gram), each
+    (n_layouts,), of each layout (csp_recover_analog derives them; amp
+    bounds every coefficient).
+
+    With G~ = B~ B~^T and b~ = B~ y, a layout's weights are 2 G~_ij for
+    i < j, G~_ii and -2 b~, in _features' order, so weights @ _features(c)
+    scores a codeword c as c G~ c^T - 2 c . b~.  With G~ and b~ exact, that
+    is ||y - c B~||^2 - ||y||^2: the real squared residual r on the screened
+    operator less a shift that every layout shares.  Both margins are
+    measured against r, one chain q -> r -> s^: for every codeword of the
+    layout, gram bounds |score + ||y||^2 - r| and operator bounds |s^ - r|,
+    where s^ is the squared residual that the scan computes, the direct
+    kernel on c @ B^ with B^ the exact operator of _analog_operators."""
+    ops, E = _screened_operators(geometry, inc, work)
+    n, K, d = ops.shape
+    aB, aE = amp * np.abs(ops).sum(axis=1), amp * E.sum(axis=1)
     Y = np.abs(y) + aB
     e = (1 + _U) * (_gamma(K) * (aB + aE) + aE) + _U * Y
     operator = (_gamma(d) * (Y + e) ** 2 + e * (2 * Y + e)).sum(axis=1)
@@ -590,9 +591,12 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     computed through the ensemble's left-point integral sums.  The codec's
     time grid must match the ensemble's so signal and codewords are measured
     identically.  Each row r of the codec's breakpoint layout table
-    (codec.break_layouts, built once per codec) is one group of the scan,
-    the codewords [r * coef_space, (r + 1) * coef_space), with the operator
-    of _analog_operators.
+    (codec.break_layouts) is one group of the scan, the codewords
+    [r * coef_space, (r + 1) * coef_space), with the operator of
+    _analog_operators and the coefficient rows of codec.coef_block.  Each
+    layout's pieces and cells (edges and cuts) are computed once per codec,
+    in its _geometry (_codec_geometry), which the screen and the exact
+    operators read alike; a codec of one layout reads it too.
 
     The increments are transposed once per scan into the C-contiguous (m, d)
     "inc" _workspace (np.copyto, the bytes of
@@ -614,8 +618,8 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
        and its Gram-form weights, and _gram_minima scores every codeword of
        every layout with them, keeping each layout's minimum score q_min.
        What depends only on the layouts and the grid (cuts, basis
-       coefficients, the weight of sum |inc| in the margin) is the codec's
-       _geometry, built once per codec (_codec_geometry).
+       coefficients, the weight of sum |inc| in the margin) comes from the
+       codec's _geometry.
        A score q is the codeword's squared residual on B~ less ||y||^2, a
        shift that every layout shares, so it is left out.
     2. Margin: _screen also gives each layout a margin mu, with
@@ -691,15 +695,16 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     _check(ys, ensemble, codec, analog=True, truths=None if truth is None else (truth,))
     inc = ensemble.increments
     inc_t = _workspace("inc", ensemble.m, ensemble.d)
-    layouts, times, size = codec.break_layouts, ensemble.times, codec.coef_space
+    geometry, size = _codec_geometry(codec), codec.coef_space
+    edges, cuts = geometry[:2]
     coefs = functools.lru_cache(maxsize=1)(codec.coef_block)
-    cand = np.arange(len(layouts))
-    if len(layouts) > 1:    # one layout: nothing to screen
+    cand = np.arange(len(edges))
+    if len(cand) > 1:    # one layout: nothing to screen
         # every value of the screen reaches the rule below through a layout's
         # minimum or margin, and a layout whose minimum or margin is not
         # finite is kept, so the exact rescan decides; its overflow is no error
         with np.errstate(over="ignore", invalid="ignore"):
-            _, weights, margins = _screen(_codec_geometry(codec), codec.amp, inc, ys[0],
+            _, weights, margins = _screen(geometry, codec.amp, inc, ys[0],
                                           inc_t.reshape(inc.shape))
             low = _gram_minima(weights, size, coefs)
             margin = sum(margins)
@@ -707,7 +712,7 @@ def csp_recover_analog(y, ensemble: WienerEnsemble, codec: PiecewisePolyCodec,
     np.copyto(inc_t, inc.T)
     # operators are built before the scan starts: built between its blocks
     # they cost the analog-groups benchmark about 4% more time per trial
-    ops = _analog_operators(codec, layouts[cand], times, inc_t)
+    ops = _analog_operators(codec, edges[cand], cuts[cand], ensemble.times, inc_t)
     sq, idx = _scan(lambda g, count: ops[g:g + count], len(ops), size, coefs, ys,
                     _direct)
     # codeword i of the rescan is codeword i % size of layout cand[i // size]

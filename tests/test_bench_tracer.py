@@ -35,7 +35,10 @@ def test_tracer_wraps_names_and_restores_them():
         for owner, name in ((harness, "csp_recover"), (harness, "measure"),
                             (harness, "run_trial"), (measurement, "gaussian_vector"),
                             (codecs, "derive_stream"), (codecs.SparseCodec, "decode"),
-                            (codecs.PiecewisePolyCodec, "coef_block")):
+                            (codecs.PiecewisePolyCodec, "coef_block"),
+                            # every codec's scan rows are charged to the codec
+                            (codecs.SparseCodec, "coef_block"),
+                            (codecs.ExplicitCodec, "coef_block")):
             wrapped = vars(owner)[name]
             assert wrapped is not before[owner][name], name
             assert wrapped.__wrapped__ is before[owner][name], name

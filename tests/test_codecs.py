@@ -94,6 +94,15 @@ class TestGridCodec:
         with pytest.raises(DomainError, match="finite"):
             GridCodec(2, 1.0, 0.5).encode(np.array([bad, 0.0]))
 
+    def test_decode_reads_indices_past_int64(self):
+        # about 1e22 codewords: decode takes any Python int, digit by digit
+        c = GridCodec(8, 1.0, 0.01, cap=None)
+        assert c.size > 2**64
+        top = c.steps * c.spacing
+        assert c.decode(c.size - 1).tolist() == [top] * 8
+        assert c.decode(c.size // 2).tolist() == [0.0] * 8
+        assert c.decode(0).tolist() == [-top] * 8
+
     def test_index_string_round_trip(self):
         c = GridCodec(2, 1.0, 0.5)
         idx = c.encode(np.array([0.2, -0.2]))
@@ -400,7 +409,8 @@ def decode_runs(draw):
 
 class TestDecodeBlock:
     """Runs of codewords [start, start + count), read with decode_many of
-    their index range, as the explicit scan plan reads its blocks."""
+    their index range, and the scan's coefficient rows of such runs, read
+    with coef_block."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(case=decode_runs())
@@ -418,6 +428,30 @@ class TestDecodeBlock:
         assert got.shape == (count, c.n)
         assert got.tobytes() == per_run_block(c, start, count).tobytes()
         assert c.decode(index).tobytes() == c.decode_many(np.array([index]))[0].tobytes()
+
+    @pytest.mark.parametrize("name", ["sparse", "grid", "explicit", "ppoly-deg1"])
+    def test_coef_block_rows_are_the_decoded_values(self, name):
+        # row i of coef_block(offset, count) holds codeword offset + i of
+        # every group: its values on each support, its codeword (the one
+        # group of an explicit codec), or its basis coefficients, bit for bit
+        c = (ExplicitCodec(derive_stream(5, 0).standard_normal((9, 3)))
+             if name == "explicit" else round_trip_codec(name))
+        size = getattr(c, "grid_size", getattr(c, "coef_space", c.size))
+        for offset, count in ((0, min(size, 300)), (size - 3, 3), (1, 0)):
+            rows = c.coef_block(offset, count)
+            idx = np.arange(offset, offset + count)
+            if name == "ppoly-deg1":
+                layout = c.n_break_combos - 1
+                want = [c.decode(layout * size + i).coeffs.ravel() for i in idx]
+                assert rows.tobytes() == np.array(want).reshape(rows.shape).tobytes()
+            elif name == "explicit":
+                assert rows.tobytes() == c.decode_many(idx).tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    rows[...] = 0.0
+            else:
+                for r, support in enumerate(c.supports):
+                    got = c.decode_many(r * size + idx)[:, support]
+                    assert rows.tobytes() == got.tobytes()
 
     @pytest.mark.parametrize("name", ["sparse", "sparse-lazy", "grid", "grid-lazy",
                                       "explicit"])

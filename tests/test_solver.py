@@ -24,10 +24,9 @@ from csplab.measurement import (MeasurementEnsemble, WienerEnsemble, measure,
                                 measure_analog, sample_ensemble,
                                 sample_wiener_ensemble)
 from csplab.piecewise import orthonormal_basis_matrix
-from csplab import solver
+from csplab import codecs, solver
 from csplab.rng import derive_stream
-from csplab.solver import (_analog_operators, csp_recover, csp_recover_analog,
-                           csp_recover_panel)
+from csplab.solver import csp_recover, csp_recover_analog, csp_recover_panel
 
 
 @contextlib.contextmanager
@@ -301,6 +300,14 @@ def ppoly_codec(degree, n_breaks, delta, grid):
     return PiecewisePolyCodec(degree, n_breaks, 1.0, delta, grid=grid, cap=None)
 
 
+def exact_operators(codec, layouts, ens):
+    """solver._analog_operators of any layouts (n_layouts, n_breaks) of the
+    codec on the ensemble's increments, from the cells of their _geometry."""
+    edges, cuts = solver._geometry(codec, layouts, ens.times)[:2]
+    return solver._analog_operators(codec, edges, cuts, ens.times,
+                                    np.ascontiguousarray(ens.increments.T))
+
+
 @st.composite
 def operator_cases(draw):
     """A codec, a Wiener ensemble on its grid, and a sorted breakpoint layout
@@ -324,21 +331,19 @@ class TestAnalogGroupOperator:
         codec = ppoly_codec(*params)
         ens = sample_wiener_ensemble(d, codec.grid, seed, 0)
         breakpoints = np.asarray(halves, dtype=float) / (2 * codec.grid)
-        inc_t = np.ascontiguousarray(ens.increments.T)
-        got = _analog_operators(codec, breakpoints[None], ens.times, inc_t)[0]
+        got = exact_operators(codec, breakpoints[None], ens)[0]
         assert np.array_equal(got, mask_group_operator(codec, breakpoints, ens))
 
     @pytest.mark.parametrize("params", OPERATOR_CODECS)
     def test_every_codec_group_matches_mask_reference_bitwise(self, params):
         codec = ppoly_codec(*params)
         ens = sample_wiener_ensemble(5, codec.grid, 60, 0)
-        inc_t = np.ascontiguousarray(ens.increments.T)
-        ops = _analog_operators(codec, codec.break_layouts, ens.times, inc_t)
+        ops = exact_operators(codec, codec.break_layouts, ens)
         assert len(ops) == codec.n_break_combos
         for got, breakpoints in zip(ops, codec.break_layouts):
             assert np.array_equal(got, mask_group_operator(codec, breakpoints, ens))
 
-    @pytest.mark.parametrize("params", OPERATOR_CODECS)
+    @pytest.mark.parametrize("params", OPERATOR_CODECS + [(1, 0, 0.7, 16)])
     def test_layout_table_matches_legacy_groups(self, params):
         codec = ppoly_codec(*params)
         table = codec.break_layouts
@@ -350,23 +355,28 @@ class TestAnalogGroupOperator:
             table[0, 0] = 0.5
 
     def test_layout_table_built_once_per_codec(self, monkeypatch):
+        # the layout table and the geometry of its cells are built once per
+        # codec, by the first recovery; decoding the result unranks one layout
         codec = PiecewisePolyCodec(0, 1, 1.0, 0.5, grid=64)
         ens = sample_wiener_ensemble(4, 64, 63, 0)
         y = measure_analog(ens, codec.decode(codec.size // 2 + 3))
-        calls = []
-        unrank = codec._break_unrank
+        calls = {"table": 0, "geometry": 0, "unrank": 0}
 
-        def counting(rank):
-            calls.append(rank)
-            return unrank(rank)
+        def counting(owner, name, key):
+            original = getattr(owner, name)
 
-        monkeypatch.setattr(codec, "_break_unrank", counting)
+            def counted(*args):
+                calls[key] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(codecs, "combinations_with_replacement", "table")
+        counting(solver, "_geometry", "geometry")
+        counting(codec, "_break_unrank", "unrank")
         first = csp_recover_analog(y, ens, codec)
-        # the table unranks every layout once; decoding the result adds one
-        assert len(calls) == codec.n_break_combos + 1
-        calls.clear()
+        assert calls == {"table": 1, "geometry": 1, "unrank": 1}
         second = csp_recover_analog(y, ens, codec)
-        assert len(calls) == 1
+        assert calls == {"table": 1, "geometry": 1, "unrank": 2}
         assert second.chosen_index[0] == first.chosen_index[0] == codec.size // 2 + 3
 
     def test_block_sizes_agree_bitwise(self, monkeypatch):
@@ -410,8 +420,7 @@ def reference_analog_scan(y, ens, codec):
     """Reference scan, one group at a time: each block of a layout's
     coefficient grid times its operator, the direct kernel, and a strict
     fold that keeps the earlier index on ties."""
-    inc_t = np.ascontiguousarray(ens.increments.T)
-    ops = _analog_operators(codec, codec.break_layouts, ens.times, inc_t)
+    ops = exact_operators(codec, codec.break_layouts, ens)
     kernel = direct_kernel(np.asarray(y, dtype=float))
     size = codec.coef_space
     best, at = np.inf, 0
@@ -488,9 +497,9 @@ def rebuilt_layouts(monkeypatch):
     counts = []
     build = solver._analog_operators
 
-    def counting(codec, layouts, times, inc_t):
-        counts.append(len(layouts))
-        return build(codec, layouts, times, inc_t)
+    def counting(codec, edges, cuts, times, inc_t):
+        counts.append(len(edges))
+        return build(codec, edges, cuts, times, inc_t)
 
     monkeypatch.setattr(solver, "_analog_operators", counting)
     return counts
@@ -563,9 +572,8 @@ class TestAnalogScreen:
         rows = codec.coef_block(0, codec.coef_space)
         for seed, noise in ((0, 0.0), (1, 0.05), (2, 3.0)):
             ens, y = analog_signal(codec, 3 + seed, 70 + seed, noise)
-            inc_t = np.ascontiguousarray(ens.increments.T)
             _, weights, terms = screen(codec, layouts, ens, y)
-            exact = _analog_operators(codec, layouts, ens.times, inc_t)
+            exact = exact_operators(codec, layouts, ens)
             assert len(terms) == 2
             for t in terms:
                 assert np.all(t > 0) and np.all(np.isfinite(t))
@@ -625,8 +633,7 @@ class TestGramOracle:
         rows = codec.coef_block(0, codec.coef_space)
         ens, y = analog_signal(codec, d, 90 + d, noise)
         screened, weights, (operator, gram) = screen(codec, layouts, ens, y)
-        inc_t = np.ascontiguousarray(ens.increments.T)
-        rescan = _analog_operators(codec, layouts, ens.times, inc_t)
+        rescan = exact_operators(codec, layouts, ens)
         # the float values come from whole blocks, as in the scan, and are
         # subsampled after
         pick = (np.arange(len(rows)) if len(rows) <= self.SAMPLE
@@ -640,6 +647,43 @@ class TestGramOracle:
             real = (D * D).sum(axis=1)
             assert np.all(abs(exact(score) + yy - real) <= Fraction(g))
             assert np.all(abs(exact(kernel(rows @ Bx)[pick, 0]) - real) <= Fraction(op))
+
+
+def mixed_increments(kind, d, m, gen):
+    """(d, m) increments of one kind: a Wiener path's; gaussians of mixed
+    sign scaled by 10^-6 to 10^6 cell by cell, so large cells dominate
+    sum |inc| and small ones cancel in the prefix sums; or integers in
+    [-3, 3], whose products with the dyadic powers t^j and prefix sums are
+    exact, so only the basis and coefficient rounding remain."""
+    if kind == "wiener":
+        return gen.standard_normal((d, m)) / math.sqrt(m)
+    if kind == "mixed":
+        return gen.standard_normal((d, m)) * 10.0 ** gen.integers(-6, 7, size=(d, m))
+    return gen.integers(-3, 4, size=(d, m)).astype(float)
+
+
+class TestOperatorBound:
+    """E of _screened_operators against exact arithmetic: for every layout,
+    the screened operator B~ and the exact operator B^ of _analog_operators,
+    both floats, are within E of each other element by element, their
+    distance taken in Fractions.  The margins of TestGramOracle read E only
+    through sums weighted by amp; this checks each element of it."""
+
+    @pytest.mark.parametrize("params", [(1, 0, 0.7, 16), (1, 1, 0.9, 16), (1, 2, 0.9, 32),
+                                        (2, 0, 0.7, 16), (2, 1, 0.9, 16)])
+    @pytest.mark.parametrize("kind", ["wiener", "mixed", "integer"])
+    def test_bound_holds_elementwise(self, params, kind):
+        codec = ppoly_codec(*params)
+        gen = derive_stream(67, sum(params[:2]))
+        layouts = np.vstack((codec.break_layouts, off_grid_layouts(codec, gen, 4)))
+        for d in (1, 3):
+            inc = mixed_increments(kind, d, codec.grid, gen)
+            ens = WienerEnsemble(inc)
+            screened, E = solver._screened_operators(
+                solver._geometry(codec, layouts, ens.times), inc, np.empty_like(inc))
+            rescan = exact_operators(codec, layouts, ens)
+            assert screened.shape == E.shape == rescan.shape
+            assert np.all(abs(exact(screened) - exact(rescan)) <= exact(E))
 
 
 def legendre(k, u):
@@ -997,8 +1041,7 @@ class TestTileAlignment:
 
         if name == "ppoly16":
             ens = sample_wiener_ensemble(3, codec.grid, 63, 0)
-            ops = solver._analog_operators(codec, codec.break_layouts, ens.times,
-                                           np.ascontiguousarray(ens.increments.T))
+            ops = exact_operators(codec, codec.break_layouts, ens)
             plan = (lambda g, count: ops[g:g + count], len(ops), codec.coef_space,
                     codec.coef_block)
         else:
