@@ -327,7 +327,9 @@ def run_trial(config: ExperimentConfig, trial_index: int, point: int = 0,
     model = config.noise_model()
     bound = _bound_for(config, codec, d, n, model)
     seed = config.master_seed
-    noise_stream = _rng.derive_stream(seed, stream_id(point, trial_index, CH_NOISE))
+    # apply_noise reads no stream at level 0; the channel stays reserved
+    noise_stream = (_rng.derive_stream(seed, stream_id(point, trial_index, CH_NOISE))
+                    if model.level > 0 else None)
 
     if analog:
         ensemble_seed = stream_id(point, trial_index, CH_WIENER_BASE)

@@ -18,7 +18,10 @@ import numpy as np
 
 from .codecs import _number, _refuse_unknown
 from .piecewise import PiecewisePolynomial
-from .rng import derive_stream, gaussian_matrix, gaussian_vector
+# perfbench/tracer.py times the stream layer by wrapping derive_stream and
+# gaussian_vector in this module's namespace, so both stay imported here,
+# derive_stream although no function of this module calls it
+from .rng import derive_stream, gaussian_matrix, gaussian_vector, stream_keys
 
 
 @dataclass
@@ -209,17 +212,27 @@ def sample_wiener_ensemble(d: int, m: int, master_seed: int,
                            base_stream_id: int = 0) -> WienerEnsemble:
     """Draw d independent Wiener paths, path i from stream base_stream_id+i.
 
-    The caller reserves the contiguous id block [base, base+d).
+    The caller reserves the contiguous id block [base, base+d).  Row i holds
+    the first m normals of derive_stream(master_seed, base_stream_id + i),
+    times sqrt(1/m), bit for bit: stream_keys derives the d Philox keys in
+    one pass, and one Philox, re-keyed per path with its counter at 0 and
+    its buffer empty, draws every row in place
+    (tests/test_measurement.py::TestWienerKeys).
     """
     if d < 1:
         raise ValueError(f"need d >= 1 measurement paths; got d={d}")
     if m < 1:
         raise ValueError(f"need m >= 1 grid steps; got m={m}")
+    keys = stream_keys(master_seed, base_stream_id, d)
+    bitgen = np.random.Philox(key=keys[0])
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state  # a fresh stream: counter 0, buffer empty
     inc = np.empty((d, m))
-    scale = np.sqrt(1.0 / m)
-    for i in range(d):
-        stream = derive_stream(master_seed, base_stream_id + i)
-        np.multiply(gaussian_vector(stream, m), scale, out=inc[i])
+    for row, key in zip(inc, keys):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.standard_normal(out=row)
+    inc *= np.sqrt(1.0 / m)
     return WienerEnsemble(inc)
 
 

@@ -464,6 +464,25 @@ class TestPanelCache:
                 arr[0] = 1.0
 
 
+class TestNoiseStream:
+    @pytest.mark.parametrize("noise, derived", [
+        ({"kind": "none"}, 0),
+        ({"kind": "gaussian", "sigma": 0.0}, 0),
+        ({"kind": "gaussian", "sigma": 0.1}, 1),
+    ])
+    def test_derived_only_for_nonzero_noise(self, monkeypatch, noise, derived):
+        seen = []
+        derive = harness._rng.derive_stream
+
+        def counting(seed, sid):
+            seen.append(sid)
+            return derive(seed, sid)
+
+        monkeypatch.setattr(harness._rng, "derive_stream", counting)
+        run_trial(small_config(noise=noise, theorem_id=None), 2, point=1)
+        assert seen.count(stream_id(1, 2, harness.CH_NOISE)) == derived
+
+
 class TestWienerStreams:
     def analog_config(self, d):
         return ExperimentConfig(

@@ -11,7 +11,7 @@ from csplab.measurement import (MeasurementEnsemble, NoiseModel, WienerEnsemble,
                                 apply_noise, measure, measure_analog,
                                 sample_ensemble, sample_wiener_ensemble)
 from csplab.piecewise import constant_function, piecewise_constant
-from csplab.rng import derive_stream, gaussian_matrix
+from csplab.rng import derive_stream, gaussian_matrix, gaussian_vector
 
 
 def big_wiener_ensemble(seed, n_paths, m):
@@ -241,6 +241,29 @@ def test_stream_consumers_pinned():
     aligned = apply_noise(y, NoiseModel("bounded", zeta=0.5, shape="worst_aligned"),
                           derive_stream(5, 7), context=np.array([0.6, 0.0, -0.8]))
     assert np.array_equal(aligned, [1.3, -2.0, 0.09999999999999998])
+
+
+class TestWienerKeys:
+    """sample_wiener_ensemble against one derive_stream per path."""
+
+    BASES = (0, 1, 2**32 - 1, 2**32, (3 << 44) | (17 << 16) | 16, 2**64 - 1)
+
+    @staticmethod
+    def per_path(d, m, seed, base):
+        inc = np.empty((d, m))
+        for i in range(d):
+            np.multiply(gaussian_vector(derive_stream(seed, base + i), m),
+                        np.sqrt(1.0 / m), out=inc[i])
+        return inc
+
+    @pytest.mark.parametrize("d", [1, 4, 32])
+    @pytest.mark.parametrize("m", [1, 7, 4096])
+    def test_rows_are_the_per_path_streams(self, d, m):
+        for seed in (0, 2**64):
+            for base in self.BASES:
+                base = min(base, 2**64 - d)  # the block [base, base + d) must be ids
+                got = sample_wiener_ensemble(d, m, seed, base).increments
+                assert np.array_equal(got, self.per_path(d, m, seed, base))
 
 
 class TestAnalogMeasurement:
